@@ -10,7 +10,7 @@ invocations.
 
 import pytest
 
-from repro.bench import REMOVAL, print_generic, run_workload
+from repro.bench import REMOVAL, print_generic, run_workload, write_json_artifact
 
 from benchmarks.conftest import make_session
 
@@ -55,5 +55,12 @@ def test_localized_vs_full_redetection(benchmark, mode):
                  f"{full_detect / max(loc_detect, 1):.1f}x fewer" if loc_detect else "-"],
             ],
         )
+        path = write_json_artifact("localized", {
+            "n_ops": N_OPS,
+            "localized": {"seconds": loc_time, "detector_runs": loc_detect},
+            "full": {"seconds": full_time, "detector_runs": full_detect},
+            "speedup": full_time / loc_time,
+        })
+        print(f"artifact: {path}")
         assert loc_detect < full_detect, "localized path must run fewer detectors"
         assert loc_time < full_time, "localized path must be faster"

@@ -7,11 +7,20 @@ anomalous group of each dataset.
 
 import pytest
 
-from repro.bench import print_generic
+from repro.bench import print_generic, write_json_artifact
 
-from benchmarks.conftest import DATASET_LABELS, make_session
+from benchmarks.conftest import BENCH_SCALE, DATASET_LABELS, make_session
 
 _ROWS: list = []
+_SECONDS: dict = {"suggest_seconds": {}, "preview_seconds": {}}
+
+
+def _record(kind: str, dataset: str, benchmark) -> None:
+    """File one mean latency; write the artifact once all six are in."""
+    _SECONDS[kind][dataset] = benchmark.stats.stats.mean
+    if all(len(done) == len(DATASET_LABELS) for done in _SECONDS.values()):
+        path = write_json_artifact("suggestions", {"scale": BENCH_SCALE, **_SECONDS})
+        print(f"artifact: {path}")
 
 
 @pytest.mark.parametrize("dataset", list(DATASET_LABELS))
@@ -23,6 +32,7 @@ def test_suggestion_ranking_latency(benchmark, dataset):
     suggestions = benchmark(lambda: session.suggest(worst))
     assert suggestions
     assert suggestions[0].score >= suggestions[-1].score
+    _record("suggest_seconds", dataset, benchmark)
 
 
 @pytest.mark.parametrize("dataset", list(DATASET_LABELS))
@@ -41,3 +51,4 @@ def test_preview_latency(benchmark, dataset):
             "Figure 3 previews — categories rendered per preview",
             ["Dataset", "Categories"], _ROWS,
         )
+    _record("preview_seconds", dataset, benchmark)

@@ -59,10 +59,13 @@ EXPECTED_ARTIFACTS = {
     "bench_concurrency.py": "concurrency",
     "bench_durability.py": "durability",
     "bench_indexes.py": "indexes",
+    "bench_joins.py": "joins",
+    "bench_localized.py": "localized",
     "bench_parallel.py": "parallel",
     "bench_pipeline.py": "pipeline",
     "bench_prepared.py": "prepared",
     "bench_streaming.py": "streaming",
+    "bench_suggestions.py": "suggestions",
     "bench_table1.py": "table1",
     "bench_tps.py": "tps",
     "bench_vectorized.py": "vectorized",

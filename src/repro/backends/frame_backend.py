@@ -2,9 +2,15 @@
 
 This backend deliberately follows the Pandas computational model: every
 mutation re-materializes whole columns, and there are no secondary indexes —
-group membership and detector scans recompute over the full column after any
-change.  That is the cost profile Table 1 measures against Postgres, and
-reproducing it honestly is the point of this class (see DESIGN.md §1).
+detector scans and the per-group scope masks behind them recompute over the
+full column after any change.  That is the cost profile Table 1 measures
+against Postgres, and reproducing it honestly is the point of this class
+(see DESIGN.md §1).  Which rows form which *group* is not this class's
+business: :class:`repro.core.groups.GroupManager` keeps that index for both
+backends from ``all_row_ids`` + ``values``.  ``group_row_ids`` /
+``group_sizes`` have no caller in the library; they stay as the independent
+reference the tests compare that index against (and the end-to-end
+benchmark's backend proxy forwards them by name).
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ class FrameBackend(Backend):
     def _group_index(self, cat_col: str) -> dict:
         cached = self._group_cache.get(cat_col)
         if cached is None:
-            # full-column groupby, recomputed from scratch after any mutation
+            # full-column groupby behind the scope masks, recomputed from
+            # scratch after any mutation
             cached = {}
             ids = self._ids
             for position, value in enumerate(self._frame[cat_col]):

@@ -49,18 +49,18 @@ class ErrorIndex:
                     del self._by_row[anomaly.row_id]
 
     def drop_rows(self, row_ids: Iterable[int]) -> None:
-        """Remove anomalies attached to deleted rows."""
-        doomed = set(row_ids) & set(self._by_row)
-        if not doomed:
-            return
-        for key in list(self._by_group):
+        """Remove anomalies attached to deleted rows.
+
+        Only the groups ``_by_row`` names for those rows are visited.
+        """
+        doomed = {row_id for row_id in row_ids if row_id in self._by_row}
+        keys = {key for row_id in doomed for _code, key in self._by_row.pop(row_id)}
+        for key in keys:
             kept = [a for a in self._by_group[key] if a.row_id not in doomed]
             if kept:
                 self._by_group[key] = kept
             else:
                 del self._by_group[key]
-        for row_id in doomed:
-            del self._by_row[row_id]
 
     def clear(self) -> None:
         """Forget everything (used before a full re-detection)."""

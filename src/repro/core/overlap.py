@@ -7,14 +7,22 @@ graph, where each node corresponds to a group and an undirected edge
 connects any two groups that share one or more rows", and consults it after
 each repair to decide which groups need re-detection.
 
-The graph is kept *implicit*: neighbor queries resolve through the row ->
-group index instead of materializing O(groups²) edges.  ``edges()`` and
-``to_networkx()`` materialize explicitly for inspection and tests.
+The graph is kept *implicit*: neighbor queries resolve through the
+:class:`~repro.core.groups.GroupManager`'s membership index — its
+``row id -> category`` map per categorical chart column — instead of
+materializing O(groups²) edges, so "which groups hold these rows" costs one
+dict lookup per (row, categorical column) and reads nothing from the
+backend.  The graph is therefore exactly as current as that index: the
+session keeps it so by folding every mutation's delta into the manager
+(``GroupManager.apply_delta``); after a change made behind the manager's
+back, tell it first (``GroupManager.drop_rows`` / ``refresh``).  Rows that
+no longer exist belong to no group.  ``edges()`` and ``to_networkx()``
+materialize explicitly for inspection and tests.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.core.groups import GroupManager
 from repro.core.types import GroupKey
@@ -28,7 +36,7 @@ class OverlapGraph:
 
     # -- core queries ------------------------------------------------------------
 
-    def affected_groups(self, row_ids: Sequence[int]) -> set[GroupKey]:
+    def affected_groups(self, row_ids: Iterable[int]) -> set[GroupKey]:
         """All groups containing any of ``row_ids``.
 
         This is the set whose detectors must re-run after a repair touching

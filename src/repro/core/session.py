@@ -294,13 +294,16 @@ class BuckarooSession:
         )
 
     def _execute_ops(self, plan: RepairPlan) -> DeltaSnapshot:
-        """Execute a plan's ops atomically.
+        """Execute a plan's ops atomically, in order; returns their net delta.
 
-        If any op fails, everything already applied is rolled back through
-        the accumulated delta, so a failing (e.g. custom) wrangler can never
-        leave the table half-repaired.
+        Each op sees the table as the previous one left it, so the deltas
+        compose: a row an earlier op updated and a later one deletes is
+        recorded once, as deleted with its original cells.  If any op fails,
+        everything already applied is rolled back through the accumulated
+        delta, so a failing (e.g. custom) wrangler can never leave the table
+        half-repaired.
         """
-        delta = DeltaSnapshot(label=plan.description)
+        delta = DeltaSnapshot()
         try:
             for op in plan.ops:
                 if op.kind == OP_DELETE_ROWS:
@@ -311,7 +314,7 @@ class BuckarooSession:
                     )
                 else:  # pragma: no cover - PlanOp validates kinds
                     raise BuckarooError(f"unknown op kind {op.kind!r}")
-                delta = delta.merge_disjoint(produced)
+                delta = delta.compose(produced)
         except Exception:
             if not delta.is_empty:
                 self.backend.apply_delta(delta.inverse())
@@ -325,8 +328,7 @@ class BuckarooSession:
         affected: list
         resolved: int
         introduced: int
-        before_counts: dict
-        after_counts: dict
+        before: dict  # the affected groups' index entries before the mutation
         after_series: Optional[ChartSeries] = None
 
         @property
@@ -336,19 +338,16 @@ class BuckarooSession:
     def _mutate_and_redetect(self, plan: RepairPlan,
                              delta_override: Optional[DeltaSnapshot] = None,
                              ) -> "_MutationOutcome":
-        """Shared core of apply/speculate: mutate, refresh groups, re-detect."""
-        rows = sorted(plan.touched_rows) if delta_override is None else sorted(
-            delta_override.row_ids()
-        )
-        affected_before = self.overlap.affected_groups(rows)
-        before_errors = {
-            key: {
-                (a.row_id, a.error_code)
-                for a in self.engine.index.anomalies(key)
-            }
-            for key in affected_before
-        }
-        changed_cats = self._changed_categorical_columns(plan, delta_override)
+        """Shared core of apply/speculate/undo/redo: mutate, re-detect locally.
+
+        The groups to re-detect are those holding a touched row before the
+        mutation plus those whose membership the delta changed (rows that
+        moved category, re-appeared on undo, or formed a new category).
+        """
+        index = self.engine.index
+        rows = plan.touched_rows if delta_override is None else delta_override.row_ids()
+        affected = sorted(self.overlap.affected_groups(rows))
+        before = index.snapshot(affected)
 
         if delta_override is None:
             delta = self._execute_ops(plan)
@@ -356,91 +355,49 @@ class BuckarooSession:
             self.backend.apply_delta(delta_override)
             delta = delta_override
 
+        regrouped = sorted(self.group_manager.apply_delta(delta) - before.keys())
+        before.update(index.snapshot(regrouped))
+        affected += regrouped
+
         # Global statistics stay *pinned* between full detection passes, so
         # localized re-detection (§3.3) judges every group against the same
         # thresholds; session.detect() recalibrates them.
-        self.engine.index.drop_rows(delta.deleted)
+        index.drop_rows(delta.deleted)
+        groups = self.group_manager.groups
+        for key in affected:
+            if key not in groups:
+                index.drop_group(key)
+        self.engine.detect_groups([groups[key] for key in affected if key in groups])
 
-        alive = self.group_manager.refresh(sorted(affected_before))
-        new_keys: list[GroupKey] = []
-        for cat in changed_cats:
-            new_keys.extend(self.group_manager.discover_new_categories(cat))
-        # rows that re-appeared (undo of a delete) belong to groups we may
-        # not have listed yet
-        if delta.inserted:
-            revived = self.overlap.affected_groups(sorted(delta.inserted))
-            extra = [key for key in revived if key not in affected_before]
-            alive.extend(self.group_manager.refresh(sorted(extra)))
-            affected_before.update(extra)
-        for key in affected_before:
-            if key not in self.group_manager.groups:
-                self.engine.index.drop_group(key)
-
-        to_detect = list(dict.fromkeys(alive + new_keys))
-        self.engine.detect_groups(
-            [self.group_manager.group(key) for key in to_detect]
-        )
-
-        all_keys = set(affected_before) | set(new_keys)
-        after_errors = {
-            key: {
-                (a.row_id, a.error_code)
-                for a in self.engine.index.anomalies(key)
-            }
-            for key in all_keys
-        }
         # Set difference, not count difference: a repair that swaps one
         # anomaly class for another (e.g. type conversion producing an
         # outlier) must surface as resolved=1, introduced=1 — the cascade
         # visibility the paper motivates in §1.
         resolved = introduced = 0
-        for key in all_keys:
-            before = before_errors.get(key, set())
-            after = after_errors.get(key, set())
-            resolved += len(before - after)
-            introduced += len(after - before)
+        for key in affected:
+            was = {(a.row_id, a.error_code) for a in before[key]}
+            now = {(a.row_id, a.error_code) for a in index.anomalies(key)}
+            resolved += len(was - now)
+            introduced += len(now - was)
         return BuckarooSession._MutationOutcome(
             delta=delta,
-            affected=sorted(all_keys),
+            affected=sorted(affected),
             resolved=resolved,
             introduced=introduced,
-            before_counts={k: len(v) for k, v in before_errors.items()},
-            after_counts={k: len(v) for k, v in after_errors.items()},
+            before=before,
         )
 
-    def _changed_categorical_columns(self, plan: RepairPlan,
-                                     delta_override: Optional[DeltaSnapshot]) -> set:
-        cats = set(self.group_manager.categorical_attributes)
-        changed: set[str] = set()
-        if delta_override is not None:
-            for cells in delta_override.updated.values():
-                changed.update(set(cells) & cats)
-            if delta_override.inserted:
-                changed.update(cats)
-            return changed
-        for op in plan.ops:
-            if op.kind == OP_SET_CELLS and op.column in cats:
-                changed.add(op.column)
-        return changed
-
     def _speculate(self, plan: RepairPlan, capture_pair):
-        rows = sorted(plan.touched_rows)
-        affected_before = self.overlap.affected_groups(rows)
-        index_snapshot = self.engine.index.snapshot(sorted(affected_before))
         outcome = self._mutate_and_redetect(plan)
         if capture_pair is not None:
             outcome.after_series = build_series(
                 self.backend, self.group_manager, *capture_pair
             )
-        # roll back data
-        self.backend.apply_delta(outcome.delta.inverse())
-        self.group_manager.refresh(list(outcome.affected))
-        for cat in self._changed_categorical_columns(plan, None):
-            self.group_manager.discover_new_categories(cat)
-        # roll back the error index
-        for key in outcome.affected:
-            self.engine.index.drop_group(key)
-        self.engine.index.restore(index_snapshot)
+        # roll back data, memberships and the error index
+        undo = outcome.delta.inverse()
+        self.backend.apply_delta(undo)
+        self.group_manager.apply_delta(undo)
+        self.engine.index.restore(outcome.before)
         return outcome
 
     def _apply_delta_action(self, record: ActionRecord, delta: DeltaSnapshot,

@@ -141,20 +141,3 @@ class DeltaSnapshot:
             )
         except (KeyError, ValueError, TypeError, IndexError) as exc:
             raise SnapshotError(f"malformed delta payload: {exc}") from exc
-
-    def merge_disjoint(self, other: "DeltaSnapshot") -> "DeltaSnapshot":
-        """Union of two deltas produced by one logical operation.
-
-        Unlike :meth:`compose`, both deltas are relative to the *same* base
-        state (e.g. a repair plan that deletes some rows and updates others).
-        Row sets may overlap only between updates on different columns.
-        """
-        combined = DeltaSnapshot(
-            deleted={**self.deleted, **other.deleted},
-            inserted={**self.inserted, **other.inserted},
-            updated={row: dict(cells) for row, cells in self.updated.items()},
-            label=self.label or other.label,
-        )
-        for row_id, cells in other.updated.items():
-            combined.updated.setdefault(row_id, {}).update(cells)
-        return combined

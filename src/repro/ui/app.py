@@ -76,7 +76,9 @@ class BuckarooApp:
             return self._drilldown().roll_up()
         if isinstance(event, events.RemoveVisibleRow):
             view, seconds = self._drilldown().remove_row(event.row_id)
-            # keep the session's groups/index consistent with the deletion
+            # the drill-down deletes behind the session's back: drop the row
+            # from the session's groups and error index too
+            self.session.group_manager.drop_rows([event.row_id])
             self.session.engine.index.drop_rows([event.row_id])
             return view, seconds
         raise BuckarooError(f"unknown event {type(event).__name__}")

@@ -52,14 +52,14 @@ class TestBasics:
         with pytest.raises(SnapshotError):
             DeltaSnapshot.from_dict({"updated": {"not_an_int": {}}})
 
-    def test_merge_disjoint(self):
-        first = DeltaSnapshot(updated={1: {"a": (1, 2)}})
-        second = DeltaSnapshot(updated={1: {"b": (5, 6)}, 2: {"a": (0, 9)}})
-        merged = first.merge_disjoint(second)
-        assert merged.updated == {1: {"a": (1, 2), "b": (5, 6)}, 2: {"a": (0, 9)}}
-
 
 class TestCompose:
+    def test_updates_of_different_cells(self):
+        first = DeltaSnapshot(updated={1: {"a": (1, 2)}})
+        second = DeltaSnapshot(updated={1: {"b": (5, 6)}, 2: {"a": (0, 9)}})
+        combined = first.compose(second)
+        assert combined.updated == {1: {"a": (1, 2), "b": (5, 6)}, 2: {"a": (0, 9)}}
+
     def test_update_then_update(self):
         first = DeltaSnapshot(updated={1: {"a": (0, 1)}})
         second = DeltaSnapshot(updated={1: {"a": (1, 2)}})

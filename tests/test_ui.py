@@ -75,6 +75,16 @@ class TestApp:
         assert sum(n for _, n in refreshed.bars) == 3
         app.handle(events.RollUp())
 
+    def test_removed_row_leaves_the_session_groups(self):
+        app = make_app(drilldown=["country", "degree"])
+        app.handle(events.RemoveVisibleRow(1))
+        assert app.session.group(BHUTAN).row_ids == (2, 3, 4)
+        assert app.session.group_manager.groups_of_rows([1]) == set()
+        # suggestions speculate over the group: they must see live rows only
+        app.handle(events.RequestSuggestions(BHUTAN))
+        app.handle(events.RemoveVisibleRow(1))  # already gone: nothing to do
+        assert app.session.group(BHUTAN).row_ids == (2, 3, 4)
+
     def test_drilldown_requires_sql_backend(self):
         with pytest.raises(BuckarooError, match="SQL backend"):
             make_app(backend="frame", drilldown=["country"])

@@ -58,6 +58,7 @@ EXPECTED_ARTIFACTS = {
     "bench_composite_index.py": "composite_index",
     "bench_concurrency.py": "concurrency",
     "bench_durability.py": "durability",
+    "bench_hopara.py": "hopara",
     "bench_indexes.py": "indexes",
     "bench_joins.py": "joins",
     "bench_localized.py": "localized",
@@ -69,6 +70,7 @@ EXPECTED_ARTIFACTS = {
     "bench_table1.py": "table1",
     "bench_tps.py": "tps",
     "bench_vectorized.py": "vectorized",
+    "bench_zoom.py": "zoom",
 }
 
 # keep pytest-benchmark rounds minimal: smoke validates shape, not speed;

@@ -1,26 +1,77 @@
 """The pan-and-zoom engine (the Hopara substitute, §4.2).
 
-Every region fetch is a parameterized SQL range query against the B+tree
-index on the navigation axis; tiles are cached so panning re-uses work.
 Two interaction modes mirror the paper:
 
 * :class:`ZoomEngine` — continuous pan/zoom over a numeric axis with
   level-of-detail layers;
 * :class:`DrillDownApp` — a bar-chart hierarchy over categorical attributes
   (the §6.2 Hopara evaluation removes rows from such a bar chart).
+
+What queries and what is maintained.  Both subscribe, at construction, to
+the change feed of the backend's table (``Table.observers`` — every insert,
+delete and update, transaction rollbacks included) and keep their
+navigation views current from it:
+
+* *aggregate* zoom layers never query: their tiles are assembled from a
+  :class:`~repro.zoom.tiles.HistogramPyramid` that is built in one pass
+  over the axis column and then patched by ±1 per changed value, so an
+  aggregate view costs O(buckets) whatever the table size;
+* *points* zoom layers run one parameterized SQL range query per tile
+  against the B+tree index on the navigation axis and keep the result in
+  an LRU tile cache; a change event evicts exactly the cached tiles that
+  cover the changed value;
+* the drill-down's bar chart runs its ``GROUP BY`` when the user navigates
+  (``current_view`` / ``drill_into`` / ``roll_up``) and is patched from the
+  feed in between, so removing a row from the chart is one delete and no
+  query.
+
+Nothing above goes stale, so nobody *needs* to call
+:meth:`ZoomEngine.invalidate` after editing the table — through this
+module, the backend, a session ``apply``/``undo`` or plain SQL.  It remains
+for callers that want the points cache emptied (cold-fetch measurements,
+releasing memory).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import weakref
+from dataclasses import dataclass, field, replace
+from typing import Callable, Optional, Sequence
 
 from repro.backends.sql_backend import SQLBackend
 from repro.errors import NavigationError
+from repro.minidb.storage import Table
 from repro.zoom.layers import AGGREGATE, POINTS, LayerStack
-from repro.zoom.tiles import TileCache, TileGrid
+from repro.zoom.tiles import HistogramPyramid, TileCache, TileGrid
 from repro.zoom.viewport import Viewport
+
+
+def _is_numeric(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _subscribe(table: Table, on_change: Callable[[tuple], None]) -> None:
+    """Deliver ``table``'s change events to the bound method ``on_change``
+    for as long as its object is alive.
+
+    The table holds only a weak reference, and the observer is taken off
+    the feed when the object is collected: callers build navigators freely
+    (one per chart, per request) without ever closing them.
+    """
+    method = weakref.WeakMethod(on_change)
+
+    def observer(event: tuple) -> None:
+        target = method()
+        if target is not None:
+            target(event)
+
+    def unsubscribe() -> None:
+        if observer in table.observers:
+            table.observers.remove(observer)
+
+    table.observers.append(observer)
+    weakref.finalize(on_change.__self__, unsubscribe)
 
 
 @dataclass
@@ -34,8 +85,8 @@ class RegionData:
     points: list = field(default_factory=list)    # (rowid, x[, y]) for points
     row_count: int = 0
     seconds: float = 0.0
-    tiles_fetched: int = 0
-    tiles_cached: int = 0
+    tiles_fetched: int = 0          # tiles that ran a SQL query
+    tiles_cached: int = 0           # tiles served without one
 
 
 class ZoomEngine:
@@ -60,6 +111,20 @@ class ZoomEngine:
         self.grid = TileGrid(self.bounds.x0, self.bounds.x1, base_tiles)
         self.cache = TileCache(cache_capacity)
         self.queries_run = 0
+        self._points_levels = [
+            layer.level for layer in self.layers if layer.kind == POINTS]
+        self._table = backend.db.table(backend.table_name)
+        self._x_pos = self._table.schema.position(x_col)
+        self._y_pos = (self._table.schema.position(y_col)
+                       if y_col is not None else None)
+        self.pyramid = HistogramPyramid(self.grid, (
+            2 ** layer.level * layer.buckets
+            for layer in self.layers if layer.kind == AGGREGATE))
+        x_pos = self._x_pos
+        for row in self._table.rows.values():
+            if _is_numeric(row[x_pos]):
+                self.pyramid.add(row[x_pos])
+        _subscribe(self._table, self._on_change)
 
     # -- fetching ------------------------------------------------------------
 
@@ -68,81 +133,86 @@ class ZoomEngine:
         return self.bounds
 
     def fetch(self, viewport: Viewport, level: int = 0) -> RegionData:
-        """Fetch one region at one layer, via cached per-tile SQL queries."""
+        """Fetch one region at one layer: aggregate tiles from the pyramid,
+        points tiles from the cache or one SQL range query each."""
         layer = self.layers.layer(level)
         start = time.perf_counter()
         tile_indexes = self.grid.tiles_for_range(viewport.x0, viewport.x1, level)
+        if layer.kind == AGGREGATE:
+            buckets = [
+                bucket for index in tile_indexes
+                for bucket in self.pyramid.tile_buckets(index, level, layer.buckets)
+            ]
+            return RegionData(
+                level=level, viewport=viewport, kind=AGGREGATE, buckets=buckets,
+                row_count=sum(n for _x0, _x1, n in buckets),
+                seconds=time.perf_counter() - start,
+                tiles_cached=len(tile_indexes),
+            )
         fetched = cached = 0
-        merged_buckets: list = []
-        merged_points: list = []
-        total = 0
+        points: list = []
         for index in tile_indexes:
-            key = (level, layer.kind, index)
-            payload = self.cache.get(key)
-            if payload is None:
-                payload = self._fetch_tile(layer, level, index)
-                self.cache.put(key, payload)
+            key = (level, index)
+            tile = self.cache.get(key)
+            if tile is None:
+                tile = self._query_points_tile(level, index)
+                self.cache.put(key, tile)
                 fetched += 1
             else:
                 cached += 1
-            if layer.kind == AGGREGATE:
-                merged_buckets.extend(payload["buckets"])
-                total += payload["count"]
-            else:
-                merged_points.extend(payload["points"])
-                total += len(payload["points"])
-        if layer.kind == POINTS:
-            if viewport.has_y and self.y_col is not None:
-                merged_points = [
-                    p for p in merged_points
-                    if viewport.contains(p[1])
-                    and isinstance(p[2], (int, float))
-                    and viewport.y0 <= p[2] < viewport.y1
-                ]
-            else:
-                merged_points = [
-                    p for p in merged_points if viewport.contains(p[1])
-                ]
-            total = len(merged_points)
-        seconds = time.perf_counter() - start
+            points.extend(tile)
+        if viewport.has_y and self.y_col is not None:
+            points = [
+                p for p in points
+                if viewport.contains(p[1])
+                and isinstance(p[2], (int, float))
+                and viewport.y0 <= p[2] < viewport.y1
+            ]
+        else:
+            points = [p for p in points if viewport.contains(p[1])]
         return RegionData(
-            level=level, viewport=viewport, kind=layer.kind,
-            buckets=merged_buckets, points=merged_points,
-            row_count=total, seconds=seconds,
+            level=level, viewport=viewport, kind=POINTS, points=points,
+            row_count=len(points), seconds=time.perf_counter() - start,
             tiles_fetched=fetched, tiles_cached=cached,
         )
 
-    def _fetch_tile(self, layer, level: int, index: int) -> dict:
+    def _query_points_tile(self, level: int, index: int) -> list:
+        # numeric bounds already keep NULL and text out: NULL compares to
+        # nothing and text sorts above every number
         x0, x1 = self.grid.tile_extent(index, level)
-        table = self.backend.table_name
-        col = self.x_col
-        self.queries_run += 1
-        if layer.kind == AGGREGATE:
-            width = (x1 - x0) / layer.buckets or 1.0
-            result = self.backend.db.execute(
-                f'SELECT CAST(("{col}" - ?) / ? AS INT) AS bucket, COUNT(*) '
-                f'FROM {table} WHERE "{col}" >= ? AND "{col}" < ? '
-                f'AND typeof("{col}") <> \'text\' GROUP BY bucket',
-                (x0, width, x0, x1),
-            )
-            buckets = []
-            count = 0
-            for bucket, n in sorted(result.rows, key=lambda r: r[0] or 0):
-                if bucket is None:
-                    continue
-                b0 = x0 + bucket * width
-                buckets.append((b0, b0 + width, n))
-                count += n
-            return {"buckets": buckets, "count": count}
-        columns = f'rowid, "{col}"'
+        columns = f'rowid, "{self.x_col}"'
         if self.y_col is not None:
             columns += f', "{self.y_col}"'
+        self.queries_run += 1
         result = self.backend.db.execute(
-            f'SELECT {columns} FROM {table} '
-            f'WHERE "{col}" >= ? AND "{col}" < ? AND typeof("{col}") <> \'text\'',
+            f'SELECT {columns} FROM {self.backend.table_name} '
+            f'WHERE "{self.x_col}" >= ? AND "{self.x_col}" < ?',
             (x0, x1),
         )
-        return {"points": list(result.rows)}
+        return list(result.rows)
+
+    # -- maintenance -----------------------------------------------------------
+
+    def _on_change(self, event: tuple) -> None:
+        """One table mutation: move its x between bins, evict its points tiles."""
+        kind, _table, rowid = event[:3]
+        if kind == "update":
+            old, new = event[3], event[4]
+            if self._x_pos in new:
+                self._recount(old[self._x_pos], -1)
+                self._recount(new[self._x_pos], +1)
+            elif self._y_pos in new:
+                # same bin, but cached points carry y
+                self._recount(self._table.rows[rowid][self._x_pos], 0)
+        else:
+            self._recount(event[3][self._x_pos], 1 if kind == "insert" else -1)
+
+    def _recount(self, x, delta: int) -> None:
+        if not (_is_numeric(x) and self.bounds.contains(x)):
+            return
+        self.pyramid.add(x, delta)
+        for level in self._points_levels:
+            self.cache.evict((level, self.grid.tile_of(x, level)))
 
     # -- interaction ------------------------------------------------------------
 
@@ -160,7 +230,11 @@ class ZoomEngine:
         return moved, self.fetch(moved, level)
 
     def invalidate(self) -> None:
-        """Drop cached tiles after the underlying data changed."""
+        """Drop every cached points tile.
+
+        Never needed for correctness — change events evict the tiles they
+        touch — only to empty the cache (cold-fetch timing, memory).
+        """
         self.cache.invalidate()
 
 
@@ -177,10 +251,12 @@ class BarChartView:
 class DrillDownApp:
     """Hierarchical bar-chart navigation over categorical attributes.
 
-    This is the §6.2 Hopara application shape: a bar chart backed by SQL
-    GROUP BY queries; clicking a bar drills into that category; wrangling
+    This is the §6.2 Hopara application shape: a bar chart backed by a SQL
+    GROUP BY query; clicking a bar drills into that category; wrangling
     actions (row removal) run against the database and the visible chart
-    refreshes immediately.
+    refreshes immediately.  Navigating queries; between navigations the
+    chart on screen is patched from the table's change feed, whoever made
+    the change.
     """
 
     def __init__(self, backend: SQLBackend, hierarchy: Sequence[str]):
@@ -192,6 +268,16 @@ class DrillDownApp:
             backend.ensure_index(column)
         self.path: list[tuple[str, object]] = []
         self.queries_run = 0
+        self._table = backend.db.table(backend.table_name)
+        self._positions = {
+            column: self._table.schema.position(column)
+            for column in self.hierarchy
+        }
+        # the chart on screen: as last queried, and its category -> count
+        # in display order as the change feed has left it since
+        self._shown: Optional[BarChartView] = None
+        self._bars: dict = {}
+        _subscribe(self._table, self._on_change)
 
     @property
     def depth(self) -> int:
@@ -209,11 +295,25 @@ class DrillDownApp:
             params,
         )
         self.queries_run += 1
-        return BarChartView(
+        self._bars = dict(result.rows)
+        self._shown = BarChartView(
             path=tuple(self.path), column=column,
             bars=list(result.rows),
             seconds=time.perf_counter() - start,
         )
+        return self._shown
+
+    @property
+    def view(self) -> Optional[BarChartView]:
+        """The last chart navigated to as it stands now (no query): zero
+        bars gone, bars by falling count, ties in their previous order."""
+        if self._shown is None:
+            return None
+        start = time.perf_counter()
+        bars = sorted(self._bars.items(), key=lambda bar: -bar[1])
+        self._bars = dict(bars)     # the order shown is the next "previous"
+        return replace(self._shown, bars=bars,
+                       seconds=time.perf_counter() - start)
 
     def drill_into(self, category) -> BarChartView:
         """Click a bar: restrict to that category, one level deeper."""
@@ -244,12 +344,47 @@ class DrillDownApp:
     def remove_row(self, row_id: int) -> tuple[BarChartView, float]:
         """The §6.2 measured interaction: delete one row, refresh the chart.
 
-        Returns the refreshed view and the end-to-end latency in seconds.
+        The delete's change event has patched the chart by the time it
+        returns, so the refresh is not a query.  Returns the refreshed
+        view and the end-to-end latency in seconds.
         """
         start = time.perf_counter()
         self.backend.delete_rows([row_id])
-        view = self.current_view()
+        view = self.view or self.current_view()
         return view, time.perf_counter() - start
+
+    # -- maintenance -----------------------------------------------------------
+
+    def _on_change(self, event: tuple) -> None:
+        """One table mutation: a row on the shown path ±1s its bar."""
+        if self._shown is None:
+            return
+        kind, _table, rowid = event[:3]
+        if kind == "update":
+            old, new = event[3], event[4]
+            if not any(pos in new for pos in self._positions.values()):
+                return
+            after = self._table.rows[rowid]
+            before = list(after)
+            for position, value in old.items():
+                before[position] = value
+            self._bump(before, -1)
+            self._bump(after, +1)
+        else:
+            self._bump(event[3], 1 if kind == "insert" else -1)
+
+    def _bump(self, row: Sequence, delta: int) -> None:
+        for column, value in self._shown.path:
+            cell = row[self._positions[column]]
+            # _path_predicate's "col" IS NULL / "col" = ?
+            if not (cell is None if value is None else cell == value):
+                return
+        category = row[self._positions[self._shown.column]]
+        count = self._bars.get(category, 0) + delta
+        if count > 0:
+            self._bars[category] = count
+        else:
+            self._bars.pop(category, None)
 
     def _path_predicate(self) -> tuple[str, tuple]:
         if not self.path:

@@ -1,9 +1,12 @@
 """Layer specifications for multi-layer navigation (§4.2).
 
 Each layer describes how a region is rendered at one zoom depth: coarse
-layers return SQL aggregates (bucket counts), deep layers return raw points
-once the region is small enough.  "The Hopara engine automatically runs SQL
-queries to fetch each region" — the layer decides which query shape.
+layers return bucket counts, deep layers return raw points once the region
+is small enough.  "The Hopara engine automatically runs SQL queries to
+fetch each region" — here only the points layers do: the engine keeps the
+bucket counts of all aggregate layers in one maintained histogram
+(:class:`repro.zoom.tiles.HistogramPyramid`), whose resolution is set by
+the ``level`` and ``buckets`` of the aggregate layers in the stack.
 """
 
 from __future__ import annotations

@@ -1,12 +1,19 @@
 """Tests for pan/zoom navigation: viewport, tiles, quadtree, engine, drill-down."""
 
+import gc
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import SQLBackend
+from repro.config import BuckarooConfig
+from repro.core.session import BuckarooSession
+from repro.core.types import OP_DELETE_ROWS, OP_SET_CELLS, PlanOp, RepairPlan
 from repro.errors import NavigationError
 from repro.frame import DataFrame
+from repro.snapshots import DeltaSnapshot
 from repro.zoom import (
     AGGREGATE,
     DrillDownApp,
@@ -83,6 +90,26 @@ class TestTileGrid:
         x0, x1 = grid.tile_extent(2, 0)
         assert (x0, x1) == (50, 75)
         assert grid.tile_of((x0 + x1) / 2, 0) == 2
+
+    @pytest.mark.parametrize("x_min, x_max, base_tiles", [
+        (891835.01, 1432655.8, 64),     # state-plane feet: 1e-12 is below one ulp
+        (-3.7e-9, 9.1e-9, 7),
+        (0.1, 0.7, 3),
+        (-1e15, 1e15 + 12345, 10),
+    ])
+    def test_edge_aligned_view_is_exactly_its_tiles(self, x_min, x_max, base_tiles):
+        grid = TileGrid(x_min, x_max, base_tiles)
+        for level in range(4):
+            count = base_tiles * 2 ** level
+            for index in range(count):
+                x0, x1 = grid.tile_extent(index, level)
+                # tile_of agrees with tile_extent on both edges ...
+                assert grid.tile_of(x0, level) == index
+                if index + 1 < count:
+                    assert grid.tile_of(x1, level) == index + 1
+                    assert grid.tile_extent(index + 1, level)[0] == x1
+                # ... so a view of exactly one tile fetches exactly that tile
+                assert grid.tiles_for_range(x0, x1, level) == [index]
 
 
 class TestTileCache:
@@ -198,10 +225,11 @@ class TestZoomEngine:
 
     def test_tile_cache_reused_on_pan(self, engine):
         view = Viewport(48000, 80000)
-        engine.fetch(view, level=0)
+        engine.fetch(view, level=1)     # the points level: only it is cached
         misses_before = engine.cache.misses
-        moved, region = engine.pan(view, level=0, fraction=0.1)
+        moved, region = engine.pan(view, level=1, fraction=0.1)
         assert engine.cache.hits > 0
+        assert region.tiles_cached > 0
         assert engine.cache.misses >= misses_before  # few new tiles at most
 
     def test_drill_down_narrows_and_descends(self, engine):
@@ -209,12 +237,65 @@ class TestZoomEngine:
         assert level == 1
         assert view.width < engine.full_view().width
 
-    def test_invalidate_after_mutation(self, engine):
-        engine.fetch(engine.full_view(), level=0)
+    def test_mutation_needs_no_invalidate(self, engine):
+        for level in (0, 1):
+            assert engine.fetch(engine.full_view(), level).row_count == 7
         engine.backend.delete_rows([1])
+        for level in (0, 1):
+            assert engine.fetch(engine.full_view(), level).row_count == 6
+
+    def test_invalidate_empties_the_points_cache(self, engine):
+        engine.fetch(engine.full_view(), level=1)
+        assert len(engine.cache) > 0
         engine.invalidate()
+        assert len(engine.cache) == 0
+        assert engine.fetch(engine.full_view(), level=1).tiles_cached == 0
+
+    def test_aggregate_fetch_runs_no_statement(self, engine):
+        statements = count_statements(engine.backend.db)
         region = engine.fetch(engine.full_view(), level=0)
-        assert region.row_count == 6
+        assert region.tiles_fetched == 0 and region.tiles_cached == 4
+        assert engine.queries_run == 0 and not statements
+        assert len(engine.cache) == 0       # the LRU is left to the points layer
+
+    def test_pyramid_is_sized_by_bins_not_rows(self):
+        engine = nav_engine(nav_backend())
+        # lcm over the aggregate layers of 2**level * buckets, per base tile
+        assert engine.pyramid.bins_per_tile == 8
+        assert len(engine.pyramid.counts) == 4 * 8
+        assert sum(engine.pyramid.counts) == engine.backend.numeric_stats("x").count
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_points_query_skips_text_and_null(self, indexed):
+        """Numeric range bounds alone keep text and NULL cells of the axis
+        column out, under an index-range plan and under a seq-scan plan."""
+        backend = nav_backend()
+        engine = nav_engine(backend)
+        table = backend.table_name
+        if not indexed:
+            backend.db.execute(f"DROP INDEX idx_{table}_x")
+        plan = backend.db.explain(
+            f'SELECT rowid, "x", "y" FROM {table} WHERE "x" >= ? AND "x" < ?',
+            (engine.bounds.x0, engine.bounds.x1))
+        assert ("IndexRangeScan" if indexed else "SeqScan") in plan
+        cells = dict(zip(backend.all_row_ids(),
+                         backend.values("x", backend.all_row_ids())))
+        assert any(isinstance(x, str) for x in cells.values())
+        assert any(x is None for x in cells.values())
+        region = engine.fetch(engine.full_view(), level=2)
+        assert sorted(p[0] for p in region.points) == sorted(
+            row_id for row_id, x in cells.items() if isinstance(x, float))
+
+    def test_rollback_reaches_the_pyramid(self, engine):
+        before = engine.fetch(engine.full_view(), level=0).buckets
+        connection = engine.backend.db.connect()
+        connection.execute("BEGIN")
+        connection.execute(
+            f"DELETE FROM {engine.backend.table_name} WHERE rowid = 1")
+        assert engine.fetch(engine.full_view(), level=0).row_count == 6
+        connection.execute("ROLLBACK")
+        connection.close()
+        assert engine.fetch(engine.full_view(), level=0).buckets == before
 
     def test_rejects_empty_numeric_column(self):
         frame = DataFrame.from_dict({"a": ["x", "y"], "b": [None, None]})
@@ -262,7 +343,192 @@ class TestDrillDownApp:
         assert seconds > 0
         assert sum(n for _, n in view.bars) == 3
 
+    def test_remove_row_runs_no_query_after_the_first_view(self, app):
+        shown = app.drill_into("Bhutan")
+        queries = app.queries_run
+        statements = count_statements(app.backend.db)
+        view, _seconds = app.remove_row(4)      # the only PhD: its bar goes
+        assert view.bars == [("BS", 2), ("MS", 1)]
+        view, _seconds = app.remove_row(1)      # ties keep their order
+        assert view.bars == [("BS", 1), ("MS", 1)]
+        assert view.path == (("country", "Bhutan"),) and view.column == "degree"
+        assert app.queries_run == queries
+        assert not [sql for sql in statements if sql.startswith("SELECT")]
+        assert dict(shown.bars) == {"BS": 2, "MS": 1, "PhD": 1}   # a snapshot
+
+    def test_remove_row_before_any_view_queries_once(self, app):
+        view, _seconds = app.remove_row(9)
+        assert dict(view.bars) == {"Bhutan": 4, "Lesotho": 4}
+        assert app.queries_run == 1
+
+    def test_patched_bars_resort_by_count(self, app):
+        app.current_view()
+        app.backend.delete_rows([1, 2])
+        assert app.view.bars == [("Lesotho", 4), ("Bhutan", 2), ("Nauru", 1)]
+        app.backend.set_cells("age", [5], 99)   # no hierarchy column: ignored
+        app.backend.set_cells("country", [5, 6, 7], "Nauru")
+        assert app.view.bars == [("Nauru", 4), ("Bhutan", 2), ("Lesotho", 1)]
+
     def test_empty_hierarchy_rejected(self):
         backend = SQLBackend.from_frame(DataFrame.from_rows(ROWS, COLUMNS))
         with pytest.raises(NavigationError):
             DrillDownApp(backend, [])
+
+
+# -- maintained views under random edits ---------------------------------------
+
+NAV_LAYERS = dict(depth=3, buckets=4)
+HIERARCHY = ["kind", "place"]
+KINDS = ["theft", "fraud", "arson"]
+PLACES = ["street", "shop", "park", "bank"]
+# rows 1 and 2 pin the axis ends and are never edited, so a freshly built
+# engine always has the same bounds as the maintained one
+PINNED = (1, 2)
+
+
+def nav_backend() -> SQLBackend:
+    rng = random.Random(13)
+    rows = [("theft", "street", 0.0, 0.0), ("fraud", "shop", 1000.0, 1000.0)]
+    for i in range(58):
+        x = rng.choice([None, "n/a"]) if i % 9 == 0 else round(rng.uniform(1, 999), 2)
+        rows.append((rng.choice(KINDS), rng.choice(PLACES), x,
+                     round(rng.uniform(0, 1000), 2)))
+    return SQLBackend.from_frame(
+        DataFrame.from_rows(rows, ["kind", "place", "x", "y"]))
+
+
+def nav_engine(backend) -> ZoomEngine:
+    return ZoomEngine(backend, "x", "y",
+                      layers=LayerStack(default_layers(**NAV_LAYERS)),
+                      cache_capacity=32, base_tiles=4)
+
+
+def count_statements(db) -> list:
+    """Shadow ``db.prepare`` (every statement goes through it) with a
+    recorder; returns the live list of SQL texts."""
+    seen: list = []
+    prepare = db.prepare
+
+    def recording(sql):
+        seen.append(sql)
+        return prepare(sql)
+
+    db.prepare = recording
+    return seen
+
+
+def region_key(region):
+    return (region.buckets, sorted(region.points, key=lambda p: p[0]),
+            region.row_count)
+
+
+def assert_views_match_fresh(backend, engine, apps, rng) -> None:
+    fresh = nav_engine(backend)
+    assert fresh.bounds == engine.bounds
+    views = [engine.full_view()]
+    for _ in range(3):
+        x0 = rng.uniform(-50, 950)
+        views.append(Viewport(x0, x0 + rng.uniform(1, 600)))
+    x0, y0 = rng.uniform(0, 500), rng.uniform(0, 500)
+    views.append(Viewport(x0, x0 + 400, y0, y0 + 400))
+    for level in range(3):
+        for view in views:
+            assert (region_key(engine.fetch(view, level))
+                    == region_key(fresh.fetch(view, level))), (level, view)
+    for app in apps:
+        rebuilt = DrillDownApp(backend, HIERARCHY)
+        view = rebuilt.current_view()
+        for _column, category in app.path:
+            view = rebuilt.drill_into(category)
+        assert dict(app.view.bars) == dict(view.bars)
+        assert all(n > 0 for _category, n in app.view.bars)
+        counts = [n for _category, n in app.view.bars]
+        assert counts == sorted(counts, reverse=True)
+
+
+STEP = st.tuples(
+    st.sampled_from(["delete", "x_num", "x_text", "x_null", "y", "relabel_kind",
+                     "relabel_place", "reinsert", "session_delete",
+                     "session_set_x", "speculate"]),
+    st.integers(0, 10_000), st.integers(0, 10_000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(STEP, min_size=1, max_size=12))
+def test_maintained_views_equal_fresh_ones_under_random_edits(steps):
+    """No ``invalidate()`` anywhere: the change feed alone keeps the engine's
+    tiles and the apps' bars equal to freshly built ones."""
+    backend = nav_backend()
+    session = BuckarooSession(backend, BuckarooConfig(min_group_size=2))
+    session.generate_groups(cat_cols=HIERARCHY, num_cols=["x", "y"])
+    session.detect()
+    engine = nav_engine(backend)
+    top, drilled = DrillDownApp(backend, HIERARCHY), DrillDownApp(backend, HIERARCHY)
+    top.current_view()
+    drilled.drill_into("theft")
+    apps = (top, drilled)
+    rng = random.Random(len(steps))
+    assert_views_match_fresh(backend, engine, apps, rng)    # also warms tiles
+    removed: dict = {}
+
+    def behind_the_session(delta: DeltaSnapshot) -> None:
+        # what BuckarooApp does after a drill-down removal: keep the
+        # session's groups and error index in step with a direct edit
+        session.group_manager.apply_delta(delta)
+        session.engine.index.drop_rows(delta.row_ids())
+
+    for step, pick, other in steps:
+        live = [r for r in backend.all_row_ids() if r not in PINNED]
+        if len(live) < 4:
+            break
+        row_id = live[pick % len(live)]
+        x = round(1 + other % 998 + (pick % 100) / 100, 2)
+        if step == "delete":
+            removed[row_id] = backend.row(row_id)
+            behind_the_session(backend.delete_rows([row_id]))
+        elif step == "reinsert":
+            if not removed:
+                continue
+            back = sorted(removed)[pick % len(removed)]
+            delta = DeltaSnapshot(inserted={back: removed.pop(back)})
+            backend.apply_delta(delta)
+            behind_the_session(delta)
+        elif step in ("session_delete", "session_set_x", "speculate"):
+            rows = tuple(sorted({row_id, live[other % len(live)]}))
+            if step == "session_delete":
+                ops = [PlanOp(OP_DELETE_ROWS, rows)]
+            else:
+                ops = [PlanOp(OP_SET_CELLS, rows, column="x", value=x)]
+            plan = RepairPlan("test", None, None, ops=ops)
+            if step == "speculate":     # applied and rolled back inside
+                session.speculate(plan)
+            else:
+                session.apply(plan)
+                assert_views_match_fresh(backend, engine, apps, rng)
+                session.undo()
+        else:
+            column, value = {
+                "x_num": ("x", x), "x_text": ("x", "n/a"), "x_null": ("x", None),
+                "y": ("y", float(other % 1000)),
+                "relabel_kind": ("kind", KINDS[other % len(KINDS)]),
+                "relabel_place": ("place", PLACES[other % len(PLACES)]),
+            }[step]
+            behind_the_session(backend.set_cells(column, [row_id], value))
+        assert_views_match_fresh(backend, engine, apps, rng)
+
+
+def test_dropped_navigators_leave_the_change_feed():
+    backend = nav_backend()
+    observers = backend.db.table(backend.table_name).observers
+    engine, app = nav_engine(backend), DrillDownApp(backend, HIERARCHY)
+    subscribed = len(observers)
+    for _ in range(5):      # callers that build navigators per request
+        nav_engine(backend).fetch(engine.full_view(), 0)
+        DrillDownApp(backend, HIERARCHY).current_view()
+    gc.collect()
+    assert len(observers) == subscribed
+    app.current_view()
+    del engine, app
+    gc.collect()
+    assert len(observers) == subscribed - 2
+    backend.delete_rows([3])    # the feed still works with them gone

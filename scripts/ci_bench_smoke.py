@@ -48,7 +48,6 @@ SMOKE_ENV = {
     "REPRO_DUR_ROWS": "2000",
     "REPRO_DUR_COMMITS": "50",
     "REPRO_VEC_ROWS": "5000",
-    "REPRO_PAR_ROWS": "5000",
     "REPRO_TPS_ROWS": "500",
     "REPRO_TPS_SECONDS": "0.3",
 }
@@ -62,7 +61,6 @@ EXPECTED_ARTIFACTS = {
     "bench_indexes.py": "indexes",
     "bench_joins.py": "joins",
     "bench_localized.py": "localized",
-    "bench_parallel.py": "parallel",
     "bench_pipeline.py": "pipeline",
     "bench_prepared.py": "prepared",
     "bench_streaming.py": "streaming",

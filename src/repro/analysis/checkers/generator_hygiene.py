@@ -32,11 +32,9 @@ LAZY_BUILTINS = {
 EAGER_CALLS = {"list", "sorted", "tuple", "set", "dict"}
 
 
-#: dispatch-registry assignments whose dict values are node handlers —
-#: the row pipeline's ``_NODE_HANDLERS``, the batch pipeline's
-#: ``_BATCH_HANDLERS``, and the partition executor's
-#: ``_PARALLEL_HANDLERS`` (both merged into the former at import time)
-_REGISTRY_NAMES = {"_NODE_HANDLERS", "_BATCH_HANDLERS", "_PARALLEL_HANDLERS"}
+#: the dispatch-registry assignment whose dict values are node handlers —
+#: the executor's single registry, holding row and batch handlers alike
+_REGISTRY_NAME = "_NODE_HANDLERS"
 #: handler-naming conventions picked up even off-registry
 _HANDLER_PREFIXES = ("_exec_", "_batch_")
 
@@ -55,7 +53,7 @@ def _handler_functions(package: PackageSummary) -> Iterator[FunctionInfo]:
             if not isinstance(node, ast.Assign):
                 continue
             is_registry = any(
-                isinstance(t, ast.Name) and t.id in _REGISTRY_NAMES
+                isinstance(t, ast.Name) and t.id == _REGISTRY_NAME
                 for t in node.targets
             )
             if is_registry and isinstance(node.value, ast.Dict):

@@ -9,6 +9,7 @@ attribute, e.g. ``{Income | Country = "Bhutan"}`` is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Optional
 
 # built-in error codes (§3.1)
@@ -50,17 +51,40 @@ CUSTOM_ERROR_COLOR = "#1f77b4"
 """Default colour assigned to user-defined error types."""
 
 
-@dataclass(frozen=True, order=True)
+def _category_order(category) -> tuple:
+    """Rank a category cell so cells of different types still compare:
+    missing first, then numbers, then everything else by type name."""
+    if category is None:
+        return (0,)
+    if isinstance(category, (int, float)):
+        return (1, category)
+    return (2, type(category).__name__, category)
+
+
+@total_ordering
+@dataclass(frozen=True)
 class GroupKey:
     """Identity of a group: ``{numerical | categorical = category}``.
 
     ``category`` is ``None`` for the group of rows whose categorical cell is
-    missing.
+    missing.  Keys are totally ordered by ``(categorical, category,
+    numerical)`` with the category ranked by :func:`_category_order`, so
+    a missing or mixed-type category never breaks a sort.
     """
 
     categorical: str
     category: object
     numerical: str
+
+    def sort_key(self) -> tuple:
+        """The tuple keys are ordered by."""
+        return (self.categorical, _category_order(self.category),
+                self.numerical)
+
+    def __lt__(self, other) -> bool:
+        if not isinstance(other, GroupKey):
+            return NotImplemented
+        return self.sort_key() < other.sort_key()
 
     def describe(self) -> str:
         """Human-readable form, e.g. ``{Income | Country = 'Bhutan'}``."""

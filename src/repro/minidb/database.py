@@ -103,29 +103,6 @@ def _vectorize_mode(value) -> str:
     return mode
 
 
-_MAX_PARALLEL_WORKERS = 32
-
-
-def _parallel_workers(value) -> int:
-    """Normalize the ``parallel`` knob to a worker count (0 disables)."""
-    if isinstance(value, str):
-        lowered = value.lower()
-        if lowered in ("off", "no", "false", "none", ""):
-            return 0
-        try:
-            value = int(lowered)
-        except ValueError:
-            raise DatabaseError(
-                "parallel takes a worker count or 'off'"
-            ) from None
-    count = int(value or 0)
-    if count < 0 or count > _MAX_PARALLEL_WORKERS:
-        raise DatabaseError(
-            f"parallel worker count must be in [0, {_MAX_PARALLEL_WORKERS}]"
-        )
-    return count
-
-
 class Database:
     """An in-process relational database with SQL, MVCC, indexes and a WAL.
 
@@ -167,7 +144,6 @@ class Database:
         autocheckpoint = int(options.pop("wal_autocheckpoint", 1000) or 0)
         reorder_joins = bool(options.pop("reorder_joins", True))
         vectorize = _vectorize_mode(options.pop("vectorize", "auto"))
-        parallel = _parallel_workers(options.pop("parallel", 0))
         gc_interval = options.pop("gc_interval", None)
         if options:
             raise DatabaseError(
@@ -200,9 +176,6 @@ class Database:
         # (vectorized) operators for analytic shapes, "on" forces them
         # wherever legal, "off" keeps the row-at-a-time pipeline
         self.vectorize = vectorize
-        # parallel-execution knob: worker count for fanning partitioned
-        # scans/aggregations across processes; 0 keeps everything serial
-        self.parallel = parallel
         # advances on every DDL statement; one half of the plan-cache key
         self.schema_epoch = 0
         self.plan_cache = PlanCache()
@@ -376,7 +349,7 @@ class Database:
         self._require_open()
         name = str(name).lower().replace("-", "_")
         setting = value is not _UNSET
-        if name in ("pool_pages", "buffer_pool_pages"):
+        if name == "pool_pages":
             if setting:
                 self._default_pool_pages = int(value)
                 if self.pager is not None:
@@ -409,10 +382,6 @@ class Database:
             if setting:
                 self.vectorize = _vectorize_mode(value)
             return self.vectorize
-        if name == "parallel":
-            if setting:
-                self.parallel = _parallel_workers(value)
-            return self.parallel
         if name == "gc_interval":
             if setting:
                 self.stop_background_gc()

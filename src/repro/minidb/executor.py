@@ -62,7 +62,6 @@ from repro.minidb.expressions import (
 from repro.minidb.functions import make_aggregate
 from repro.minidb.hash_index import normalize_key
 from repro.minidb.invariants import holds_write_lock
-from repro.minidb.parallel import finalized_rows, merge_states, run_gather
 from repro.minidb.plan_cache import select_plan
 from repro.minidb.planner import (
     INDEX_EQ,
@@ -82,7 +81,6 @@ from repro.minidb.storage import Table, visible_version
 from repro.minidb.vector import (
     BATCH_SIZE,
     Batch,
-    accumulate_batches,
     aggregate_batches,
     batches_from_chunks,
     batches_from_rows,
@@ -470,17 +468,14 @@ class AnalyzeCounters(dict):
     through; ``times`` additionally maps ``id(node)`` to the *inclusive*
     seconds spent producing that node's output (operator + its subtree),
     measured inside the iterator — consumer time between pulls is not
-    attributed.  ``partitions`` maps a Gather node's id to the rows each
-    worker task actually produced, one entry per partition (extras
-    appended), for the EXPLAIN ANALYZE fan-out annotation.
+    attributed.
     """
 
-    __slots__ = ("times", "partitions")
+    __slots__ = ("times",)
 
     def __init__(self):
         super().__init__()
         self.times: dict[int, float] = {}
-        self.partitions: dict[int, list] = {}
 
 
 def _run_node(node: nodes.PlanNode, params: tuple, snapshot,
@@ -764,8 +759,6 @@ def _agg_output(node, params, snapshot, counters, with_inter: bool = False):
         inter_fn = _agg_groups_stream
     elif isinstance(node, nodes.BatchAggregate):
         inter_fn = _batch_agg_groups
-    elif isinstance(node, nodes.FinalAggregate):
-        inter_fn = _final_agg_groups
     else:
         inter_fn = _agg_groups_hash
     for inter in inter_fn(node, params, snapshot, counters):
@@ -868,38 +861,6 @@ def _batch_agg_groups(node: nodes.BatchAggregate, params, snapshot, counters):
 def _batch_to_rows(node: nodes.BatchToRows, params, snapshot, counters):
     for batch in _run_node(node.child, params, snapshot, counters):
         yield from batch.rows()
-
-
-# -- parallel (partitioned) operators -----------------------------------------
-#
-# A Gather node never runs its subtree through ``_run_node`` — the
-# subtree describes the per-partition task ``repro.minidb.parallel``
-# ships to forked workers (ParallelScan itself reuses ``_batch_scan``
-# for the standalone/inline case, since a partitioned heap's chunk scan
-# is partition-major anyway).  FinalAggregate plugs into ``_agg_output``
-# like every other aggregate flavor, so HAVING and projection are shared.
-
-
-def _exec_gather(node: nodes.Gather, params, snapshot, counters):
-    return run_gather(node, params, snapshot, counters)
-
-
-def _exec_partial_aggregate(node: nodes.PartialAggregate, params, snapshot,
-                            counters):
-    # standalone fallback: the whole input folds into one partial payload,
-    # which FinalAggregate's merge treats as a single-partition gather
-    yield accumulate_batches(
-        _run_node(node.child, params, snapshot, counters),
-        node.group_positions,
-        node.agg_descs,
-    )
-
-
-def _final_agg_groups(node: nodes.FinalAggregate, params, snapshot, counters):
-    """Merge the per-partition states below; yield intermediate rows."""
-    parts = _run_node(node.child, params, snapshot, counters)
-    yield from finalized_rows(merge_states(parts, node.agg_descs),
-                              node.agg_descs)
 
 
 # -- ordering / projection / distinct / limit --------------------------------
@@ -1074,25 +1035,12 @@ _NODE_HANDLERS = {
     nodes.TopK: _exec_topk,
     nodes.Distinct: _exec_distinct,
     nodes.Limit: _exec_limit,
-}
-
-_BATCH_HANDLERS = {
     nodes.BatchScan: _batch_scan,
     nodes.BatchFilter: _batch_filter,
     nodes.BatchHashJoin: _batch_hash_join,
     nodes.BatchAggregate: _exec_aggregate,
     nodes.BatchToRows: _batch_to_rows,
 }
-
-_PARALLEL_HANDLERS = {
-    nodes.ParallelScan: _batch_scan,
-    nodes.PartialAggregate: _exec_partial_aggregate,
-    nodes.Gather: _exec_gather,
-    nodes.FinalAggregate: _exec_aggregate,
-}
-
-_NODE_HANDLERS.update(_BATCH_HANDLERS)
-_NODE_HANDLERS.update(_PARALLEL_HANDLERS)
 
 
 # ---------------------------------------------------------------------------
@@ -1331,7 +1279,6 @@ def explain(db, stmt, params: tuple = (), analyze: bool = False,
             lines.extend(nodes.render_tree(
                 plan.root, counters,
                 counters.times if counters is not None else None,
-                counters.partitions if counters is not None else None,
             ))
     elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
         if analyze:

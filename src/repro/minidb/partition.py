@@ -13,10 +13,7 @@ Three structures make partitioning invisible to the rest of the engine:
   same ``dict``/``PagedHeap`` protocol every layer above already uses
   (``get``/``items``/``iter_chunks``/...), but physically stores each row
   in the bucket its partition-key value routes to.  A ``rowid ->
-  partition`` map makes point reads O(1); iteration is partition-major,
-  which is also the order the parallel executor recombines partitions
-  in — serial and parallel scans therefore agree on row order by
-  construction.
+  partition`` map makes point reads O(1); iteration is partition-major.
 * :class:`PartitionedIndex` — one sub-index (B+tree or hash) per
   partition behind the ordinary index facade.  Maintenance routes
   entries by the *row's* partition; ordered walks recombine the
@@ -25,13 +22,11 @@ Three structures make partitioning invisible to the rest of the engine:
   routed sub-index insert.
 * :class:`MergingIterator` — a k-way heap merge over already-sorted
   ``(key, payload)`` streams, with optional fusion of equal keys.  It
-  recombines ordered partition outputs everywhere: index walks here,
-  worker-sorted ORDER BY streams in :mod:`repro.minidb.parallel`.
+  recombines the per-partition index walks.
 
 Routing hashes are **process-stable** (CRC32 over a normalized repr, not
 the salted builtin ``hash``): the same value lands in the same partition
-across interpreter runs and across the worker processes the parallel
-executor forks.
+across interpreter runs.
 """
 
 from __future__ import annotations
@@ -285,8 +280,7 @@ class PartitionedHeap:
 
     def iter_chunks(self, size: int) -> Iterator[tuple]:
         """``(rowids, value_rows)`` chunks, partition-major, never crossing
-        a partition boundary — the unit of work the parallel executor
-        ships to one worker stays chunk-aligned."""
+        a partition boundary."""
         for part in range(self.n_partitions):
             yield from self.partition_chunks(part, size)
 
@@ -304,14 +298,6 @@ class PartitionedHeap:
                 return
             rowids, value_rows = zip(*block)
             yield rowids, value_rows
-
-    def partition_items(self, part: int) -> Iterator[tuple]:
-        """``(rowid, values)`` pairs of one partition."""
-        yield from self.buckets[part].items()
-
-    def partition_rowids(self, part: int) -> tuple:
-        """An atomic copy of one partition's current rowid set."""
-        return tuple(self.buckets[part].keys())
 
     # -- durable plumbing ---------------------------------------------------
 
@@ -344,8 +330,7 @@ class MergingIterator:
     with each stream's head, pop the smallest, refill from that stream.
     ``reverse=True`` merges descending inputs.  Payloads never enter the
     comparison (they may be unorderable rows); ties break by stream index,
-    keeping the merge stable in partition order — the property that makes
-    parallel ORDER BY output deterministic.
+    keeping the merge stable in partition order.
     """
 
     __slots__ = ("_heap", "_streams", "_reverse")

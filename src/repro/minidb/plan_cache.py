@@ -58,15 +58,13 @@ def validation_key(db, tables=(), check_stats: bool = True) -> tuple:
     so flipping them re-plans instead of replaying the old choice.
     """
     if not check_stats:
-        return (db.schema_epoch, NO_STATS, True, "auto", 0)
+        return (db.schema_epoch, NO_STATS, True, "auto")
     stats = db.stats
     for name in tables:
         table = db.tables.get(name)
         if table is not None:
             stats.for_table(table).refresh()
-    return (db.schema_epoch, stats.version, db.reorder_joins,
-            getattr(db, "vectorize", "auto"),
-            getattr(db, "parallel", 0))
+    return (db.schema_epoch, stats.version, db.reorder_joins, db.vectorize)
 
 
 class _Entry:

@@ -464,111 +464,8 @@ class BatchToRows(PlanNode):
         return "BatchToRows"
 
 
-class ParallelScan(PlanNode):
-    """Sequential scan of a partitioned table split along its partition
-    boundaries.  Each partition becomes one worker task; the scan itself
-    never runs as a standalone operator — the Gather above it ships the
-    subtree to the worker pool (or replays it inline partition-by-
-    partition when no pool is available)."""
-
-    __slots__ = ("table", "plan", "estimated_rows")
-
-    def __init__(self, table, plan, estimated_rows=None):
-        self.table = table
-        self.plan = plan
-        self.estimated_rows = estimated_rows
-
-    def label(self) -> str:
-        spec = self.table.schema.partition
-        return f"ParallelScan({self.table.name}, {spec.describe()})"
-
-
-class PartialAggregate(PlanNode):
-    """Per-partition aggregation producing mergeable state entries
-    (``vector`` state layout) instead of finalized values.  COUNT/SUM/
-    AVG/MIN/MAX states all combine associatively, so each worker folds
-    its partition independently and the FinalAggregate above the Gather
-    recombines them in partition order."""
-
-    __slots__ = ("child", "group_positions", "agg_descs", "estimated_rows")
-
-    def __init__(self, child, group_positions, agg_descs, estimated_rows=None):
-        self.child = child
-        self.group_positions = group_positions
-        self.agg_descs = agg_descs
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.child,)
-
-    def label(self) -> str:
-        return (f"PartialAggregate(keys={len(self.group_positions)}, "
-                f"aggs={len(self.agg_descs)})")
-
-
-class Gather(PlanNode):
-    """Fan the child subtree across a worker pool, one task per
-    partition, and recombine in partition order.
-
-    ``mode`` selects the recombination: ``"partial"`` forwards per-
-    partition aggregate states to the FinalAggregate above, ``"rows"``
-    concatenates filtered rows (partition-major, matching the serial
-    scan order), and ``"sorted"`` k-way merges per-partition sorted runs
-    via :class:`repro.minidb.partition.MergingIterator` — each worker
-    sorts its own partition, the parent only merges."""
-
-    __slots__ = ("child", "n_workers", "mode", "project_fns", "sort_specs",
-                 "estimated_rows")
-
-    def __init__(self, child, n_workers, mode, project_fns=None,
-                 sort_specs=None, estimated_rows=None):
-        self.child = child
-        self.n_workers = n_workers
-        self.mode = mode
-        self.project_fns = project_fns
-        self.sort_specs = sort_specs
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.child,)
-
-    def label(self) -> str:
-        if self.mode == "sorted":
-            return (f"Gather(workers={self.n_workers}, merge=sorted "
-                    f"keys={len(self.sort_specs)})")
-        return f"Gather(workers={self.n_workers})"
-
-
-class FinalAggregate(PlanNode):
-    """Merge the per-partition states a Gather collected and finalize
-    them into the same ``[*group_values, *aggregate_finals]`` rows the
-    serial aggregates emit, so HAVING/projection/ORDER BY post-
-    processing is shared with every other aggregate flavor."""
-
-    __slots__ = ("child", "spec", "group_positions", "agg_descs",
-                 "estimated_rows")
-
-    def __init__(self, child, spec, group_positions, agg_descs,
-                 estimated_rows=None):
-        self.child = child
-        self.spec = spec
-        self.group_positions = group_positions
-        self.agg_descs = agg_descs
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.child,)
-
-    def label(self) -> str:
-        text = f"FinalAggregate(keys={len(self.group_positions)})"
-        if self.spec.having_fn is not None:
-            text += " + Having"
-        return text
-
-
 def render_tree(root: PlanNode, actual_rows: dict | None = None,
-                actual_times: dict | None = None,
-                actual_partitions: dict | None = None) -> list[str]:
+                actual_times: dict | None = None) -> list[str]:
     """Indented text rendering of a plan tree.
 
     Every line shows the operator label and its estimated output rows;
@@ -577,8 +474,6 @@ def render_tree(root: PlanNode, actual_rows: dict | None = None,
     ``actual_times`` (``{id(node): seconds}``) the inclusive wall-clock
     time the operator spent producing its output — operator plus its
     subtree — turning the estimate-vs-actual view into a profiler.
-    ``actual_partitions`` (``{id(node): [rows, ...]}``) annotates Gather
-    nodes with the rows each worker task actually produced.
     """
     lines: list[str] = []
 
@@ -594,10 +489,6 @@ def render_tree(root: PlanNode, actual_rows: dict | None = None,
                 seconds = actual_times.get(id(node))
                 if seconds is not None:
                     text += f" time={seconds * 1000:.3f}ms"
-            if actual_partitions is not None:
-                per_worker = actual_partitions.get(id(node))
-                if per_worker is not None:
-                    text += f" worker_rows={list(per_worker)}"
             text += "]"
         lines.append(text)
         for child in node.children():

@@ -89,9 +89,6 @@ ROWID_IN = "rowid_in"
 #: estimated rows below which batch mode is not worth the transpose (auto mode)
 VECTOR_MIN_ROWS = 512.0
 
-#: estimated rows below which forking a worker pool cannot pay for itself
-PARALLEL_MIN_ROWS = 512.0
-
 #: relative per-row costs for the index-vs-seq demotion gate: a B+tree
 #: range walk (or an equality probe's rowid chase) pointer-chases leaves
 #: and does a heap lookup per hit, roughly twice the cost of streaming
@@ -1624,7 +1621,6 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
         stream_group, order_served, slots,
     )
     root = _vectorize(root, resolver, getattr(db, "vectorize", "auto"))
-    root = _parallelize(root, resolver, getattr(db, "parallel", 0))
     tables = tuple(dict.fromkeys(slot.table.name for slot in slots))
     return SelectPlan(stmt, root, names, resolver, items, tables)
 
@@ -1802,146 +1798,6 @@ def _vector_position(expr: ast.Expr, resolver: Resolver) -> int | None:
     if isinstance(expr, ast.SlotRef):
         return expr.index
     return None
-
-
-# -- parallel partition post-pass ----------------------------------------------
-
-
-def _parallelize(root, resolver: Resolver, workers: int):
-    """Fan eligible subtrees of a finished plan across partition workers.
-
-    Runs after ``_vectorize`` (``pragma("parallel", n)`` rides the plan
-    cache key like the other knobs), rewriting three shapes whose driver
-    is a sequential scan of a *partitioned* table expected to produce at
-    least :data:`PARALLEL_MIN_ROWS` rows:
-
-    * aggregates (hash or batch) become ``FinalAggregate -> Gather ->
-      PartialAggregate -> [Filter] -> ParallelScan`` — each worker folds
-      its partition into mergeable states;
-    * ``Sort[rows] -> Project`` becomes a sorted-merge Gather — each
-      worker projects and sorts its partition, the parent k-way merges;
-    * a plain projected scan/filter gathers filtered rows partition-major.
-
-    Stream aggregates are left alone: their group order comes from an
-    index walk, which a hash-merge recombination would not preserve.
-    Execution and recombination live in :mod:`repro.minidb.parallel`.
-    """
-    if workers < 1:
-        return root
-    return _parallelize_node(root, resolver, workers)
-
-
-def _parallelize_node(node, resolver: Resolver, workers: int):
-    if isinstance(node, (nodes.HashAggregate, nodes.BatchAggregate)):
-        rewritten = _parallel_aggregate(node, resolver, workers)
-        return rewritten if rewritten is not None else node
-    if isinstance(node, nodes.Sort) and node.mode == "rows":
-        rewritten = _parallel_sort(node, resolver, workers)
-        if rewritten is not None:
-            return rewritten
-    if isinstance(node, nodes.Project):
-        source = _parallel_source(node.child, resolver, workers)
-        if source is not None:
-            node.child = source
-        return node
-    for attr in ("child", "left", "right"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            setattr(node, attr, _parallelize_node(child, resolver, workers))
-    return node
-
-
-def _parallel_split(node, resolver: Resolver):
-    """``(scan, filter_expr, kernels, filter_est)`` for an eligible source.
-
-    Eligible: an optional filter over a sequential scan (row or batch
-    flavor, an interposed BatchToRows is unwrapped) of a partitioned
-    table whose estimate clears :data:`PARALLEL_MIN_ROWS`.  Row-mode
-    filters get their vector kernels compiled here — workers always run
-    the batch kernels, whose bit-for-bit row parity the vectorized
-    pipeline already guarantees.  Returns None when ineligible.
-    """
-    inner = node
-    if isinstance(inner, nodes.BatchToRows):
-        inner = inner.child
-    filter_expr = kernels = filter_est = None
-    if isinstance(inner, nodes.BatchFilter):
-        filter_expr = inner.expr
-        kernels = inner.kernels
-        filter_est = inner.estimated_rows
-        inner = inner.child
-    elif isinstance(inner, nodes.Filter):
-        filter_expr = inner.expr
-        filter_est = inner.estimated_rows
-        inner = inner.child
-    if not isinstance(inner, (nodes.Scan, nodes.BatchScan)):
-        return None
-    if inner.plan.kind != SEQ:
-        return None
-    spec = inner.table.schema.partition
-    if spec is None or spec.n_partitions < 2:
-        return None
-    estimate = inner.estimated_rows
-    if estimate is None or estimate < PARALLEL_MIN_ROWS:
-        return None
-    if filter_expr is not None and kernels is None:
-        kernels = compile_filter_kernels(filter_expr, resolver)
-    return inner, filter_expr, kernels, filter_est
-
-
-def _parallel_scan_subtree(scan, filter_expr, kernels, filter_est):
-    source = nodes.ParallelScan(scan.table, scan.plan, scan.estimated_rows)
-    if filter_expr is not None:
-        source = nodes.BatchFilter(source, filter_expr, kernels, filter_est)
-    return source
-
-
-def _parallel_aggregate(node, resolver: Resolver, workers: int):
-    split = _parallel_split(node.child, resolver)
-    if split is None:
-        return None
-    if isinstance(node, nodes.BatchAggregate):
-        group_positions, agg_descs = node.group_positions, node.agg_descs
-    else:
-        descs = _vector_agg_descs(node.spec, resolver)
-        if descs is None:
-            return None
-        group_positions, agg_descs = descs
-    scan, filter_expr, kernels, filter_est = split
-    source = _parallel_scan_subtree(scan, filter_expr, kernels, filter_est)
-    partial = nodes.PartialAggregate(source, group_positions, agg_descs,
-                                     node.estimated_rows)
-    gather = nodes.Gather(
-        partial, workers, "partial",
-        estimated_rows=float(scan.table.schema.partition.n_partitions),
-    )
-    return nodes.FinalAggregate(gather, node.spec, group_positions,
-                                agg_descs, node.estimated_rows)
-
-
-def _parallel_sort(node, resolver: Resolver, workers: int):
-    project = node.child
-    if not isinstance(project, nodes.Project):
-        return None
-    split = _parallel_split(project.child, resolver)
-    if split is None:
-        return None
-    scan, filter_expr, kernels, filter_est = split
-    source = _parallel_scan_subtree(scan, filter_expr, kernels, filter_est)
-    return nodes.Gather(source, workers, "sorted",
-                        project_fns=project.item_fns,
-                        sort_specs=node.specs,
-                        estimated_rows=node.estimated_rows)
-
-
-def _parallel_source(child, resolver: Resolver, workers: int):
-    split = _parallel_split(child, resolver)
-    if split is None:
-        return None
-    scan, filter_expr, kernels, filter_est = split
-    source = _parallel_scan_subtree(scan, filter_expr, kernels, filter_est)
-    out_est = filter_est if filter_expr is not None else scan.estimated_rows
-    return nodes.Gather(source, workers, "rows", estimated_rows=out_est)
 
 
 def _finish_select(stmt: ast.SelectStmt, items, alias_map: dict,

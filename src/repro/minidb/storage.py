@@ -663,8 +663,8 @@ class Table:
         positions = tuple(self.schema.position(column) for column in columns)
         spec = self.schema.partition
         if spec is not None:
-            # one sub-index per partition so parallel workers and ordered
-            # k-way merges see per-partition entry streams
+            # one sub-index per partition so ordered k-way merges see
+            # per-partition entry streams
             index = PartitionedIndex(
                 name, columns, positions, unique=unique, kind=kind,
                 spec=spec, key_position=self.schema.position(spec.column),

@@ -157,11 +157,9 @@ def accumulate_batches(batches, group_positions, agg_descs) -> dict:
     """Fold a batch stream into per-group state entries (not finalized).
 
     Returns ``{key: entry}`` in first-seen group order; a global
-    aggregate folds into the single key ``()``.  This is the mergeable
-    half of :func:`aggregate_batches` — every state combines
-    associatively, so the parallel executor runs it once per partition
-    and recombines the entries in partition order before finalizing
-    (:mod:`repro.minidb.parallel`).
+    aggregate folds into the single key ``()``.  This is the
+    accumulation half of :func:`aggregate_batches`, which finalizes the
+    entries into rows.
 
     Accumulation is a grouped columnar fold: each batch's selection is
     partitioned into per-group index lists once, then every aggregate

@@ -247,6 +247,44 @@ class TestCrossBackendEquivalence:
         assert sql.anomaly_summary().total == frame.anomaly_summary().total
 
 
+class TestUnorderableCategories:
+    """A missing or mixed-type category cell must not break the sorts the
+    workflow runs over group keys (ranking, overlap, re-detection)."""
+
+    INCOME = [1.0, None, 3.0, 1.0, None, 2.0, 1.0, None, 5.0]
+
+    @pytest.mark.parametrize("backend", ["sql", "frame"])
+    @pytest.mark.parametrize("categories", [
+        ["a", "a", "a", None, None, None, "b", "b", "b"],
+        [1, 1, 1, "x", "x", "x", None, None, None],
+    ], ids=["missing", "int-vs-str"])
+    def test_detect_suggest_apply_undo(self, backend, categories):
+        session = BuckarooSession.from_frame(
+            DataFrame.from_dict({"cat": categories, "income": self.INCOME}),
+            backend=backend,
+        )
+        session.generate_groups(cat_cols=["cat"], num_cols=["income"])
+        # the three groups tie on (weighted, count), so ranking falls
+        # through to comparing the keys themselves
+        before = session.detect()
+        ranked = [g.key for g in before.groups]
+        assert len(ranked) == 3 and ranked == sorted(ranked)
+        assert ranked[0].category is None
+        assert len(list(session.overlap.edges())) == 0
+        result = session.apply(session.suggest(ranked[0])[0])
+        assert result.resolved > 0
+        session.undo()
+        after = session.anomaly_summary()
+        assert after.total == before.total
+        assert [g.key for g in after.groups] == ranked
+
+    def test_group_key_total_order(self):
+        keys = [GroupKey("c", "x", "n"), GroupKey("c", 2, "n"),
+                GroupKey("c", None, "n"), GroupKey("c", 1.5, "n"),
+                GroupKey("b", "z", "n")]
+        assert [k.category for k in sorted(keys)] == ["z", None, 1.5, 2, "x"]
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=4), st.booleans())
 def test_property_undo_all_restores_initial_state(choices, use_sql):

@@ -73,7 +73,7 @@ class TestLifecycleAPI:
         assert db.pragma("page_size") == PAGE_SIZE
         assert db.pragma("pool_pages") == 32
         db.pragma("pool_pages", 64)
-        assert db.pragma("buffer_pool_pages") == 64
+        assert db.pragma("pool_pages") == 64
         assert db.pragma("fsync") == "commit"
         db.pragma("fsync", "off")
         assert db.pragma("fsync") == "off"

@@ -1,31 +1,31 @@
-"""Partitioned tables and the parallel executor.
+"""Partitioned tables.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * routing units — ``stable_hash`` determinism/normalization,
   :class:`PartitionSpec` validation and catalog round-trip,
   :class:`PartitionedHeap` move semantics, :class:`MergingIterator`;
-* EXPLAIN / EXPLAIN ANALYZE partition fan-out (partition count, worker
-  count, per-worker actual rows on ``Gather``);
-* serial-vs-parallel parity — a hypothesis property suite over query
-  shapes × partition counts × worker counts, plus a file-mode check
-  (results must be *identical*, order included, since partition-major
-  recombination matches the serial scan order by construction);
-* MVCC — a snapshot taken mid-write reads the same rows under the
-  parallel plans as under the serial ones.
+* partitioned-vs-plain parity — a hypothesis property suite over query
+  shapes × partition clauses, plus a file-mode check: a partitioned
+  table answers every query exactly as an unpartitioned one does
+  (order-exact where ORDER BY pins the order, as a multiset otherwise —
+  a partitioned scan is partition-major, a plain one insertion-ordered),
+  and a reopened file routes and scans as the writer did;
+* MVCC — a snapshot over a partitioned table is unchanged by concurrent
+  writes, and uncommitted writes stay invisible to other sessions.
 
 Numeric values are dyadic (multiples of 0.5) wherever SUM/AVG parity is
-asserted bit-for-bit: partial per-partition sums re-associate float
-addition, which is exact for dyadic rationals but can drift a ulp
-otherwise (see ARCHITECTURE.md).
+asserted bit-for-bit: the partition-major scan adds the same floats in a
+different order than the plain table, which is exact for dyadic
+rationals but can drift a ulp otherwise.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import CatalogError
-from repro.minidb import Database
+from repro.errors import CatalogError, DatabaseError
+from repro.minidb import Database, connect
 from repro.minidb.partition import (
     MergingIterator,
     PartitionSpec,
@@ -126,7 +126,7 @@ class TestPartitionedHeap:
         heap = self._heap()
         heap[1], heap[2], heap[3] = [500, "p1"], [50, "p0"], [75, "p0"]
         assert list(heap.keys()) == [2, 3, 1]
-        assert heap.partition_rowids(0) == (2, 3)
+        assert tuple(heap.buckets[0]) == (2, 3)
         assert [rowids for rowids, _rows in heap.iter_chunks(10)] == [(2, 3), (1,)]
 
 
@@ -155,16 +155,18 @@ class TestMergingIterator:
 # ---------------------------------------------------------------------------
 
 
-def _fill(db, n=1500):
-    db.execute(
-        "CREATE TABLE m (id INTEGER, cat TEXT, val REAL) "
-        "PARTITION BY HASH (id) PARTITIONS 4"
-    )
-    db.insert_rows(
-        "m",
-        [(i, f"c{i % 7}", (i % 97) * 0.5) for i in range(n)],
-    )
+def _table(db, rows, clause=""):
+    db.execute(f"CREATE TABLE m (id INTEGER, cat TEXT, val REAL) {clause}")
+    db.insert_rows("m", rows)
     return db
+
+
+def _rows():
+    return [(i, f"c{i % 7}", (i % 97) * 0.5) for i in range(1500)]
+
+
+def _fill(db):
+    return _table(db, _rows(), "PARTITION BY HASH (id) PARTITIONS 4")
 
 
 PARITY_QUERIES = (
@@ -181,49 +183,46 @@ def _run_all(executor):
     return [executor.execute(sql).rows for sql in PARITY_QUERIES]
 
 
-class TestExplainFanout:
-    """EXPLAIN renders the partition fan-out; ANALYZE adds actual rows."""
+def _multiset(rows):
+    return sorted(map(repr, rows))
 
-    @pytest.fixture
-    def db(self):
-        return _fill(Database(parallel=4))
 
-    def test_explain_shows_partitions_and_workers(self, db):
-        plan = "\n".join(
-            r[0] for r in db.execute(
-                "EXPLAIN SELECT cat, SUM(val) FROM m GROUP BY cat").rows
-        )
-        assert "ParallelScan(m, hash(id) parts=4)" in plan
-        assert "Gather(workers=4)" in plan
-        assert "PartialAggregate" in plan and "FinalAggregate" in plan
+def _content(results):
+    """Order-insensitive view of ``_run_all`` output."""
+    return [_multiset(rows) for rows in results]
 
-    def test_analyze_reports_per_worker_rows(self, db):
-        plan = "\n".join(
-            r[0] for r in db.execute(
-                "EXPLAIN ANALYZE SELECT COUNT(*) FROM m").rows
-        )
-        assert "worker_rows=[" in plan
-        counts = plan.split("worker_rows=[", 1)[1].split("]", 1)[0]
-        assert sum(int(c) for c in counts.split(",")) == 1500
 
-    def test_pragma_off_restores_serial_plan(self, db):
-        db.pragma("parallel", 0)
-        plan = "\n".join(
-            r[0] for r in db.execute(
-                "EXPLAIN SELECT cat, SUM(val) FROM m GROUP BY cat").rows
-        )
-        assert "Gather" not in plan and "ParallelScan" not in plan
+def _assert_parity(got, want):
+    """Order-exact where ORDER BY pins the order, multiset otherwise."""
+    for sql, got_rows, want_rows in zip(PARITY_QUERIES, got, want):
+        if "ORDER BY" in sql:
+            assert got_rows == want_rows, sql
+        else:
+            assert _multiset(got_rows) == _multiset(want_rows), sql
 
-    def test_sorted_merge_gather_renders_merge_mode(self, db):
-        plan = "\n".join(
-            r[0] for r in db.execute(
-                "EXPLAIN SELECT id, val FROM m ORDER BY val, id").rows
-        )
-        assert "merge=sorted" in plan
+
+_REMOVED_NODES = ("ParallelScan", "PartialAggregate", "Gather", "FinalAggregate")
+
+
+def test_parallel_mode_is_gone():
+    """The parallel executor was taken out: its knob is an unknown option
+    and an unknown pragma, and partitioned plans use the ordinary nodes."""
+    with pytest.raises(DatabaseError, match="unknown open option"):
+        Database(parallel=4)
+    with pytest.raises(DatabaseError, match="unknown open option"):
+        connect(":memory:", parallel=4)
+    db = _fill(Database())
+    with pytest.raises(DatabaseError, match="unknown pragma"):
+        db.pragma("parallel")
+    for sql in ("SELECT cat, SUM(val) FROM m GROUP BY cat",
+                "SELECT id, val FROM m ORDER BY val, id"):
+        for mode in ("EXPLAIN", "EXPLAIN ANALYZE"):
+            plan = "\n".join(r[0] for r in db.execute(f"{mode} {sql}").rows)
+            assert not any(name in plan for name in _REMOVED_NODES), plan
 
 
 # ---------------------------------------------------------------------------
-# serial-vs-parallel parity
+# partitioned-vs-plain parity
 # ---------------------------------------------------------------------------
 
 
@@ -233,7 +232,7 @@ def _dataset(draw):
     rows = []
     for i in range(n):
         cat = draw(st.sampled_from(["a", "b", "c", None]))
-        # dyadic values keep partial-sum reassociation exact
+        # dyadic values keep reordered float sums exact
         val = draw(st.one_of(st.none(),
                              st.integers(-40, 40).map(lambda k: k * 0.5)))
         rows.append((i, cat, val))
@@ -248,105 +247,81 @@ _PARTITION_CLAUSES = (
 
 
 @settings(max_examples=25, deadline=None)
-@given(_dataset(), st.sampled_from(_PARTITION_CLAUSES),
-       st.sampled_from([1, 2, 4]))
-def test_property_parallel_matches_serial(rows, clause, workers):
-    """Identical result lists — order included — with the pool on or off,
-    and the same multiset a plain unpartitioned table produces."""
-    db = Database()
-    db.execute(f"CREATE TABLE m (id INTEGER, cat TEXT, val REAL) {clause}")
-    db.insert_rows("m", rows)
-    plain = Database()
-    plain.execute("CREATE TABLE m (id INTEGER, cat TEXT, val REAL)")
-    plain.insert_rows("m", rows)
-
-    serial = _run_all(db)
-    db.pragma("parallel", workers)
-    assert _run_all(db) == serial
-    for got, want in zip(_run_all(plain), serial):
-        assert sorted(map(repr, got)) == sorted(map(repr, want))
+@given(_dataset(), st.sampled_from(_PARTITION_CLAUSES))
+def test_property_partitioned_matches_plain(rows, clause):
+    """A partitioned table answers exactly what a plain one does."""
+    partitioned = _table(Database(), rows, clause)
+    plain = _table(Database(), rows)
+    _assert_parity(_run_all(partitioned), _run_all(plain))
 
 
-def test_parallel_matches_serial_on_file_backed_table(tmp_path):
-    """Durable mode: paged buckets are materialized parent-side before the
-    fork, and a reopened file must route and scan identically."""
-    path = tmp_path / "par.db"
-    db = Database(path)
-    db.execute(
-        "CREATE TABLE m (id INTEGER, cat TEXT, val REAL) "
-        "PARTITION BY RANGE (id) SPLIT AT (300, 700)"
-    )
-    db.insert_rows("m", [(i, f"c{i % 5}", (i % 31) * 0.5) for i in range(1000)])
-    serial = _run_all(db)
-    db.pragma("parallel", 4)
-    assert _run_all(db) == serial
+def test_reopened_file_routes_and_scans_identically(tmp_path):
+    """Durable mode: paged buckets match a plain table, and a reopened
+    file holds every row in the bucket the writer routed it to."""
+    path = tmp_path / "part.db"
+    rows = [(i, f"c{i % 5}", (i % 31) * 0.5) for i in range(1000)]
+    db = _table(Database(path), rows,
+                "PARTITION BY RANGE (id) SPLIT AT (300, 700)")
+    written = _run_all(db)
+    _assert_parity(written, _run_all(_table(Database(), rows)))
     db.close()
 
-    reopened = Database(path, parallel=4)
-    assert _run_all(reopened) == serial
+    reopened = Database(path)
+    assert _run_all(reopened) == written
+    heap = reopened.tables["m"].rows
+    assert [len(bucket) for bucket in heap.buckets] == [300, 400, 300]
+    reopened.execute("INSERT INTO m VALUES (650, 'c0', 1.5)")
+    new_rowid = reopened.execute(
+        "SELECT rowid FROM m WHERE id = 650 AND val = 1.5").scalar()
+    assert heap.partition_of_rowid(new_rowid) == 1
     reopened.close()
 
 
-def test_parallel_survives_large_group_counts():
-    """Merging partial states across partitions, not just a handful of
-    groups: every id is its own group."""
-    db = _fill(Database(), n=1200)
-    serial = db.execute(
-        "SELECT id, SUM(val), COUNT(*) FROM m GROUP BY id").rows
-    db.pragma("parallel", 4)
-    assert db.execute(
-        "SELECT id, SUM(val), COUNT(*) FROM m GROUP BY id").rows == serial
-
-
 # ---------------------------------------------------------------------------
-# MVCC: snapshots read identically under parallel and serial plans
+# MVCC over a partitioned table
 # ---------------------------------------------------------------------------
 
 
-def _content(results):
-    """Order-insensitive view: rows that concurrent deletes push onto the
-    version-chain tail of ``snapshot_scan`` legitimately reorder unordered
-    output (GROUP BY group order is first-seen), so cross-time comparisons
-    go by content while same-instant serial-vs-parallel stays exact."""
-    return [sorted(map(repr, rows)) for rows in results]
+_WRITES = (
+    "UPDATE m SET val = val + 1000 WHERE id % 3 = 0",
+    "DELETE FROM m WHERE id % 7 = 0",
+    "INSERT INTO m VALUES (9001, 'c1', 4.5)",
+)
 
 
-class TestParallelSnapshotParity:
-    def test_snapshot_mid_write_reads_identically(self):
+class TestPartitionedSnapshot:
+    def test_snapshot_is_unchanged_by_concurrent_writes(self):
         db = _fill(Database())
+        plain = _table(Database(), _rows())
         reader, writer = db.connect(), db.connect()
+        plain_reader = plain.connect()
         reader.execute("BEGIN")
-        before = _content(_run_all(reader))
-        # autocommitting writes land *after* the reader's snapshot
-        writer.execute("UPDATE m SET val = val + 1000 WHERE id % 3 = 0")
-        writer.execute("DELETE FROM m WHERE id % 7 = 0")
-        writer.execute("INSERT INTO m VALUES (9001, 'c1', 4.5)")
-        serial = _run_all(reader)
-        db.pragma("parallel", 4)
-        # the parallel plans read the same snapshot — row-for-row, order
-        # included — and the snapshot still shields the writer's churn
-        assert any(
-            "Gather" in r[0]
-            for r in reader.execute(f"EXPLAIN {PARITY_QUERIES[0]}").rows
-        )
-        assert _run_all(reader) == serial
-        assert _content(serial) == before
+        plain_reader.execute("BEGIN")
+        before = _run_all(reader)
+        # autocommitting writes land *after* the readers' snapshots
+        for sql in _WRITES:
+            writer.execute(sql)
+            plain.execute(sql)
+        # rows that concurrent deletes push onto the version-chain tail of
+        # ``snapshot_scan`` legitimately reorder unordered output, so the
+        # cross-time comparison goes by content
+        during = _run_all(reader)
+        assert _content(during) == _content(before)
+        _assert_parity(during, _run_all(plain_reader))
         reader.commit()
-        # post-commit the parallel plans see the writer's world — and agree
-        # with serial plans over it
+        plain_reader.commit()
+        # post-commit the reader sees the writer's world
         after = _run_all(reader)
-        db.pragma("parallel", 0)
-        assert _run_all(reader) == after
-        assert _content(after) != before
-        reader.close()
-        writer.close()
+        assert _content(after) != _content(before)
+        _assert_parity(after, _run_all(plain_reader))
+        for connection in (reader, writer, plain_reader):
+            connection.close()
 
-    def test_uncommitted_writer_never_leaks_into_workers(self):
-        db = _fill(Database(parallel=4))
+    def test_uncommitted_delete_is_invisible_to_another_session(self):
+        db = _fill(Database())
         writer = db.connect()
         writer.execute("BEGIN")
         writer.execute("DELETE FROM m WHERE id >= 750")
-        # another session's parallel aggregate still sees every row
         assert db.execute("SELECT COUNT(*) FROM m").scalar() == 1500
         writer.rollback()
         writer.close()

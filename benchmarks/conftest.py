@@ -1,9 +1,9 @@
 """Shared infrastructure for the benchmark suite.
 
-Every benchmark regenerates one row of the paper's evaluation (see
-DESIGN.md §3).  Dataset scale is controlled by ``REPRO_BENCH_SCALE``
-(default 0.05 — about 1.9k/2.4k/12.5k rows); set it to ``1`` to run at the
-paper's full dataset sizes.
+Every benchmark regenerates one row of the paper's evaluation (§6: Table 1,
+the localized-detection and snapshot ablations).  Dataset scale is
+controlled by ``REPRO_BENCH_SCALE`` (default 0.05 — about 1.9k/2.4k/12.5k
+rows); set it to ``1`` to run at the paper's full dataset sizes.
 
 Usage::
 

@@ -4,10 +4,11 @@ This backend deliberately follows the Pandas computational model: every
 mutation re-materializes whole columns, and there are no secondary indexes —
 detector scans and the per-group scope masks behind them recompute over the
 full column after any change.  That is the cost profile Table 1 measures
-against Postgres, and reproducing it honestly is the point of this class
-(see DESIGN.md §1).  Which rows form which *group* is not this class's
-business: :class:`repro.core.groups.GroupManager` keeps that index for both
-backends from ``all_row_ids`` + ``values``.  ``group_row_ids`` /
+against Postgres, and reproducing it honestly is the point of this class:
+the Pandas path is the baseline the paper's SQL path is measured against.
+Which rows form which *group* is not this class's business:
+:class:`repro.core.groups.GroupManager` keeps that index for both backends
+from ``all_row_ids`` + ``values``.  ``group_row_ids`` /
 ``group_sizes`` have no caller in the library; they stay as the independent
 reference the tests compare that index against (and the end-to-end
 benchmark's backend proxy forwards them by name).

@@ -85,6 +85,14 @@ class DetectionContext:
 class Detector(ABC):
     """One error class: a code, display metadata, and a detection routine."""
 
+    local = False
+    """True when :meth:`detect` reads only the group's projected column, its
+    membership and the pinned or group stats — so a repair that changes
+    neither the group's members nor that column cannot change its result,
+    and the session skips the group when re-detecting.  Off unless a class
+    declares it: a detector reading other columns or the database stays
+    correct, only less localized."""
+
     def __init__(self, error_type: ErrorType):
         self.error_type = error_type
 
@@ -100,6 +108,8 @@ class Detector(ABC):
 
 class MissingValueDetector(Detector):
     """Flags NULL cells of the projected attribute (§3.1 'Missing Values')."""
+
+    local = True
 
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_MISSING])
@@ -121,6 +131,8 @@ class OutlierDetector(Detector):
     statistics, which is how a value can be "an outlier in one group but not
     in another" (§1).
     """
+
+    local = True
 
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_OUTLIER])
@@ -152,6 +164,8 @@ class OutlierDetector(Detector):
 class TypeMismatchDetector(Detector):
     """Flags non-numeric entries in numeric columns (e.g. '12k')."""
 
+    local = True
+
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_TYPE_MISMATCH])
 
@@ -171,6 +185,8 @@ class TypeMismatchDetector(Detector):
 class SmallGroupDetector(Detector):
     """Flags groups with cardinality below ``min_group_size`` (§3.1)."""
 
+    local = True
+
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_SMALL_GROUP])
 
@@ -188,7 +204,11 @@ class SmallGroupDetector(Detector):
 
 
 class FunctionDetector(Detector):
-    """Adapter for user-defined detector functions (paper's custom API)."""
+    """Adapter for user-defined detector functions (paper's custom API).
+
+    Not :attr:`~Detector.local`: the function sees every column of the group
+    and, through ``sql``, the whole database.
+    """
 
     def __init__(self, error_type: ErrorType, fn: Callable):
         super().__init__(error_type)

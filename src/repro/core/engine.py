@@ -2,8 +2,14 @@
 
 The :class:`ErrorIndex` is the error-to-tuple mapping the storage layer
 maintains (Fig 2 ⑤); the :class:`DetectionEngine` scopes detector runs to
-groups, so after a repair only the groups named by the overlap graph are
-re-scanned — "avoiding unnecessary recomputation".
+groups, so after a repair only the groups it can change are re-scanned —
+"avoiding unnecessary recomputation".  The session picks them: the groups
+whose membership the repair's delta changed, plus the groups of its touched
+rows whose projected attribute the delta wrote.  That narrowing needs every
+registered detector to be :attr:`~repro.core.detectors.Detector.local`;
+otherwise every group holding a touched row (the overlap graph's answer)
+re-runs.  :meth:`DetectionEngine.detect_groups` only returns results, so a
+speculative repair is scored against the index without writing to it.
 """
 
 from __future__ import annotations
@@ -110,17 +116,6 @@ class ErrorIndex:
         """Keys of groups carrying at least one anomaly."""
         return list(self._by_group)
 
-    # -- speculation support ----------------------------------------------------
-
-    def snapshot(self, keys: Sequence[GroupKey]) -> dict:
-        """Capture the entries of ``keys`` so a preview can restore them."""
-        return {key: list(self._by_group.get(key, ())) for key in keys}
-
-    def restore(self, snapshot: dict) -> None:
-        """Put back entries captured by :meth:`snapshot`."""
-        for key, anomalies in snapshot.items():
-            self.replace_group(key, anomalies)
-
 
 class DetectionEngine:
     """Runs detectors over groups and maintains the error index."""
@@ -142,20 +137,18 @@ class DetectionEngine:
         self.detections_run += 1
         return anomalies
 
-    def detect_groups(self, groups: Iterable[Group]) -> int:
-        """Detect and index each group; returns total anomalies found."""
-        total = 0
-        for group in groups:
-            found = self.detect_group(group)
-            self.index.replace_group(group.key, found)
-            total += len(found)
-        return total
+    def detect_groups(self, groups: Iterable[Group]) -> dict[GroupKey, list[Anomaly]]:
+        """Each group's anomalies; the index is left to the caller."""
+        return {group.key: self.detect_group(group) for group in groups}
 
     def detect_all(self, groups: Iterable[Group]) -> int:
-        """Full pass: clear the index, then detect every group."""
+        """Full pass: clear the index, then detect and index every group."""
         self.index.clear()
         self.ctx.invalidate_stats()
-        return self.detect_groups(groups)
+        found = self.detect_groups(groups)
+        for key, anomalies in found.items():
+            self.index.replace_group(key, anomalies)
+        return sum(len(anomalies) for anomalies in found.values())
 
     def invalidate_stats(self, columns: Optional[list[str]] = None) -> None:
         """Invalidate cached column statistics after data changes."""

@@ -39,8 +39,11 @@ class OverlapGraph:
     def affected_groups(self, row_ids: Iterable[int]) -> set[GroupKey]:
         """All groups containing any of ``row_ids``.
 
-        This is the set whose detectors must re-run after a repair touching
-        those rows — the localized re-detection of §3.3.
+        The localized re-detection of §3.3 starts from this set.  With only
+        :attr:`~repro.core.detectors.Detector.local` detectors registered,
+        the session keeps just the groups whose projected attribute the
+        repair wrote, and adds the groups whose membership it changed.
+        Otherwise every group in this set re-runs its detectors.
         """
         return self.manager.groups_of_rows(row_ids)
 

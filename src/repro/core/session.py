@@ -328,7 +328,6 @@ class BuckarooSession:
         affected: list
         resolved: int
         introduced: int
-        before: dict  # the affected groups' index entries before the mutation
         after_series: Optional[ChartSeries] = None
 
         @property
@@ -337,17 +336,20 @@ class BuckarooSession:
 
     def _mutate_and_redetect(self, plan: RepairPlan,
                              delta_override: Optional[DeltaSnapshot] = None,
-                             ) -> "_MutationOutcome":
+                             commit: bool = True) -> "_MutationOutcome":
         """Shared core of apply/speculate/undo/redo: mutate, re-detect locally.
 
-        The groups to re-detect are those holding a touched row before the
-        mutation plus those whose membership the delta changed (rows that
-        moved category, re-appeared on undo, or formed a new category).
+        The groups to re-detect are those whose membership the delta changed
+        (rows that moved category, were deleted, re-appeared on undo, or
+        formed a new category) plus the groups of touched rows whose
+        numerical attribute the delta wrote.  Narrowing to those is exact
+        only while every detector is ``local``; otherwise every group holding
+        a touched row re-runs.  Resolved/introduced are measured against the
+        error index, which only a committed outcome writes to.
         """
         index = self.engine.index
         rows = plan.touched_rows if delta_override is None else delta_override.row_ids()
-        affected = sorted(self.overlap.affected_groups(rows))
-        before = index.snapshot(affected)
+        holding = self.overlap.affected_groups(rows)
 
         if delta_override is None:
             delta = self._execute_ops(plan)
@@ -355,19 +357,17 @@ class BuckarooSession:
             self.backend.apply_delta(delta_override)
             delta = delta_override
 
-        regrouped = sorted(self.group_manager.apply_delta(delta) - before.keys())
-        before.update(index.snapshot(regrouped))
-        affected += regrouped
+        regrouped = self.group_manager.apply_delta(delta)
+        if all(detector.local for detector in self.detectors.all()):
+            written = {column for cells in delta.updated.values() for column in cells}
+            holding = {key for key in holding if key.numerical in written}
+        affected = sorted(holding | regrouped)
 
         # Global statistics stay *pinned* between full detection passes, so
         # localized re-detection (§3.3) judges every group against the same
         # thresholds; session.detect() recalibrates them.
-        index.drop_rows(delta.deleted)
         groups = self.group_manager.groups
-        for key in affected:
-            if key not in groups:
-                index.drop_group(key)
-        self.engine.detect_groups([groups[key] for key in affected if key in groups])
+        found = self.engine.detect_groups([groups[key] for key in affected if key in groups])
 
         # Set difference, not count difference: a repair that swaps one
         # anomaly class for another (e.g. type conversion producing an
@@ -375,29 +375,31 @@ class BuckarooSession:
         # visibility the paper motivates in §1.
         resolved = introduced = 0
         for key in affected:
-            was = {(a.row_id, a.error_code) for a in before[key]}
-            now = {(a.row_id, a.error_code) for a in index.anomalies(key)}
+            was = {(a.row_id, a.error_code) for a in index.anomalies(key)}
+            now = {(a.row_id, a.error_code) for a in found.get(key, ())}
             resolved += len(was - now)
             introduced += len(now - was)
+        if commit:
+            index.drop_rows(delta.deleted)
+            for key in affected:
+                index.replace_group(key, found.get(key, ()))
         return BuckarooSession._MutationOutcome(
             delta=delta,
-            affected=sorted(affected),
+            affected=affected,
             resolved=resolved,
             introduced=introduced,
-            before=before,
         )
 
     def _speculate(self, plan: RepairPlan, capture_pair):
-        outcome = self._mutate_and_redetect(plan)
+        outcome = self._mutate_and_redetect(plan, commit=False)
         if capture_pair is not None:
             outcome.after_series = build_series(
                 self.backend, self.group_manager, *capture_pair
             )
-        # roll back data, memberships and the error index
+        # roll back data and memberships; the error index was never written
         undo = outcome.delta.inverse()
         self.backend.apply_delta(undo)
         self.group_manager.apply_delta(undo)
-        self.engine.index.restore(outcome.before)
         return outcome
 
     def _apply_delta_action(self, record: ActionRecord, delta: DeltaSnapshot,

@@ -2,8 +2,9 @@
 
 For a selected group, every wrangler able to repair each present error code
 proposes a plan.  Plans are scored by speculative application: the session
-applies the plan, re-detects the affected groups, counts anomalies resolved
-vs. introduced elsewhere, and rolls everything back.  "Wrangling suggestions
+applies the plan, re-detects the groups it can change, counts anomalies
+resolved vs. introduced against the error index (which it never writes),
+and rolls the data and group memberships back.  "Wrangling suggestions
 are ranked by their effectiveness—favoring repairs that resolve the anomaly
 with minimal side effects on other groups."
 """

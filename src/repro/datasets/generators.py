@@ -3,8 +3,10 @@
 The paper evaluates on three public datasets (StackOverflow survey, Adult
 Income, Chicago Crime).  Offline, we generate seeded synthetic datasets
 matching each one's published shape — row/column counts, categorical
-cardinalities, and plausible numeric marginals (see DESIGN.md §1 for why
-this preserves the experiments' behaviour).
+cardinalities, and plausible numeric marginals.  That preserves the
+experiments' behaviour: detection, grouping and the latencies Table 1
+measures depend on those shapes and on the injected errors, not on the
+real records.
 """
 
 from __future__ import annotations

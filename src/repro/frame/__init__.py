@@ -1,6 +1,7 @@
 """``repro.frame`` — a from-scratch columnar dataframe library.
 
-This package is the reproduction's substitute for Pandas (see DESIGN.md §1).
+This package is the reproduction's substitute for Pandas, so the
+reproduction runs on numpy alone (Pandas is not installed where it runs).
 It provides typed, missing-aware columns, an immutable-style ``DataFrame``,
 group-by aggregation, and CSV I/O.  Its deliberately copy-heavy computational
 model reproduces the cost profile the paper measures for the Pandas backend

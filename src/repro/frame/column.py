@@ -195,9 +195,29 @@ class Column:
         return Column(self.name, values, dtype=dtype)
 
     def concat(self, other: "Column") -> "Column":
-        """New column with ``other``'s rows appended (dtypes widened)."""
-        values = self.to_list() + other.to_list()
-        return Column(self.name, values)
+        """New column with ``other``'s rows appended (dtypes widened).
+
+        Always equal to ``Column(name, self.to_list() + other.to_list())``.
+        When inference could only repeat a side's dtype — both sides share a
+        non-``mixed`` dtype and hold a value, or one side holds none — the
+        storage arrays are joined directly instead of re-inferring per cell.
+        """
+        mine, theirs = bool(self._valid.any()), bool(other._valid.any())
+        if mine and theirs and self.dtype == other.dtype != dtypes.MIXED:
+            dtype = self.dtype
+        elif mine != theirs and dtypes.MIXED not in (self.dtype, other.dtype):
+            dtype = self.dtype if mine else other.dtype
+        else:
+            return Column(self.name, self.to_list() + other.to_list())
+        data = np.concatenate([
+            side._data if side.dtype == dtype
+            else np.full(len(side), _FILL[dtype], dtype=dtypes.storage_dtype(dtype))
+            for side in (self, other)
+        ])
+        valid = np.concatenate([self._valid, other._valid])
+        if dtype == dtypes.FLOAT64:
+            valid &= ~np.isnan(data)  # a NaN written by set_at reads back as missing
+        return Column._from_storage(self.name, dtype, data, valid)
 
     # -- numeric views -----------------------------------------------------
 

@@ -1,9 +1,10 @@
 """``repro.minidb`` — an embedded relational database engine.
 
-This package is the reproduction's substitute for PostgreSQL (DESIGN.md §1):
-a SQL engine with a tokenizer, recursive-descent parser, expression compiler,
-hash + B+tree indexes, an index-selecting planner, a volcano-style executor,
-transactions with rollback, and a write-ahead log.
+This package is the reproduction's substitute for PostgreSQL, which an
+offline, dependency-free reproduction cannot run: a SQL engine with a
+tokenizer, recursive-descent parser, expression compiler, hash + B+tree
+indexes, an index-selecting planner, a volcano-style executor, transactions
+with rollback, and a write-ahead log.
 
 Buckaroo uses it through :class:`~repro.backends.sql_backend.SQLBackend`:
 built-in detectors run as SQL, group membership is an index lookup, and the

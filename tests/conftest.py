@@ -28,6 +28,13 @@ DIRTY_ROWS = [
 DIRTY_COLUMNS = ["country", "degree", "income", "age"]
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: paper-scale check; pytest.ini deselects it, run with -m slow",
+    )
+
+
 @pytest.fixture
 def dirty_frame() -> DataFrame:
     """The motivating-example dataset as a DataFrame."""

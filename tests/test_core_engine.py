@@ -75,15 +75,6 @@ class TestErrorIndex:
         assert len(buckets[ERROR_MISSING]) == 2
         assert len(buckets[ERROR_OUTLIER]) == 1
 
-    def test_snapshot_restore(self):
-        index = ErrorIndex()
-        original = [anomaly(1, ERROR_MISSING, KEY_A)]
-        index.replace_group(KEY_A, original)
-        saved = index.snapshot([KEY_A])
-        index.replace_group(KEY_A, [anomaly(9, ERROR_OUTLIER, KEY_A)])
-        index.restore(saved)
-        assert index.anomalies(KEY_A) == original
-
 
 @pytest.fixture(params=["sql", "frame"])
 def engine(request):

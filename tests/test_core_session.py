@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.workload import impute_plan, removal_plan
 from repro.config import BuckarooConfig
+from repro.core.engine import ErrorIndex
 from repro.core.session import BuckarooSession
 from repro.core.types import (
     ERROR_MISSING,
@@ -19,10 +21,10 @@ from repro.frame import DataFrame
 from tests.test_backends import COLUMNS, ROWS
 
 
-def make_session(backend: str) -> BuckarooSession:
+def make_session(backend: str, outlier_scope: str = "global") -> BuckarooSession:
     session = BuckarooSession.from_frame(
         DataFrame.from_rows(ROWS, COLUMNS), backend=backend,
-        config=BuckarooConfig(min_group_size=2),
+        config=BuckarooConfig(min_group_size=2, outlier_scope=outlier_scope),
     )
     session.generate_groups(cat_cols=["country", "degree"],
                             num_cols=["income", "age"])
@@ -314,3 +316,97 @@ def test_property_undo_all_restores_initial_state(choices, use_sql):
     }
     assert final == initial
     assert session.anomaly_summary().total == initial_total
+
+
+def _index_state(index: ErrorIndex) -> dict:
+    # values compare with ==: a rolled-back impute leaves the frame backend's
+    # int column widened to float64, so it reads 52 back as 52.0
+    return {
+        key: sorted((a.row_id, a.error_code, a.column, a.value, a.detail)
+                    for a in index.anomalies(key))
+        for key in index.groups_with_errors()
+    }
+
+
+def _redetected_from_scratch(session: BuckarooSession) -> dict:
+    """Every group re-detected into a fresh index, against the pinned stats."""
+    fresh = ErrorIndex()
+    groups = session.group_manager.groups.values()
+    for key, anomalies in session.engine.detect_groups(groups).items():
+        fresh.replace_group(key, anomalies)
+    return _index_state(fresh)
+
+
+class TestLocalizedRedetection:
+    """Re-detecting only the groups a repair can change loses nothing: the
+    index always equals a from-scratch pass, and scoring a plan without
+    writing the index agrees with applying and undoing it."""
+
+    STEPS = st.lists(
+        st.tuples(st.sampled_from(
+            ["suggest", "preview", "apply", "undo", "redo", "remove", "impute"]),
+            st.integers(0, 50)),
+        min_size=1, max_size=6,
+    )
+
+    @pytest.mark.parametrize("scope", ["global", "group"])
+    @pytest.mark.parametrize("backend", ["sql", "frame"])
+    @settings(max_examples=8, deadline=None)
+    @given(steps=STEPS)
+    def test_random_sequences_match_full_redetection(self, backend, scope, steps):
+        session = make_session(backend, outlier_scope=scope)
+        for op, pick in steps:
+            self._step(session, op, pick)
+            assert _index_state(session.engine.index) == _redetected_from_scratch(session)
+
+    @staticmethod
+    def _step(session: BuckarooSession, op: str, pick: int) -> None:
+        groups = session.anomaly_summary().groups
+        rows = sorted(session.backend.all_row_ids())
+        if op == "undo" and session.history.can_undo:
+            session.undo()
+        elif op == "redo" and session.history.can_redo:
+            session.redo()
+        elif op == "remove" and len(rows) > 1:
+            session.apply(removal_plan(rows[pick % len(rows)]))
+        elif op == "impute" and rows:
+            column = ("income", "age")[pick % 2]
+            session.apply(impute_plan(session, column, rows[pick % len(rows)]))
+        elif op in ("suggest", "preview", "apply") and groups:
+            key = groups[pick % len(groups)].key
+            suggestions = session.suggest(key)
+            if not suggestions:
+                return
+            plan = suggestions[pick % len(suggestions)].plan
+            if op == "preview":
+                session.preview(plan)
+            elif op == "apply":
+                speculated = session.speculate(plan)
+                applied = session.apply(plan)
+                undone = session.undo()
+                assert (speculated.resolved, speculated.introduced) == (
+                    applied.resolved, applied.introduced)
+                assert (undone.resolved, undone.introduced) == (
+                    applied.introduced, applied.resolved)
+                session.redo()
+
+    def test_undeclared_detector_keeps_the_wide_scope(self, session):
+        """A custom detector reading another column is not ``local``, so an
+        impute of that column must still re-run it on the row's groups."""
+        def old_earners(df=None, target_column="", error_type_code=""):
+            if target_column != "income":
+                return []
+            return [row_id for row_id, age in zip(df["_row_id"], df["age"])
+                    if age is not None and age > 40]
+
+        session.register_detector("old_earner", old_earners)
+        session.detect()
+        bhutan = GroupKey("country", "Bhutan", "income")
+        flagged = {a.row_id for a in session.anomalies(bhutan)
+                   if a.error_code == "old_earner"}
+        assert flagged == {3}
+        session.apply(impute_plan(session, "age", 3))  # the mean age is < 40
+        flagged = {a.row_id for a in session.anomalies(bhutan)
+                   if a.error_code == "old_earner"}
+        assert flagged == set()
+        assert _index_state(session.engine.index) == _redetected_from_scratch(session)

@@ -8,6 +8,28 @@ from hypothesis import strategies as st
 from repro.errors import ColumnTypeError, LengthMismatchError
 from repro.frame import Column, dtypes
 
+# one builder per kind of concat operand: every dtype with values, every
+# dtype all-missing or empty, and the odd columns set_at/mask_filter leave
+CONCAT_SIDES = {
+    "int": lambda: Column("a", [1, None, 3]),
+    "float": lambda: Column("a", [1.5, None, 2.0]),
+    "bool": lambda: Column("a", [True, None, False]),
+    "string": lambda: Column("a", ["x", None, "y"]),
+    "mixed": lambda: Column("a", [1, "12k", None]),
+    "mixed_of_ints": lambda: Column("a", [1, 2], dtype=dtypes.MIXED),
+    "int_filtered": lambda: Column("a", [1, None, 3, 4]).mask_filter(
+        np.array([True, True, False, True])),
+    "int_widened": lambda: Column("a", [1, 2]).set_at([0], 2.5),
+    "float_nan_written": lambda: Column("a", [1.0, 2.0]).set_at([0], float("nan")),
+    "float_only_nan": lambda: Column("a", [1.0]).set_at([0], float("nan")),
+    "int_all_missing": lambda: Column("a", [1, 2]).set_at([0, 1], None),
+    "bool_all_missing": lambda: Column("a", [True]).set_at([0], None),
+    "string_all_missing": lambda: Column("a", ["x", "y"]).set_at([0, 1], None),
+    "mixed_all_missing": lambda: Column("a", [1, "x"]).set_at([0, 1], None),
+    "string_empty": lambda: Column("a", ["x"]).mask_filter(np.array([False])),
+    "float_empty": lambda: Column("a", []),
+}
+
 
 class TestConstruction:
     def test_infers_dtype(self):
@@ -110,6 +132,19 @@ class TestTransforms:
     def test_concat(self):
         col = Column("a", [1]).concat(Column("a", [2, None]))
         assert col.to_list() == [1, 2, None]
+
+    @pytest.mark.parametrize("right", sorted(CONCAT_SIDES))
+    @pytest.mark.parametrize("left", sorted(CONCAT_SIDES))
+    def test_concat_equals_reinference(self, left, right):
+        # the fast path must be indistinguishable from re-inferring the cells
+        a, b = CONCAT_SIDES[left](), CONCAT_SIDES[right]()
+        got = a.concat(b)
+        want = Column("a", a.to_list() + b.to_list())
+        assert got.dtype == want.dtype
+        assert list(got.valid_mask) == list(want.valid_mask)
+        assert [(v, type(v)) for v in got] == [(v, type(v)) for v in want]
+        assert ([repr(v) for v in got._data[got.missing_mask]]
+                == [repr(v) for v in want._data[want.missing_mask]])
 
     def test_rename_shares_data(self):
         col = Column("a", [1, 2])

@@ -3,14 +3,18 @@
 Exercises the complete pipeline (load, group, detect, suggest, apply,
 undo, export, re-execute) on a few hundred generated rows, asserting
 cross-backend equivalence and codegen fidelity — the closest thing to the
-paper's end-to-end deployment story that runs in CI time.
+paper's end-to-end deployment story that runs in CI time.  Cases marked
+``slow`` run the same checks at the paper's x1 scale; ``pytest.ini``
+deselects them and CI's paper-scale job runs them (``-m slow -s``).
 """
+
+import time
 
 import pytest
 
 from repro.codegen import generate_script
 from repro.core.session import BuckarooSession
-from repro.core.types import ERROR_SMALL_GROUP
+from repro.core.types import ERROR_SMALL_GROUP, GroupKey
 from repro.datasets import load_dataset
 from repro.ui import BuckarooApp, events
 
@@ -64,6 +68,43 @@ class TestCrossBackendAtScale:
         frame_rows, frame_total = outcomes["frame"]
         assert sorted(map(repr, sql_rows)) == sorted(map(repr, frame_rows))
         assert sql_total == frame_total
+
+
+@pytest.mark.slow
+class TestPaperScale:
+    """x1 StackOverflow survey (38k rows), chart columns 2 cat x 2 num."""
+
+    # the largest chart group (~8.6k rows): ROADMAP's "Suggest at paper scale"
+    LARGEST = GroupKey("country", "United States", "converted_comp_yearly")
+
+    def test_largest_group_suggest(self):
+        frame, _truth = load_dataset("stackoverflow", scale=1.0, seed=7)
+        ranked = {}
+        for backend in ("sql", "frame"):
+            session = BuckarooSession.from_frame(frame, backend=backend)
+            session.generate_groups(cat_cols=CATS, num_cols=NUMS)
+            session.detect()
+            start = time.process_time()
+            suggestions = session.suggest(self.LARGEST, limit=5)
+            print(f"\n{backend}: suggest(limit=5) on {self.LARGEST.describe()} "
+                  f"({session.group(self.LARGEST).size} rows): "
+                  f"{time.process_time() - start:.2f} s CPU")
+            ranked[backend] = [
+                (s.plan.wrangler_code, s.plan.description, s.score,
+                 s.resolved, s.introduced, s.rank)
+                for s in suggestions
+            ]
+            # scoring a plan must agree with applying and undoing it
+            total = session.anomaly_summary().total
+            plan = suggestions[0].plan
+            speculated = session.speculate(plan)
+            applied = session.apply(plan)
+            session.undo()
+            assert (speculated.resolved, speculated.introduced) == (
+                applied.resolved, applied.introduced)
+            assert session.anomaly_summary().total == total
+        assert len(ranked["sql"]) == 5
+        assert ranked["sql"] == ranked["frame"]
 
 
 class TestScriptFidelityAtScale:

@@ -245,18 +245,11 @@ class ColumnDefAst:
 
 @dataclass(frozen=True)
 class CreateTableStmt:
-    """``CREATE TABLE [IF NOT EXISTS] name (col type, ...)
-    [PARTITION BY HASH(col) PARTITIONS n | RANGE(col) SPLIT AT (v, ...)]``.
-
-    ``partition_by`` is None or a hashable literal tuple —
-    ``("hash", column, count)`` or ``("range", column, (bound, ...))`` —
-    so the statement stays usable as a plan-cache key.
-    """
+    """``CREATE TABLE [IF NOT EXISTS] name (col type, ...)``."""
 
     name: str
     columns: tuple  # of ColumnDefAst
     if_not_exists: bool = False
-    partition_by: tuple = None
 
 
 @dataclass(frozen=True)

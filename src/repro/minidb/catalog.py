@@ -75,26 +75,18 @@ class IndexDef:
 class TableSchema:
     """Column layout of one table, with fast name -> position lookup.
 
-    ``partition`` (a :class:`repro.minidb.partition.PartitionSpec` or
-    None) records the routing rule declared at CREATE TABLE time; it is
-    immutable for the table's lifetime and round-trips through the
-    durable catalog so reopened files route rows identically.
+    The name and the ordered column list are the whole schema; it
+    round-trips through the durable catalog page as ``to_dict`` /
+    ``from_dict``.
     """
 
     name: str
     columns: list[ColumnDef] = field(default_factory=list)
-    partition: object = None
 
     def __post_init__(self) -> None:
         self._positions = {c.name: i for i, c in enumerate(self.columns)}
         if len(self._positions) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name!r}")
-        if self.partition is not None and not self.has_column(
-                self.partition.column):
-            raise CatalogError(
-                f"table {self.name!r} partitions by unknown column "
-                f"{self.partition.column!r}"
-            )
 
     @property
     def column_names(self) -> list[str]:
@@ -127,23 +119,22 @@ class TableSchema:
 
     def to_dict(self) -> dict:
         """JSON-serializable form for the durable catalog page."""
-        data = {
+        return {
             "name": self.name,
             "columns": [[c.name, c.type_name] for c in self.columns],
         }
-        if self.partition is not None:
-            data["partition"] = self.partition.to_dict()
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TableSchema":
-        partition = None
-        if data.get("partition") is not None:
-            from repro.minidb.partition import PartitionSpec
-            partition = PartitionSpec.from_dict(data["partition"])
+        # files written by older versions may carry a partitioned table;
+        # refuse it by name instead of failing on its missing heap pointer
+        if "partition" in data:
+            raise CatalogError(
+                f"table {data['name']!r} is partitioned; partitioned "
+                f"tables are no longer supported"
+            )
         return cls(
             data["name"],
             [ColumnDef.make(name, type_name)
              for name, type_name in data["columns"]],
-            partition=partition,
         )

@@ -53,7 +53,6 @@ from repro.minidb.catalog import ColumnDef, IndexDef, TableSchema
 from repro.minidb.invariants import holds_write_lock, wal_exempt
 from repro.minidb.pager import PAGE_CATALOG, PAGE_SIZE, PagedHeap, Pager
 from repro.minidb.parser import parse
-from repro.minidb.partition import PartitionSpec, PartitionedHeap
 from repro.minidb.plan_cache import PlanCache
 from repro.minidb.prepared import Cursor, PreparedStatement
 from repro.minidb.results import ResultSet, StreamingResult
@@ -458,7 +457,13 @@ class Database:
             self.wal.next_lsn = self.pager.durable_lsn + 1
         self.wal.checkpointed_lsn = max(
             self.wal.checkpointed_lsn, self.pager.durable_lsn)
-        self._recover()
+        try:
+            self._recover()
+        except BaseException:
+            # a file this version refuses must not leave its handles open
+            self.wal.close()
+            self.pager.close()
+            raise
 
     @wal_exempt("recovery rebuilds state the catalog page and WAL already "
                 "record; relogging it would double history")
@@ -486,20 +491,8 @@ class Database:
                     schema = TableSchema.from_dict(entry["schema"])
                     table = Table(schema)
                     self._attach(table)
-                    if schema.partition is not None:
-                        buckets = []
-                        for first_page in entry["first_pages"]:
-                            bucket = PagedHeap(pager, first_page)
-                            reachable.update(bucket.load())
-                            buckets.append(bucket)
-                        heap = PartitionedHeap(
-                            schema.partition,
-                            schema.position(schema.partition.column),
-                            buckets,
-                        )
-                    else:
-                        heap = PagedHeap(pager, entry["first_page"])
-                        reachable.update(heap.load())
+                    heap = PagedHeap(pager, entry["first_page"])
+                    reachable.update(heap.load())
                     table.rows = heap
                     table.next_rowid = max(
                         int(entry.get("next_rowid", 1)), heap.max_rowid() + 1
@@ -528,15 +521,11 @@ class Database:
         tables = []
         for name in sorted(self.tables):
             table = self.tables[name]
-            entry = {
+            tables.append({
                 "schema": table.schema.to_dict(),
                 "next_rowid": table.next_rowid,
-            }
-            if isinstance(table.rows, PartitionedHeap):
-                entry["first_pages"] = table.rows.first_pages
-            else:
-                entry["first_page"] = table.rows.first_page
-            tables.append(entry)
+                "first_page": table.rows.first_page,
+            })
         return {
             "tables": tables,
             "indexes": [self.index_catalog[name].to_dict()
@@ -759,30 +748,15 @@ class Database:
             if statement.if_not_exists:
                 return ResultSet([], [], rowcount=0)
             raise CatalogError(f"table {statement.name!r} already exists")
-        spec = None
-        if statement.partition_by is not None:
-            kind, column, arg = statement.partition_by
-            if kind == "hash":
-                spec = PartitionSpec(kind, column, count=arg)
-            else:
-                spec = PartitionSpec(kind, column, bounds=arg)
         schema = TableSchema(
             statement.name,
             [ColumnDef.make(c.name, c.type_name) for c in statement.columns],
-            partition=spec,
         )
         table = Table(schema)
         self._attach(table)
         if self.pager is not None:
             # file-backed: rows live on slotted pages, not the dict
-            if spec is not None:
-                table.rows = PartitionedHeap(
-                    spec, schema.position(spec.column),
-                    [PagedHeap(self.pager)
-                     for _ in range(spec.n_partitions)],
-                )
-            else:
-                table.rows = PagedHeap(self.pager)
+            table.rows = PagedHeap(self.pager)
         self.tables[statement.name] = table
         self.schema_epoch += 1
         if self.wal is not None and not self.txn.replaying:
@@ -819,7 +793,7 @@ class Database:
             raise CatalogError(f"no table {statement.name!r}")
         dropped = self.tables[statement.name]
         del self.tables[statement.name]
-        if isinstance(dropped.rows, (PagedHeap, PartitionedHeap)):
+        if isinstance(dropped.rows, PagedHeap):
             dropped.rows.release()  # pages recycle after the next checkpoint
         self.stats.forget(statement.name)
         for index_name in [

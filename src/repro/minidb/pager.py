@@ -257,7 +257,11 @@ class Pager:
             self.durable_lsn = 0
             self.write_header(sync=self.fsync_enabled)
         else:
-            self._read_header()
+            try:
+                self._read_header()
+            except DatabaseError:
+                self._fh.close()  # a refused file keeps no open handle
+                raise
 
     # -- file header -------------------------------------------------------------
 

@@ -322,12 +322,7 @@ class _Parser:
             while self._accept_op(","):
                 columns.append(self._column_def())
             self._expect_op(")")
-            partition_by = None
-            if self._accept_keyword("PARTITION"):
-                self._expect_keyword("BY")
-                partition_by = self._partition_by()
-            return ast.CreateTableStmt(name, tuple(columns), if_not_exists,
-                                       partition_by)
+            return ast.CreateTableStmt(name, tuple(columns), if_not_exists)
         if self._accept_keyword("INDEX"):
             if_not_exists = self._if_not_exists()
             name = self._identifier("index name")
@@ -346,51 +341,6 @@ class _Parser:
             return ast.CreateIndexStmt(name, table, tuple(columns), unique, if_not_exists, kind)
         token = self._peek()
         raise SQLSyntaxError(f"expected TABLE or INDEX, found {token.text!r}", token.position)
-
-    def _partition_by(self) -> tuple:
-        """The clause after ``PARTITION BY``: ``HASH(col) PARTITIONS n``
-        or ``RANGE(col) SPLIT AT (v1, v2, ...)`` — literals only, returned
-        as a hashable tuple for the AST."""
-        kind = self._identifier("partition kind").upper()
-        if kind not in ("HASH", "RANGE"):
-            raise SQLSyntaxError(f"expected HASH or RANGE, found {kind!r}")
-        self._expect_op("(")
-        column = self._identifier("partition column")
-        self._expect_op(")")
-        if kind == "HASH":
-            self._expect_keyword("PARTITIONS")
-            count = self._partition_literal()
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise SQLSyntaxError("PARTITIONS takes an integer count")
-            return ("hash", column, count)
-        self._expect_keyword("SPLIT")
-        self._expect_keyword("AT")
-        self._expect_op("(")
-        bounds = [self._partition_literal()]
-        while self._accept_op(","):
-            bounds.append(self._partition_literal())
-        self._expect_op(")")
-        return ("range", column, tuple(bounds))
-
-    def _partition_literal(self):
-        """A number or string literal (split points and counts are fixed
-        at CREATE time — never parameters)."""
-        negative = False
-        while self._at_op("-", "+"):
-            negative ^= self._next().text == "-"
-        token = self._peek()
-        if token.kind == NUMBER:
-            self._next()
-            text = token.text
-            value = (float(text) if "." in text or "e" in text.lower()
-                     else int(text))
-            return -value if negative else value
-        if token.kind == STRING and not negative:
-            self._next()
-            return token.text
-        raise SQLSyntaxError(
-            f"expected a literal, found {token.text!r}", token.position
-        )
 
     def _if_not_exists(self) -> bool:
         if self._accept_keyword("IF"):

@@ -145,6 +145,12 @@ class PlanCache:
             self.hits += 1
             return entry.payload
 
+    def record_hit(self) -> None:
+        """Count a reuse served outside :meth:`lookup` (a prepared
+        statement replaying its still-valid private slot)."""
+        with self._lock:
+            self.hits += 1
+
     def store(self, db, stmt, payload, tables, check_stats: bool) -> None:
         """Insert ``payload``, evicting the least recently used overflow.
 

@@ -80,14 +80,17 @@ class PreparedStatement:
 
         Honors ``db.plan_cache.enabled``: with the cache switched off the
         statement re-plans on every execution (the benchmark baseline)
-        instead of replaying its private slot.
+        instead of replaying its private slot.  A replay counts as a
+        plan-cache hit, so ``plan_cache.info()`` covers prepared reuse.
         """
-        caching = self.db.plan_cache.enabled
+        cache = self.db.plan_cache
+        caching = cache.enabled
         if caching:
             slot = self._slot
             if slot is not None and slot[2] == validation_key(
                 self.db, slot[1], self._check_stats
             ):
+                cache.record_hit()
                 return slot[0]
         statement = self.statement
         if isinstance(statement, ast.SelectStmt):

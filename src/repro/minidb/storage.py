@@ -45,7 +45,6 @@ from repro.errors import CatalogError, IntegrityError, SerializationError
 from repro.minidb.catalog import INTEGER, NONE, REAL, TEXT, ColumnDef, TableSchema
 from repro.minidb.hash_index import BTreeIndex, HashIndex
 from repro.minidb.invariants import holds_write_lock, wal_exempt
-from repro.minidb.partition import PartitionedHeap, PartitionedIndex
 from repro.minidb.transactions import ANCIENT
 
 ChangeEvent = tuple
@@ -94,17 +93,14 @@ class Table:
     """Heap of rows keyed by a stable integer rowid, plus its indexes."""
 
     def __init__(self, schema: TableSchema):
+        """An empty table whose live rows sit in an in-memory dict.
+
+        A file-backed :class:`~repro.minidb.database.Database` replaces
+        ``rows`` with a :class:`~repro.minidb.pager.PagedHeap`, which
+        speaks the same mapping protocol.
+        """
         self.schema = schema
-        if schema.partition is not None:
-            # per-partition dict buckets behind the same mapping protocol;
-            # Database swaps in PagedHeap buckets for durable files
-            self.rows = PartitionedHeap(
-                schema.partition,
-                schema.position(schema.partition.column),
-                [{} for _ in range(schema.partition.n_partitions)],
-            )
-        else:
-            self.rows: dict[int, list] = {}
+        self.rows: dict[int, list] = {}
         self.versions: dict[int, list] = {}
         self.indexes: dict[str, object] = {}
         self.next_rowid = 1
@@ -661,17 +657,8 @@ class Table:
                 )
             seen.add(column)
         positions = tuple(self.schema.position(column) for column in columns)
-        spec = self.schema.partition
-        if spec is not None:
-            # one sub-index per partition so ordered k-way merges see
-            # per-partition entry streams
-            index = PartitionedIndex(
-                name, columns, positions, unique=unique, kind=kind,
-                spec=spec, key_position=self.schema.position(spec.column),
-            )
-        else:
-            index_cls = {"btree": BTreeIndex, "hash": HashIndex}[kind]
-            index = index_cls(name, columns, positions, unique=unique)
+        index_cls = {"btree": BTreeIndex, "hash": HashIndex}[kind]
+        index = index_cls(name, columns, positions, unique=unique)
         index.owner = self
         for rowid, row in self.rows.items():
             index.add_row(row, rowid)

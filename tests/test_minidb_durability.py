@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from repro.errors import DatabaseError
+from repro.errors import CatalogError, DatabaseError
 from repro.minidb import Database, WriteAheadLog, connect
+from repro.minidb.catalog import TableSchema
 from repro.minidb.pager import PAGE_SIZE
 
 
@@ -134,6 +135,34 @@ class TestReopenRecovers:
         with connect(path) as db:
             assert db.has_table("a") and not db.has_table("b")
             assert db.execute("SELECT x, note FROM a").rows == [(1, "kept")]
+
+    def test_partitioned_table_is_refused_by_name(self, tmp_path, monkeypatch):
+        """Older files may hold a partitioned table (a ``partition`` schema
+        key and per-partition ``first_pages``); opening one names the
+        table instead of failing on the missing ``first_page``."""
+        message = ("table 'm' is partitioned; partitioned tables are no "
+                   "longer supported")
+        legacy = {"name": "m", "columns": [["id", "INTEGER"]],
+                  "partition": {"kind": "hash", "column": "id", "count": 2}}
+        with pytest.raises(CatalogError, match=message):
+            TableSchema.from_dict(legacy)
+
+        path = tmp_path / "legacy.db"
+        db = connect(path)
+        db.execute("CREATE TABLE m (id INTEGER)")
+        serialize = db._serialize_catalog
+
+        def legacy_catalog():
+            catalog = serialize()
+            entry = catalog["tables"][0]
+            entry["schema"]["partition"] = legacy["partition"]
+            entry["first_pages"] = [entry.pop("first_page")] * 2
+            return catalog
+
+        monkeypatch.setattr(db, "_serialize_catalog", legacy_catalog)
+        db.close()
+        with pytest.raises(CatalogError, match=message):
+            connect(path)
 
     def test_reopen_replays_only_the_tail(self, tmp_path):
         """After a checkpoint, only post-checkpoint commits live in the WAL

@@ -213,3 +213,11 @@ class TestSyntaxErrors:
     def test_dangling_not(self):
         with pytest.raises(SQLSyntaxError):
             parse_expression("a NOT 5")
+
+    @pytest.mark.parametrize("clause", [
+        "PARTITION BY HASH (id) PARTITIONS 4",
+        "PARTITION BY RANGE (id) SPLIT AT (30, 90)",
+    ])
+    def test_partition_clause_rejected(self, clause):
+        with pytest.raises(SQLSyntaxError):
+            parse(f"CREATE TABLE m (id INTEGER, val REAL) {clause}")

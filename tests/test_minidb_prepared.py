@@ -157,6 +157,8 @@ class TestPlanCache:
         info = db.plan_cache.info()
         assert info["size"] >= 1
         assert info["misses"] >= 1
+        # the second execute replays the prepared statement's slot
+        assert info["hits"] == 1
 
     def test_int_and_float_literals_never_share_a_plan(self, db):
         """Literal equality is type-aware: 1 and 1.0 are different keys.

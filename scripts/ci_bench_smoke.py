@@ -63,6 +63,7 @@ EXPECTED_ARTIFACTS = {
     "bench_localized.py": "localized",
     "bench_pipeline.py": "pipeline",
     "bench_prepared.py": "prepared",
+    "bench_sampling.py": "sampling",
     "bench_streaming.py": "streaming",
     "bench_suggestions.py": "suggestions",
     "bench_table1.py": "table1",

@@ -77,23 +77,20 @@ class Backend(ABC):
         scope narrows to one group.
         """
 
-    # -- detector capabilities (each maps to one SQL query on the DB backend) --
+    # -- detector capabilities: column-level, one SQL query each on the DB
+    # backend; detectors bucket the answer by category themselves ---------------
 
     @abstractmethod
-    def missing_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                        category=None) -> list[int]:
-        """Rows whose ``num_col`` cell is NULL (optionally within a group)."""
+    def missing_row_ids(self, num_col: str) -> list[int]:
+        """Rows whose ``num_col`` cell is NULL, across the whole column."""
 
     @abstractmethod
-    def mismatch_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                         category=None) -> list[int]:
-        """Rows whose ``num_col`` cell holds unparseable text."""
+    def mismatch_row_ids(self, num_col: str) -> list[int]:
+        """Rows whose ``num_col`` cell holds unparseable text, across the column."""
 
     @abstractmethod
-    def out_of_range_row_ids(self, num_col: str, low: float, high: float,
-                             cat_col: Optional[str] = None,
-                             category=None) -> list[int]:
-        """Rows whose numeric ``num_col`` value falls outside ``[low, high]``."""
+    def out_of_range_row_ids(self, num_col: str, low: float, high: float) -> list[int]:
+        """Rows whose numeric ``num_col`` value is ``< low`` or ``> high``."""
 
     # -- writes -----------------------------------------------------------------
 

@@ -2,10 +2,10 @@
 
 This backend deliberately follows the Pandas computational model: every
 mutation re-materializes whole columns, and there are no secondary indexes —
-detector scans and the per-group scope masks behind them recompute over the
-full column after any change.  That is the cost profile Table 1 measures
-against Postgres, and reproducing it honestly is the point of this class:
-the Pandas path is the baseline the paper's SQL path is measured against.
+detector scans and group-scoped statistics recompute over the full column
+after any change.  That is the cost profile Table 1 measures against
+Postgres, and reproducing it honestly is the point of this class: the
+Pandas path is the baseline the paper's SQL path is measured against.
 Which rows form which *group* is not this class's business:
 :class:`repro.core.groups.GroupManager` keeps that index for both backends
 from ``all_row_ids`` + ``values``.  ``group_row_ids`` /
@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.types import Stats
 from repro.errors import BuckarooError
-from repro.frame import DataFrame
+from repro.frame import DataFrame, dtypes
 from repro.snapshots.delta import DeltaSnapshot
 
 from repro.backends.base import Backend
@@ -37,6 +37,9 @@ class FrameBackend(Backend):
         self._frame = frame
         self._ids = np.arange(1, frame.n_rows + 1, dtype=np.int64)
         self._next_id = frame.n_rows + 1
+        # each column's dtype as uploaded: undo narrows a column a write had
+        # widened back to it (52 must read back as 52, not 52.0)
+        self._dtypes = {col.name: col.dtype for col in frame.columns}
         self._position_cache: dict[int, int] | None = None
         self._group_cache: dict[str, dict] = {}
         # numeric views (values/ok/mismatch) of each column, recomputed in
@@ -164,25 +167,18 @@ class FrameBackend(Backend):
 
     # -- detector capabilities (full-column numpy scans) --------------------------
 
-    def missing_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                        category=None) -> list[int]:
-        mask = self._frame[num_col].missing_mask & self._scope_mask(cat_col, category)
-        return [int(row_id) for row_id in self._ids[mask]]
+    def missing_row_ids(self, num_col: str) -> list[int]:
+        return [int(row_id) for row_id in self._ids[self._frame[num_col].missing_mask]]
 
-    def mismatch_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                         category=None) -> list[int]:
+    def mismatch_row_ids(self, num_col: str) -> list[int]:
         _, _, mismatch = self._numeric_view(num_col)
-        mask = mismatch & self._scope_mask(cat_col, category)
-        return [int(row_id) for row_id in self._ids[mask]]
+        return [int(row_id) for row_id in self._ids[mismatch]]
 
-    def out_of_range_row_ids(self, num_col: str, low: float, high: float,
-                             cat_col: Optional[str] = None,
-                             category=None) -> list[int]:
+    def out_of_range_row_ids(self, num_col: str, low: float, high: float) -> list[int]:
         values, ok, _ = self._numeric_view(num_col)
         with np.errstate(invalid="ignore"):
             outside = ok & ((values < low) | (values > high))
-        mask = outside & self._scope_mask(cat_col, category)
-        return [int(row_id) for row_id in self._ids[mask]]
+        return [int(row_id) for row_id in self._ids[outside]]
 
     # -- writes -----------------------------------------------------------------
 
@@ -267,6 +263,19 @@ class FrameBackend(Backend):
             for column, (positions, new_values) in by_column.items():
                 self._frame = self._frame.set_values(column, positions, new_values)
             self._invalidate()
+        self._restore_dtypes(self._frame.column_names if delta.inserted
+                             else {c for cells in delta.updated.values() for c in cells})
+
+    def _restore_dtypes(self, columns) -> None:
+        """Bring ``columns`` back to their uploaded dtype where every value fits."""
+        for name in columns:
+            col = self._frame[name]
+            prior = self._dtypes[name]
+            if prior not in (col.dtype, dtypes.MIXED):  # nothing is narrower than mixed
+                narrowed = col.astype(prior)
+                if narrowed.equals(col):
+                    self._frame = self._frame.with_column(narrowed)
+                    self._invalidate()
 
     # -- infrastructure -----------------------------------------------------------
 

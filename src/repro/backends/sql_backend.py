@@ -199,77 +199,46 @@ class SQLBackend(Backend):
 
     # -- detector capabilities (SQL, per §3.1) -----------------------------------
 
-    def missing_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                        category=None) -> list[int]:
+    def missing_row_ids(self, num_col: str) -> list[int]:
         if self.stats_cache.tracks_numeric(num_col):
-            rows = self.stats_cache.missing_rows(num_col)
-            return self._filter_by_group(rows, cat_col, category)
-        where, params = self._group_scope(cat_col, category)
-        sql = (
-            f'SELECT rowid FROM {self.table_name} '
-            f'WHERE "{num_col}" IS NULL{where}'
-        )
-        return self._query(sql, params).scalars()
+            return sorted(self.stats_cache.missing_rows(num_col))
+        return self._query(
+            f'SELECT rowid FROM {self.table_name} WHERE "{num_col}" IS NULL'
+        ).scalars()
 
-    def mismatch_row_ids(self, num_col: str, cat_col: Optional[str] = None,
-                         category=None) -> list[int]:
+    def mismatch_row_ids(self, num_col: str) -> list[int]:
         if self.stats_cache.tracks_numeric(num_col):
-            rows = self.stats_cache.text_rows(num_col)
-            return self._filter_by_group(rows, cat_col, category)
-        where, params = self._group_scope(cat_col, category)
-        sql = (
+            return sorted(self.stats_cache.text_rows(num_col))
+        return self._query(
             f'SELECT rowid FROM {self.table_name} '
-            f'WHERE typeof("{num_col}") = \'text\'{where}'
-        )
-        return self._query(sql, params).scalars()
+            f'WHERE typeof("{num_col}") = \'text\''
+        ).scalars()
 
-    def out_of_range_row_ids(self, num_col: str, low: float, high: float,
-                             cat_col: Optional[str] = None,
-                             category=None) -> list[int]:
+    def out_of_range_row_ids(self, num_col: str, low: float, high: float) -> list[int]:
         btree = next(
             (ix for ix in self._table.indexes_on(num_col) if ix.kind == "btree"),
             None,
         )
         if btree is not None:
-            # two tail scans over the value index: O(answer), not O(group)
+            # two tail scans over the value index: O(answer), not O(table)
             rows = set(btree.numeric_range(None, low, include_high=False))
             rows.update(btree.numeric_range(high, None, include_low=False))
-            return self._filter_by_group(rows, cat_col, category)
-        where, params = self._group_scope(cat_col, category)
+            return sorted(rows)
         sql = (
             f'SELECT rowid FROM {self.table_name} '
             f'WHERE typeof("{num_col}") <> \'text\' AND "{num_col}" IS NOT NULL '
-            f'AND ("{num_col}" < ? OR "{num_col}" > ?){where}'
+            f'AND ("{num_col}" < ? OR "{num_col}" > ?)'
         )
-        return self._query(sql, (low, high, *params)).scalars()
-
-    def _filter_by_group(self, row_ids, cat_col: Optional[str],
-                         category) -> list[int]:
-        """Narrow candidate rowids to one group via direct row access."""
-        if cat_col is None:
-            return sorted(row_ids)
-        position = self._table.schema.position(cat_col)
-        rows = self._table.rows
-        if category is None:
-            return sorted(
-                rid for rid in row_ids if rows[rid][position] is None
-            )
-        return sorted(
-            rid for rid in row_ids if rows[rid][position] == category
-        )
-
-    def _group_scope(self, cat_col: Optional[str], category) -> tuple[str, tuple]:
-        if cat_col is None:
-            return "", ()
-        if category is None:
-            return f' AND "{cat_col}" IS NULL', ()
-        return f' AND "{cat_col}" = ?', (category,)
+        return self._query(sql, (low, high)).scalars()
 
     def _numeric_scope(self, num_col: str, cat_col: Optional[str],
                        category) -> tuple[str, tuple]:
         base = f'typeof("{num_col}") <> \'text\' AND "{num_col}" IS NOT NULL'
-        scope, params = self._group_scope(cat_col, category)
-        return base + scope, params
+        if cat_col is None:
+            return base, ()
+        if category is None:
+            return f'{base} AND "{cat_col}" IS NULL', ()
+        return f'{base} AND "{cat_col}" = ?', (category,)
 
     # -- writes -----------------------------------------------------------------
 

@@ -6,6 +6,14 @@ through backend capability methods, which the SQL backend implements as SQL
 queries ("built-in error detectors are implemented as SQL queries", §3.1)
 and the frame backend as column scans.
 
+Detection runs set-at-a-time.  :meth:`Detector.detect_many` answers a batch
+of groups; its default loops over :meth:`Detector.detect`.  The missing,
+mismatch and outlier built-ins override it and make no backend call scoped
+to one group: one column-level candidate list per numerical column, one
+``values(cat, rows)`` per (categorical, numerical) pair to bucket it by
+category, one ``values(num, rows)`` per group with candidates.  Buckets keep
+the backend's row order, so a batch answer equals the per-group one.
+
 Custom detectors use the paper's exact signature::
 
     def custom_detector(df: DataFrame = None, target_column: str = "",
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import inspect
 from abc import ABC, abstractmethod
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.backends.base import Backend
 from repro.config import BuckarooConfig
@@ -34,9 +42,11 @@ from repro.core.types import (
     Anomaly,
     ErrorType,
     Group,
+    GroupKey,
     Stats,
 )
 from repro.errors import DetectorError, UnknownErrorCodeError
+from repro.frame.parsing import parse_number_strict
 
 
 class DetectionContext:
@@ -105,81 +115,120 @@ class Detector(ABC):
     def detect(self, ctx: DetectionContext, group: Group) -> list[Anomaly]:
         """All anomalies of this class within ``group``."""
 
+    def detect_many(self, ctx: DetectionContext,
+                    groups: Sequence[Group]) -> dict[GroupKey, list[Anomaly]]:
+        """``{key: anomalies}`` for every group in ``groups``."""
+        return {group.key: self.detect(ctx, group) for group in groups}
 
-class MissingValueDetector(Detector):
-    """Flags NULL cells of the projected attribute (§3.1 'Missing Values')."""
+
+class _ColumnDetector(Detector):
+    """A built-in whose :meth:`detect` is the one-group batch."""
 
     local = True
+
+    def detect(self, ctx: DetectionContext, group: Group) -> list[Anomaly]:
+        return self.detect_many(ctx, [group])[group.key]
+
+
+def _bucket(backend: Backend, groups: Sequence[Group],
+            candidates: Callable[[str], list[int]]) -> dict[GroupKey, list[int]]:
+    """Each group's share of ``candidates(num)``, in backend order.
+
+    ``candidates`` runs once per numerical column; one ``values(cat, rows)``
+    per (categorical, numerical) pair reads the candidates' categories.
+    """
+    found: dict[GroupKey, list[int]] = {group.key: [] for group in groups}
+    by_pair: dict[tuple[str, str], dict] = {}
+    for key, rows in found.items():
+        by_pair.setdefault((key.categorical, key.numerical), {})[key.category] = rows
+    fetched: dict[str, list[int]] = {}
+    for (cat, num), buckets in by_pair.items():
+        if num not in fetched:
+            fetched[num] = candidates(num)
+        rows = fetched[num]
+        for row_id, category in zip(rows, backend.values(cat, rows) if rows else ()):
+            if category in buckets:
+                buckets[category].append(row_id)
+    return found
+
+
+class MissingValueDetector(_ColumnDetector):
+    """Flags NULL cells of the projected attribute (§3.1 'Missing Values')."""
 
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_MISSING])
 
-    def detect(self, ctx: DetectionContext, group: Group) -> list[Anomaly]:
-        key = group.key
-        row_ids = ctx.backend.missing_row_ids(key.numerical, key.categorical, key.category)
-        return [
-            Anomaly(row_id, key.numerical, self.code, key, None, "null cell")
-            for row_id in row_ids
-        ]
+    def detect_many(self, ctx: DetectionContext,
+                    groups: Sequence[Group]) -> dict[GroupKey, list[Anomaly]]:
+        return {
+            key: [Anomaly(row_id, key.numerical, self.code, key, None, "null cell")
+                  for row_id in rows]
+            for key, rows in _bucket(ctx.backend, groups, ctx.backend.missing_row_ids).items()
+        }
 
 
-class OutlierDetector(Detector):
+class OutlierDetector(_ColumnDetector):
     """Flags values beyond ``sigma`` standard deviations from the mean.
 
     The paper's default is global scope ("2 standard deviations from the
     global mean"); ``outlier_scope='group'`` switches to per-group
     statistics, which is how a value can be "an outlier in one group but not
-    in another" (§1).
+    in another" (§1).  One tail scan per column with the narrowest interval
+    (max of the lows, min of the highs) holds every group's outliers; each
+    group keeps the rows strictly outside its own bounds.
     """
-
-    local = True
 
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_OUTLIER])
 
-    def detect(self, ctx: DetectionContext, group: Group) -> list[Anomaly]:
-        key = group.key
-        if ctx.config.outlier_scope == "group":
-            stats = ctx.group_stats(group)
-        else:
-            stats = ctx.global_stats(key.numerical)
-        if not stats.has_spread:
-            return []
-        sigma = ctx.config.outlier_sigma
-        low = stats.mean - sigma * stats.std
-        high = stats.mean + sigma * stats.std
-        row_ids = ctx.backend.out_of_range_row_ids(
-            key.numerical, low, high, key.categorical, key.category
-        )
-        if not row_ids:
-            return []
-        values = ctx.backend.values(key.numerical, row_ids)
-        detail = f"outside [{low:.4g}, {high:.4g}] ({ctx.config.outlier_scope} scope)"
-        return [
-            Anomaly(row_id, key.numerical, self.code, key, value, detail)
-            for row_id, value in zip(row_ids, values)
-        ]
+    def detect_many(self, ctx: DetectionContext,
+                    groups: Sequence[Group]) -> dict[GroupKey, list[Anomaly]]:
+        scope, sigma = ctx.config.outlier_scope, ctx.config.outlier_sigma
+        bounds: dict[GroupKey, tuple[float, float]] = {}
+        narrowest: dict[str, tuple[float, float]] = {}
+        for group in groups:
+            num = group.key.numerical
+            stats = ctx.group_stats(group) if scope == "group" else ctx.global_stats(num)
+            if stats.has_spread:
+                low, high = bounds[group.key] = (stats.mean - sigma * stats.std,
+                                                 stats.mean + sigma * stats.std)
+                lows, highs = narrowest.get(num, (low, high))
+                narrowest[num] = (max(lows, low), min(highs, high))
+        found = _bucket(ctx.backend, groups, lambda num: (
+            ctx.backend.out_of_range_row_ids(num, *narrowest[num]) if num in narrowest else []))
+        for key, rows in found.items():
+            if key not in bounds:  # no spread: rows are another group's candidates
+                found[key] = []
+                continue
+            low, high = bounds[key]
+            detail = f"outside [{low:.4g}, {high:.4g}] ({scope} scope)"
+            # text the backend parsed as a number compares as that number
+            found[key] = [
+                Anomaly(row_id, key.numerical, self.code, key, value, detail)
+                for row_id, value in zip(rows, ctx.backend.values(key.numerical, rows))
+                if not low <= (parse_number_strict(value) if isinstance(value, str)
+                               else value) <= high
+            ]
+        return found
 
 
-class TypeMismatchDetector(Detector):
+class TypeMismatchDetector(_ColumnDetector):
     """Flags non-numeric entries in numeric columns (e.g. '12k')."""
-
-    local = True
 
     def __init__(self) -> None:
         super().__init__(BUILTIN_ERROR_TYPES[ERROR_TYPE_MISMATCH])
 
-    def detect(self, ctx: DetectionContext, group: Group) -> list[Anomaly]:
-        key = group.key
-        row_ids = ctx.backend.mismatch_row_ids(key.numerical, key.categorical, key.category)
-        if not row_ids:
-            return []
-        values = ctx.backend.values(key.numerical, row_ids)
-        return [
-            Anomaly(row_id, key.numerical, self.code, key, value,
-                    f"non-numeric value {value!r}")
-            for row_id, value in zip(row_ids, values)
-        ]
+    def detect_many(self, ctx: DetectionContext,
+                    groups: Sequence[Group]) -> dict[GroupKey, list[Anomaly]]:
+        found = _bucket(ctx.backend, groups, ctx.backend.mismatch_row_ids)
+        for key, rows in found.items():
+            if rows:
+                found[key] = [
+                    Anomaly(row_id, key.numerical, self.code, key, value,
+                            f"non-numeric value {value!r}")
+                    for row_id, value in zip(rows, ctx.backend.values(key.numerical, rows))
+                ]
+        return found
 
 
 class SmallGroupDetector(Detector):

@@ -10,6 +10,11 @@ registered detector to be :attr:`~repro.core.detectors.Detector.local`;
 otherwise every group holding a touched row (the overlap graph's answer)
 re-runs.  :meth:`DetectionEngine.detect_groups` only returns results, so a
 speculative repair is scored against the index without writing to it.
+
+Detection is set-at-a-time: ``detect_groups`` hands all its groups to each
+detector's :meth:`~repro.core.detectors.Detector.detect_many` once.  A
+group's anomaly list concatenates the answers in registry order, as a
+per-group loop would, and ``detections_run`` still counts groups.
 """
 
 from __future__ import annotations
@@ -129,17 +134,16 @@ class DetectionEngine:
         self.index = ErrorIndex()
         self.detections_run = 0  # instrumentation for the A1 ablation
 
-    def detect_group(self, group: Group) -> list[Anomaly]:
-        """Run every registered detector on one group (no index update)."""
-        anomalies: list[Anomaly] = []
-        for detector in self.registry.all():
-            anomalies.extend(detector.detect(self.ctx, group))
-        self.detections_run += 1
-        return anomalies
-
     def detect_groups(self, groups: Iterable[Group]) -> dict[GroupKey, list[Anomaly]]:
-        """Each group's anomalies; the index is left to the caller."""
-        return {group.key: self.detect_group(group) for group in groups}
+        """Each group's anomalies, one ``detect_many`` per detector; the index
+        is left to the caller."""
+        groups = list(groups)
+        found: dict[GroupKey, list[Anomaly]] = {group.key: [] for group in groups}
+        for detector in self.registry.all():
+            for key, anomalies in detector.detect_many(self.ctx, groups).items():
+                found[key].extend(anomalies)
+        self.detections_run += len(groups)
+        return found
 
     def detect_all(self, groups: Iterable[Group]) -> int:
         """Full pass: clear the index, then detect and index every group."""

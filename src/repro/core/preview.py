@@ -10,6 +10,7 @@ change".
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.backends.base import Backend
@@ -76,34 +77,38 @@ class ChartSeries:
         del self.missing[i]
 
 
+def _missing_by_category(backend: Backend, cat: str, num: str) -> Counter:
+    """NULL ``num`` cells per ``cat`` category, from one column-level list."""
+    rows = backend.missing_row_ids(num)
+    return Counter(backend.values(cat, rows) if rows else ())
+
+
 def build_series(backend: Backend, manager: GroupManager,
                  cat: str, num: str) -> ChartSeries:
     """Aggregate one chart pair's groups into a render series."""
     series = ChartSeries(cat, num)
+    missing = _missing_by_category(backend, cat, num)
     for key in manager.keys_for_pair(cat, num):
         group = manager.group(key)
         stats = backend.numeric_stats(num, cat, key.category)
-        missing = len(backend.missing_row_ids(num, cat, key.category))
         series.categories.append(key.category)
         series.counts.append(group.size)
         series.means.append(stats.mean)
-        series.missing.append(missing)
+        series.missing.append(missing[key.category])
     return series
 
 
 def refresh_entries(series: ChartSeries, backend: Backend,
                     manager: GroupManager, keys) -> None:
-    """Incrementally refresh the entries for ``keys`` within one series."""
+    """Incrementally refresh the entries for ``keys`` (all of the series' pair)."""
+    missing = _missing_by_category(backend, *series.pair)
     for key in keys:
         if key not in manager.groups:
             series.remove_entry(key.category)
             continue
         group = manager.group(key)
         stats = backend.numeric_stats(key.numerical, key.categorical, key.category)
-        missing = len(
-            backend.missing_row_ids(key.numerical, key.categorical, key.category)
-        )
-        series.update_entry(key.category, group.size, stats.mean, missing)
+        series.update_entry(key.category, group.size, stats.mean, missing[key.category])
 
 
 @dataclass

@@ -96,6 +96,9 @@ class Column:
             return False
         if not np.array_equal(self._valid, other._valid):
             return False
+        if self.dtype in dtypes.NUMERIC_DTYPES and other.dtype in dtypes.NUMERIC_DTYPES:
+            valid = self._valid
+            return bool(np.array_equal(self._data[valid], other._data[valid]))
         for i in range(len(self)):
             if self._valid[i] and self[i] != other[i]:
                 return False
@@ -189,6 +192,13 @@ class Column:
         dtypes.validate_dtype(dtype)
         if dtype == self.dtype:
             return self.copy()
+        if self.dtype in dtypes.NUMERIC_DTYPES and dtype in dtypes.NUMERIC_DTYPES:
+            data, valid = self._data, self._valid.copy()
+            if dtype == dtypes.INT64:  # only integral values convert
+                with np.errstate(invalid="ignore"):
+                    valid &= (data == np.trunc(data)) & (np.abs(data) < 2.0 ** 63)
+            data = np.where(valid, data, _FILL[dtype]).astype(dtypes.storage_dtype(dtype))
+            return Column._from_storage(self.name, dtype, data, valid)
         values = []
         for value in self:
             values.append(_convert(value, dtype))

@@ -71,6 +71,14 @@ class IndexDef:
                    data.get("kind", "btree"), bool(data.get("unique", False)))
 
 
+def partitioned_table_error(name: str) -> CatalogError:
+    """The error refusing a partitioned table, which older versions wrote
+    to the catalog page and the WAL."""
+    return CatalogError(
+        f"table {name!r} is partitioned; partitioned tables are no longer supported"
+    )
+
+
 @dataclass
 class TableSchema:
     """Column layout of one table, with fast name -> position lookup.
@@ -129,10 +137,7 @@ class TableSchema:
         # files written by older versions may carry a partitioned table;
         # refuse it by name instead of failing on its missing heap pointer
         if "partition" in data:
-            raise CatalogError(
-                f"table {data['name']!r} is partitioned; partitioned "
-                f"tables are no longer supported"
-            )
+            raise partitioned_table_error(data["name"])
         return cls(
             data["name"],
             [ColumnDef.make(name, type_name)

@@ -48,11 +48,19 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from pathlib import Path
 
-from repro.errors import CatalogError, DatabaseError
+from repro.errors import CatalogError, DatabaseError, SQLSyntaxError
+from repro.minidb.catalog import partitioned_table_error
 from repro.minidb.invariants import holds_write_lock, wal_exempt
+
+# ``CREATE TABLE name (...) PARTITION BY ...``, which older versions logged
+_PARTITIONED_CREATE = re.compile(
+    r'\s*CREATE\s+TABLE\s+(?:IF\s+NOT\s+EXISTS\s+)?"?(\w+)"?\s*\(.*\)\s*PARTITION\s+BY\b',
+    re.IGNORECASE | re.DOTALL,
+)
 
 
 class WriteAheadLog:
@@ -283,9 +291,12 @@ class WriteAheadLog:
         ``after_lsn`` bounds replay: records at or below it are skipped
         (they are already reflected in a checkpointed heap).  ``tolerant``
         replay is idempotent — inserts overwrite an existing rowid,
-        deletes/updates of a missing rowid and re-run DDL are skipped —
-        which is what crash recovery needs when a checkpoint tore between
-        flushing pages and truncating the log.
+        deletes/updates of a missing rowid and re-run DDL (a
+        ``CatalogError``) are skipped — which is what crash recovery needs
+        when a checkpoint tore between flushing pages and truncating the
+        log.  DDL the parser refuses is never skipped: a partitioned
+        ``CREATE TABLE`` raises the catalog's named error, anything else an
+        ``SQLSyntaxError`` naming the record's LSN.
         """
         aborted = {
             record.get("txid") for record in self.records
@@ -325,11 +336,19 @@ class WriteAheadLog:
     def _apply(db, record: dict, tolerant: bool = False) -> None:
         op = record["op"]
         if op == "ddl":
+            sql = record["sql"]
             try:
-                db.execute(record["sql"])
-            except (CatalogError, DatabaseError):
-                if not tolerant:
+                db.execute(sql)
+            except CatalogError:
+                if not tolerant:  # re-run DDL: the object already exists
                     raise
+            except SQLSyntaxError as exc:
+                partitioned = _PARTITIONED_CREATE.match(sql)
+                if partitioned:
+                    raise partitioned_table_error(partitioned.group(1)) from exc
+                raise SQLSyntaxError(
+                    f"cannot replay DDL at lsn {record.get('lsn')}: {exc}"
+                ) from exc
         elif op == "insert":
             table = db.table(record["table"])
             if tolerant and record["rowid"] in table.rows:

@@ -318,23 +318,26 @@ def test_property_undo_all_restores_initial_state(choices, use_sql):
     assert session.anomaly_summary().total == initial_total
 
 
-def _index_state(index: ErrorIndex) -> dict:
-    # values compare with ==: a rolled-back impute leaves the frame backend's
-    # int column widened to float64, so it reads 52 back as 52.0
+def _index_state(index: ErrorIndex, typed: bool = False) -> dict:
+    # values compare with == unless ``typed``: a *committed* impute of a float
+    # into an int column widens the frame column to float64, so untouched
+    # rows read 52 back as 52.0.  Once every write is rolled back, values
+    # compare by (type, value).
     return {
-        key: sorted((a.row_id, a.error_code, a.column, a.value, a.detail)
+        key: sorted((a.row_id, a.error_code, a.column,
+                     type(a.value).__name__ if typed else "", a.value, a.detail)
                     for a in index.anomalies(key))
         for key in index.groups_with_errors()
     }
 
 
-def _redetected_from_scratch(session: BuckarooSession) -> dict:
+def _redetected_from_scratch(session: BuckarooSession, typed: bool = False) -> dict:
     """Every group re-detected into a fresh index, against the pinned stats."""
     fresh = ErrorIndex()
     groups = session.group_manager.groups.values()
     for key, anomalies in session.engine.detect_groups(groups).items():
         fresh.replace_group(key, anomalies)
-    return _index_state(fresh)
+    return _index_state(fresh, typed)
 
 
 class TestLocalizedRedetection:
@@ -358,6 +361,21 @@ class TestLocalizedRedetection:
         for op, pick in steps:
             self._step(session, op, pick)
             assert _index_state(session.engine.index) == _redetected_from_scratch(session)
+
+    @pytest.mark.parametrize("scope", ["global", "group"])
+    @pytest.mark.parametrize("backend", ["sql", "frame"])
+    @settings(max_examples=8, deadline=None)
+    @given(picks=st.lists(st.integers(0, 50), min_size=1, max_size=4))
+    def test_rolled_back_imputes_keep_value_types(self, backend, scope, picks):
+        """Scoring an impute of a float into the int ``age`` column writes and
+        rolls it back; every value then reads back with its type (52, not
+        52.0), so the index equals a from-scratch pass by (type, value)."""
+        session = make_session(backend, outlier_scope=scope)
+        rows = sorted(session.backend.all_row_ids())
+        for pick in picks:
+            session.speculate(impute_plan(session, "age", rows[pick % len(rows)]))
+            assert _index_state(session.engine.index, typed=True) == \
+                _redetected_from_scratch(session, typed=True)
 
     @staticmethod
     def _step(session: BuckarooSession, op: str, pick: int) -> None:

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.errors import CatalogError, DatabaseError
+from repro.errors import CatalogError, DatabaseError, SQLSyntaxError
 from repro.minidb import Database, WriteAheadLog, connect
 from repro.minidb.catalog import TableSchema
 from repro.minidb.pager import PAGE_SIZE
@@ -163,6 +163,48 @@ class TestReopenRecovers:
         db.close()
         with pytest.raises(CatalogError, match=message):
             connect(path)
+
+    @staticmethod
+    def _crash_with_ddl_tail(path, sql):
+        """A file that crashed before its first checkpoint, whose WAL tail
+        holds ``sql`` as a DDL record followed by an insert into ``m``."""
+        db = connect(path, wal_autocheckpoint=0)
+        db.execute("CREATE TABLE t (i INT)")
+        db.execute("INSERT INTO t VALUES (1)")
+        crash(db)
+        lines = wal_path(path).read_bytes().splitlines()
+        lsn = max(json.loads(line)["lsn"] for line in lines)
+        tail = [{"op": "ddl", "sql": sql, "lsn": lsn + 1},
+                {"op": "insert", "table": "m", "rowid": 1, "values": [7],
+                 "lsn": lsn + 2}]
+        with open(wal_path(path), "ab") as fh:
+            for record in tail:
+                fh.write(json.dumps(record).encode() + b"\n")
+        return lsn + 1
+
+    def test_partitioned_ddl_in_wal_tail_is_refused_by_name(self, tmp_path):
+        """Tolerant replay skips only re-run DDL; a logged partitioned
+        ``CREATE TABLE`` names the table instead of vanishing and leaving
+        the insert after it to fail with "no table"."""
+        path = tmp_path / "wal_partitioned.db"
+        self._crash_with_ddl_tail(
+            path, "CREATE TABLE m (id INTEGER) PARTITION BY HASH (id) PARTITIONS 4")
+        with pytest.raises(CatalogError, match=(
+                "table 'm' is partitioned; partitioned tables are no "
+                "longer supported")):
+            connect(path)
+
+    def test_unparseable_ddl_in_wal_tail_names_its_lsn(self, tmp_path):
+        path = tmp_path / "wal_garbage.db"
+        lsn = self._crash_with_ddl_tail(path, "CREATE TABEL m (id INTEGER)")
+        with pytest.raises(SQLSyntaxError, match=f"lsn {lsn}"):
+            connect(path)
+
+    def test_rerun_ddl_in_wal_tail_is_still_skipped(self, tmp_path):
+        path = tmp_path / "wal_rerun.db"
+        self._crash_with_ddl_tail(path, "CREATE TABLE t (i INT)")
+        with pytest.raises(CatalogError, match="no table 'm'"):
+            connect(path)  # the re-run CREATE was skipped; 'm' never existed
 
     def test_reopen_replays_only_the_tail(self, tmp_path):
         """After a checkpoint, only post-checkpoint commits live in the WAL

@@ -118,9 +118,6 @@ class TestMaintenance:
     def test_outlier_fast_path_uses_btree(self, backend):
         rows = backend.out_of_range_row_ids("income", 0, 100000)
         assert rows == [4]
-        scoped = backend.out_of_range_row_ids(
-            "income", 0, 100000, "country", "Bhutan")
-        assert scoped == [4]
 
 
 class TestNumericalStability:

@@ -6,6 +6,12 @@ detector scans and group-scoped statistics recompute over the full column
 after any change.  That is the cost profile Table 1 measures against
 Postgres, and reproducing it honestly is the point of this class: the
 Pandas path is the baseline the paper's SQL path is measured against.
+Group-scoped statistics select their rows with a comparison mask over the
+categorical column (``valid & (data == category)``, pandas' ``df[cat] ==
+v``), one vectorized pass per call.  Writes build their delta first
+(``_set_delta`` / ``_delete_delta``, where the skip-unchanged rule lives),
+then write it; planning a later op of a plan replays the earlier ones on a
+frame of just the rows they name, so widened dtypes read back widened.
 Which rows form which *group* is not this class's business:
 :class:`repro.core.groups.GroupManager` keeps that index for both backends
 from ``all_row_ids`` + ``values``.  ``group_row_ids`` /
@@ -23,9 +29,10 @@ import numpy as np
 from repro.core.types import Stats
 from repro.errors import BuckarooError
 from repro.frame import DataFrame, dtypes
+from repro.frame.column import Column
 from repro.snapshots.delta import DeltaSnapshot
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, ViewMiss
 
 
 class FrameBackend(Backend):
@@ -80,12 +87,6 @@ class FrameBackend(Backend):
             self._numeric_cache[column] = cached
         return cached
 
-    def _position_of(self, row_id: int) -> int:
-        try:
-            return self._positions()[row_id]
-        except KeyError:
-            raise BuckarooError(f"no row {row_id}") from None
-
     # -- schema ----------------------------------------------------------------
 
     def column_names(self) -> list[str]:
@@ -106,7 +107,9 @@ class FrameBackend(Backend):
         return [int(row_id) for row_id in self._ids]
 
     def row(self, row_id: int) -> dict:
-        position = self._position_of(row_id)
+        position = self._positions().get(row_id)
+        if position is None:
+            raise BuckarooError(f"no row {row_id}")
         return dict(zip(self._frame.column_names, self._frame.row(position)))
 
     def values(self, column: str, row_ids: Sequence[int]) -> list:
@@ -130,8 +133,7 @@ class FrameBackend(Backend):
     def _group_index(self, cat_col: str) -> dict:
         cached = self._group_cache.get(cat_col)
         if cached is None:
-            # full-column groupby behind the scope masks, recomputed from
-            # scratch after any mutation
+            # full-column groupby, recomputed from scratch after any mutation
             cached = {}
             ids = self._ids
             for position, value in enumerate(self._frame[cat_col]):
@@ -142,8 +144,11 @@ class FrameBackend(Backend):
     def numeric_stats(self, num_col: str, cat_col: Optional[str] = None,
                       category=None) -> Stats:
         values, ok, _ = self._numeric_view(num_col)
-        mask = ok & self._scope_mask(cat_col, category)
-        usable = values[mask]
+        if cat_col is not None:   # the group's rows: pandas' df[cat] == v
+            col = self._frame[cat_col]
+            ok = ok & (col.missing_mask if category is None
+                       else col._valid & (col._data == category))
+        usable = values[ok]
         if not len(usable):
             return Stats(0, None, None, None, None)
         return Stats(
@@ -153,17 +158,6 @@ class FrameBackend(Backend):
             float(np.min(usable)),
             float(np.max(usable)),
         )
-
-    def _scope_mask(self, cat_col: Optional[str], category) -> np.ndarray:
-        if cat_col is None:
-            return np.ones(self._frame.n_rows, dtype=bool)
-        if category is None:
-            return self._frame[cat_col].missing_mask
-        mask = np.zeros(self._frame.n_rows, dtype=bool)
-        positions_map = self._positions()
-        for row_id in self._group_index(cat_col).get(category, ()):
-            mask[positions_map[row_id]] = True
-        return mask
 
     # -- detector capabilities (full-column numpy scans) --------------------------
 
@@ -183,49 +177,83 @@ class FrameBackend(Backend):
     # -- writes -----------------------------------------------------------------
 
     def delete_rows(self, row_ids: Sequence[int]) -> DeltaSnapshot:
-        positions = self._positions()
-        names = self._frame.column_names
-        delta = DeltaSnapshot(label="delete_rows")
-        doomed_positions = []
-        for row_id in row_ids:
-            position = positions.get(row_id)
-            if position is None:
-                continue
-            delta.deleted[row_id] = dict(zip(names, self._frame.row(position)))
-            doomed_positions.append(position)
-        keep = np.ones(self._frame.n_rows, dtype=bool)
-        keep[doomed_positions] = False
-        # pandas-style: rebuilds every column
-        self._frame = self._frame.filter(keep)
-        self._ids = self._ids[keep]
-        self._invalidate()
+        delta = self._delete_delta(row_ids)
+        self._write(delta)
         return delta
 
     def set_cells(self, column: str, row_ids: Sequence[int], value=None,
                   values: Optional[Sequence] = None) -> DeltaSnapshot:
-        positions_map = self._positions()
+        delta = self._set_delta(column, row_ids, value, values)
+        self._write(delta)
+        return delta
+
+    def apply_delta(self, delta: DeltaSnapshot) -> None:
+        self._write(delta)
+        self._restore_dtypes(self._frame.column_names if delta.inserted
+                             else {c for cells in delta.updated.values() for c in cells})
+
+    def _delete_delta(self, row_ids: Sequence[int], earlier=()) -> DeltaSnapshot:
+        """The live rows among ``row_ids``, with their content."""
+        if earlier:
+            return self._replay(row_ids, earlier)._delete_delta(row_ids)
+        positions = self._positions()
+        names = self._frame.column_names
+        delta = DeltaSnapshot(label="delete_rows")
+        for row_id in row_ids:
+            position = positions.get(row_id)
+            if position is not None:
+                delta.deleted[row_id] = dict(zip(names, self._frame.row(position)))
+        return delta
+
+    def _set_delta(self, column: str, row_ids: Sequence[int], value=None,
+                   values: Optional[Sequence] = None, earlier=()) -> DeltaSnapshot:
+        """The cells a write changes: live rows whose value or its type differs."""
+        if earlier:
+            return self._replay(row_ids, earlier)._set_delta(column, row_ids, value, values)
+        positions = self._positions()
         col = self._frame[column]
         new_values = list(values) if values is not None else [value] * len(row_ids)
         delta = DeltaSnapshot(label=f"set_cells({column})")
-        write_positions = []
-        write_values = []
         for row_id, new in zip(row_ids, new_values):
-            position = positions_map.get(row_id)
+            position = positions.get(row_id)
             if position is None:
                 continue
             old = col[position]
             if old == new and type(old) is type(new):
                 continue
             delta.updated[row_id] = {column: (old, new)}
-            write_positions.append(position)
-            write_values.append(new)
-        if write_positions:
-            # pandas-style: copies the whole column
-            self._frame = self._frame.set_values(column, write_positions, write_values)
-            self._invalidate()
         return delta
 
-    def apply_delta(self, delta: DeltaSnapshot) -> None:
+    def _replay(self, row_ids: Sequence[int], earlier) -> "FrameBackend":
+        """The rows named here and in ``earlier``, with ``earlier`` written."""
+        positions = self._positions()
+        named = set(row_ids).union(*(delta.row_ids() for delta in earlier))
+        live = sorted(positions[row_id] for row_id in named if row_id in positions)
+        replay = FrameBackend(self._frame.take(live))
+        replay._ids = self._ids[live]
+        for delta in earlier:
+            replay._write(delta)
+        return replay
+
+    def classify(self, column: str, values: Sequence) -> list:
+        """How the column would hold ``values`` (see ``DeltaView``): ``set_at``
+        plus ``to_numeric`` on a column of just those cells.  Any widening but
+        int64 -> float64 raises :class:`ViewMiss`: it can change the class of
+        cells already in the column (a bool or NaN reads as text in ``mixed``)."""
+        dtype = self._frame[column].dtype
+        probe = Column(column, [None] * len(values), dtype=dtype).set_at(
+            np.arange(len(values)), list(values))
+        if probe.dtype != dtype and (dtype, probe.dtype) != (dtypes.INT64, dtypes.FLOAT64):
+            raise ViewMiss(f"writing {column!r} widens {dtype} to {probe.dtype}")
+        numbers, _ok, mismatch = probe.to_numeric()
+        return [
+            None if not present else str(value) if text else float(number)
+            for value, present, text, number
+            in zip(values, probe.valid_mask, mismatch, numbers)
+        ]
+
+    def _write(self, delta: DeltaSnapshot) -> None:
+        """Write ``delta`` pandas-style: each step rebuilds whole columns."""
         if delta.deleted:
             positions_map = self._positions()
             keep = np.ones(self._frame.n_rows, dtype=bool)
@@ -263,8 +291,6 @@ class FrameBackend(Backend):
             for column, (positions, new_values) in by_column.items():
                 self._frame = self._frame.set_values(column, positions, new_values)
             self._invalidate()
-        self._restore_dtypes(self._frame.column_names if delta.inserted
-                             else {c for cells in delta.updated.values() for c in cells})
 
     def _restore_dtypes(self, columns) -> None:
         """Bring ``columns`` back to their uploaded dtype where every value fits."""

@@ -8,6 +8,7 @@ not to the dataset size.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from repro.core.types import Stats
@@ -16,7 +17,7 @@ from repro.frame import DataFrame, dtypes
 from repro.minidb import Database, connect
 from repro.snapshots.delta import DeltaSnapshot
 
-from repro.backends.base import Backend
+from repro.backends.base import Backend, ViewMiss, compose_all
 from repro.backends.stats_cache import GroupStatsCache
 
 _SQL_TYPES = {
@@ -243,12 +244,7 @@ class SQLBackend(Backend):
     # -- writes -----------------------------------------------------------------
 
     def delete_rows(self, row_ids: Sequence[int]) -> DeltaSnapshot:
-        names = self._table.schema.column_names
-        delta = DeltaSnapshot(label="delete_rows")
-        for row_id in row_ids:
-            values = self._table.get(row_id)
-            if values is not None:
-                delta.deleted[row_id] = dict(zip(names, values))
+        delta = self._delete_delta(row_ids)
         self.db.executemany(
             f"DELETE FROM {self.table_name} WHERE rowid = ?",
             [(row_id,) for row_id in delta.deleted],
@@ -257,27 +253,55 @@ class SQLBackend(Backend):
 
     def set_cells(self, column: str, row_ids: Sequence[int], value=None,
                   values: Optional[Sequence] = None) -> DeltaSnapshot:
+        delta = self._set_delta(column, row_ids, value, values)
+        self.db.executemany(
+            f'UPDATE {self.table_name} SET "{column}" = ? WHERE rowid = ?',
+            [(cells[column][1], row_id) for row_id, cells in delta.updated.items()],
+        )
+        return delta
+
+    def _delete_delta(self, row_ids: Sequence[int], earlier=()) -> DeltaSnapshot:
+        """The live rows among ``row_ids`` with their content, after ``earlier``."""
+        names = self._table.schema.column_names
+        rows, prior = self._table.rows, compose_all(earlier)
+        delta = DeltaSnapshot(label="delete_rows")
+        for row_id in row_ids:
+            stored = rows.get(row_id)
+            if stored is not None and row_id not in prior.deleted:
+                content = delta.deleted[row_id] = dict(zip(names, stored))
+                for column, (_old, new) in prior.updated.get(row_id, {}).items():
+                    content[column] = new
+        return delta
+
+    def _set_delta(self, column: str, row_ids: Sequence[int], value=None,
+                   values: Optional[Sequence] = None, earlier=()) -> DeltaSnapshot:
+        """The cells a write changes: live rows whose coerced value differs.
+
+        The delta records the *coerced* value: it must hold exactly what the
+        UPDATE stores, or undo/redo replays diverge from the table.
+        """
         position = self._table.schema.position(column)
         new_values = list(values) if values is not None else [value] * len(row_ids)
+        rows, prior = self._table.rows, compose_all(earlier)
         delta = DeltaSnapshot(label=f"set_cells({column})")
-        rows = self._table.rows
-        pairs = []
         for row_id, new in zip(row_ids, new_values):
             stored = rows.get(row_id)
-            if stored is None:
+            if stored is None or row_id in prior.deleted:
                 continue
-            old = stored[position]
+            written = prior.updated.get(row_id, {}).get(column)
+            old = stored[position] if written is None else written[1]
             coerced = self._table.coerce(position, new)
             if old == coerced and type(old) is type(coerced):
                 continue
             delta.updated[row_id] = {column: (old, coerced)}
-            # send the *coerced* value: the snapshot must record exactly what
-            # the UPDATE stores, or undo/redo replays diverge from the table
-            pairs.append((coerced, row_id))
-        self.db.executemany(
-            f'UPDATE {self.table_name} SET "{column}" = ? WHERE rowid = ?', pairs
-        )
         return delta
+
+    def classify(self, column: str, values: Sequence) -> list:
+        """Stored values are what detection reads (see ``DeltaView``); a NaN,
+        whose place in the outlier scan's B+tree is undefined, is refused."""
+        if any(isinstance(value, float) and math.isnan(value) for value in values):
+            raise ViewMiss(f"NaN written into {column!r}")
+        return list(values)
 
     def apply_delta(self, delta: DeltaSnapshot) -> None:
         names = self._table.schema.column_names

@@ -11,8 +11,9 @@ of groups; its default loops over :meth:`Detector.detect`.  The missing,
 mismatch and outlier built-ins override it and make no backend call scoped
 to one group: one column-level candidate list per numerical column, one
 ``values(cat, rows)`` per (categorical, numerical) pair to bucket it by
-category, one ``values(num, rows)`` per group with candidates.  Buckets keep
-the backend's row order, so a batch answer equals the per-group one.
+category, one ``values(num, rows)`` per numerical column for anomaly
+values — the reads a ``DeltaView`` serves.  Buckets keep the backend's row
+order, so a batch answer equals the per-group one.
 
 Custom detectors use the paper's exact signature::
 
@@ -69,6 +70,13 @@ class DetectionContext:
             stats = self.backend.numeric_stats(num_col)
             self._stats_cache[num_col] = stats
         return stats
+
+    def reading(self, backend: Backend) -> "DetectionContext":
+        """A context over ``backend`` (e.g. a ``DeltaView``) sharing these
+        pinned global stats."""
+        ctx = DetectionContext(backend, self.config)
+        ctx._stats_cache = self._stats_cache
+        return ctx
 
     def group_stats(self, group: Group) -> Stats:
         """Numeric stats scoped to one group (not cached — groups churn)."""
@@ -152,6 +160,16 @@ def _bucket(backend: Backend, groups: Sequence[Group],
     return found
 
 
+def _cells(backend: Backend, found: dict[GroupKey, list[int]]) -> dict[str, dict]:
+    """``{num: {row id: value}}`` over the rows of ``found``: one ``values``
+    per numerical column."""
+    rows: dict[str, set] = {}
+    for key, ids in found.items():
+        rows.setdefault(key.numerical, set()).update(ids)
+    return {num: dict(zip(ids, backend.values(num, list(ids))))
+            for num, ids in rows.items() if ids}
+
+
 class MissingValueDetector(_ColumnDetector):
     """Flags NULL cells of the projected attribute (§3.1 'Missing Values')."""
 
@@ -196,16 +214,19 @@ class OutlierDetector(_ColumnDetector):
                 narrowest[num] = (max(lows, low), min(highs, high))
         found = _bucket(ctx.backend, groups, lambda num: (
             ctx.backend.out_of_range_row_ids(num, *narrowest[num]) if num in narrowest else []))
-        for key, rows in found.items():
+        for key in found:
             if key not in bounds:  # no spread: rows are another group's candidates
                 found[key] = []
+        cells = _cells(ctx.backend, found)
+        for key, rows in found.items():
+            if not rows:
                 continue
             low, high = bounds[key]
             detail = f"outside [{low:.4g}, {high:.4g}] ({scope} scope)"
             # text the backend parsed as a number compares as that number
             found[key] = [
                 Anomaly(row_id, key.numerical, self.code, key, value, detail)
-                for row_id, value in zip(rows, ctx.backend.values(key.numerical, rows))
+                for row_id, value in zip(rows, map(cells[key.numerical].get, rows))
                 if not low <= (parse_number_strict(value) if isinstance(value, str)
                                else value) <= high
             ]
@@ -221,12 +242,13 @@ class TypeMismatchDetector(_ColumnDetector):
     def detect_many(self, ctx: DetectionContext,
                     groups: Sequence[Group]) -> dict[GroupKey, list[Anomaly]]:
         found = _bucket(ctx.backend, groups, ctx.backend.mismatch_row_ids)
+        cells = _cells(ctx.backend, found)
         for key, rows in found.items():
             if rows:
                 found[key] = [
                     Anomaly(row_id, key.numerical, self.code, key, value,
                             f"non-numeric value {value!r}")
-                    for row_id, value in zip(rows, ctx.backend.values(key.numerical, rows))
+                    for row_id, value in zip(rows, map(cells[key.numerical].get, rows))
                 ]
         return found
 

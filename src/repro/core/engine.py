@@ -8,8 +8,8 @@ whose membership the repair's delta changed, plus the groups of its touched
 rows whose projected attribute the delta wrote.  That narrowing needs every
 registered detector to be :attr:`~repro.core.detectors.Detector.local`;
 otherwise every group holding a touched row (the overlap graph's answer)
-re-runs.  :meth:`DetectionEngine.detect_groups` only returns results, so a
-speculative repair is scored against the index without writing to it.
+re-runs.  :meth:`DetectionEngine.detect_groups` only returns results, and
+reads through the context it is given (a speculation's reads a ``DeltaView``).
 
 Detection is set-at-a-time: ``detect_groups`` hands all its groups to each
 detector's :meth:`~repro.core.detectors.Detector.detect_many` once.  A
@@ -134,13 +134,16 @@ class DetectionEngine:
         self.index = ErrorIndex()
         self.detections_run = 0  # instrumentation for the A1 ablation
 
-    def detect_groups(self, groups: Iterable[Group]) -> dict[GroupKey, list[Anomaly]]:
-        """Each group's anomalies, one ``detect_many`` per detector; the index
-        is left to the caller."""
+    def detect_groups(self, groups: Iterable[Group],
+                      ctx: Optional[DetectionContext] = None) -> dict[GroupKey, list[Anomaly]]:
+        """Each group's anomalies, one ``detect_many`` per detector, read
+        through ``ctx`` (default: the engine's); the index is left to the
+        caller."""
         groups = list(groups)
+        ctx = ctx or self.ctx
         found: dict[GroupKey, list[Anomaly]] = {group.key: [] for group in groups}
         for detector in self.registry.all():
-            for key, anomalies in detector.detect_many(self.ctx, groups).items():
+            for key, anomalies in detector.detect_many(ctx, groups).items():
                 found[key].extend(anomalies)
         self.detections_run += len(groups)
         return found
@@ -153,7 +156,3 @@ class DetectionEngine:
         for key, anomalies in found.items():
             self.index.replace_group(key, anomalies)
         return sum(len(anomalies) for anomalies in found.values())
-
-    def invalidate_stats(self, columns: Optional[list[str]] = None) -> None:
-        """Invalidate cached column statistics after data changes."""
-        self.ctx.invalidate_stats(columns)

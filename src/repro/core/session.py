@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.backends import Backend, make_backend
+from repro.backends.base import DeltaView, ViewMiss
 from repro.config import BuckarooConfig, DEFAULT_CONFIG
 from repro.core.cache import WriteCache
 from repro.core.detectors import DetectorRegistry
@@ -70,7 +71,7 @@ class AnomalySummary:
 
 @dataclass
 class SpeculationResult:
-    """Outcome of applying a plan speculatively and rolling it back."""
+    """Outcome of scoring a plan without keeping it."""
 
     plan: RepairPlan
     resolved: int
@@ -192,7 +193,7 @@ class BuckarooSession:
         )
 
     def speculate(self, plan: RepairPlan) -> SpeculationResult:
-        """Apply ``plan``, measure its anomaly impact, and roll it back."""
+        """Measure ``plan``'s anomaly impact without keeping it (see ``_speculate``)."""
         outcome = self._speculate(plan, capture_pair=None)
         return SpeculationResult(
             plan=plan,
@@ -337,17 +338,11 @@ class BuckarooSession:
     def _mutate_and_redetect(self, plan: RepairPlan,
                              delta_override: Optional[DeltaSnapshot] = None,
                              commit: bool = True) -> "_MutationOutcome":
-        """Shared core of apply/speculate/undo/redo: mutate, re-detect locally.
-
-        The groups to re-detect are those whose membership the delta changed
-        (rows that moved category, were deleted, re-appeared on undo, or
-        formed a new category) plus the groups of touched rows whose
-        numerical attribute the delta wrote.  Narrowing to those is exact
-        only while every detector is ``local``; otherwise every group holding
-        a touched row re-runs.  Resolved/introduced are measured against the
-        error index, which only a committed outcome writes to.
+        """Shared core of apply/undo/redo and of speculation's fallback:
+        write the plan (or ``delta_override``) into the backend, then
+        re-detect locally (:meth:`_redetect`).  Write-free scoring is
+        :meth:`_speculate`.
         """
-        index = self.engine.index
         rows = plan.touched_rows if delta_override is None else delta_override.row_ids()
         holding = self.overlap.affected_groups(rows)
 
@@ -357,6 +352,19 @@ class BuckarooSession:
             self.backend.apply_delta(delta_override)
             delta = delta_override
 
+        return self._redetect(delta, holding, commit=commit)
+
+    def _redetect(self, delta: DeltaSnapshot, holding: set, ctx=None,
+                  commit: bool = False) -> "_MutationOutcome":
+        """Fold ``delta`` into group membership, re-detect (through ``ctx``)
+        the groups it can change, and measure them against the error index,
+        which only a committed outcome writes to.
+
+        Re-detected are the groups whose membership the delta changed plus
+        those in ``holding`` (the touched rows' groups) whose numerical
+        attribute it wrote — exact only while every detector is ``local``;
+        otherwise all of ``holding`` re-runs.
+        """
         regrouped = self.group_manager.apply_delta(delta)
         if all(detector.local for detector in self.detectors.all()):
             written = {column for cells in delta.updated.values() for column in cells}
@@ -367,12 +375,14 @@ class BuckarooSession:
         # localized re-detection (§3.3) judges every group against the same
         # thresholds; session.detect() recalibrates them.
         groups = self.group_manager.groups
-        found = self.engine.detect_groups([groups[key] for key in affected if key in groups])
+        found = self.engine.detect_groups(
+            [groups[key] for key in affected if key in groups], ctx)
 
         # Set difference, not count difference: a repair that swaps one
         # anomaly class for another (e.g. type conversion producing an
         # outlier) must surface as resolved=1, introduced=1 — the cascade
         # visibility the paper motivates in §1.
+        index = self.engine.index
         resolved = introduced = 0
         for key in affected:
             was = {(a.row_id, a.error_code) for a in index.anomalies(key)}
@@ -391,6 +401,27 @@ class BuckarooSession:
         )
 
     def _speculate(self, plan: RepairPlan, capture_pair):
+        """What ``plan`` would resolve and introduce, scored from its delta
+        (``backend.plan_delta``) with detection reading a :class:`DeltaView`;
+        only the group memberships are folded in and reverted.  Writing,
+        re-detecting and rolling back instead serves previews (the chart
+        needs written data), a detector that is not ``local``, a plan naming
+        one row in two ops (the view sees final values only) and a
+        :class:`ViewMiss` (group-scoped stats, a NaN written on SQL, a frame
+        dtype widened past int64 -> float64)."""
+        named = [set(op.row_ids) for op in plan.ops]
+        if (capture_pair is None
+                and all(detector.local for detector in self.detectors.all())
+                and sum(map(len, named)) == len(set().union(*named))):
+            delta = self.backend.plan_delta(plan.ops)
+            holding = self.overlap.affected_groups(plan.touched_rows)
+            ctx = self.engine.ctx.reading(DeltaView(self.backend, delta))
+            try:
+                return self._redetect(delta, holding, ctx)
+            except ViewMiss:
+                pass
+            finally:
+                self.group_manager.apply_delta(delta.inverse())
         outcome = self._mutate_and_redetect(plan, commit=False)
         if capture_pair is not None:
             outcome.after_series = build_series(
@@ -420,9 +451,6 @@ class BuckarooSession:
             backend_seconds=backend_seconds,
             replot_seconds=replot_seconds,
         )
-
-    def _pairs_of(self, keys: Sequence[GroupKey]) -> list[tuple[str, str]]:
-        return list(dict.fromkeys(key.pair for key in keys))
 
     def _replot(self, affected_keys: Sequence[GroupKey]) -> None:
         """Incrementally refresh the marks of the affected groups.

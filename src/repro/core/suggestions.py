@@ -1,12 +1,16 @@
 """Repair suggestion generation and ranking (§3.2).
 
 For a selected group, every wrangler able to repair each present error code
-proposes a plan.  Plans are scored by speculative application: the session
-applies the plan, re-detects the groups it can change, counts anomalies
-resolved vs. introduced against the error index (which it never writes),
-and rolls the data and group memberships back.  "Wrangling suggestions
-are ranked by their effectiveness—favoring repairs that resolve the anomaly
-with minimal side effects on other groups."
+proposes a plan.  Plans are scored from their delta, never written: the
+backend computes it (``Backend.plan_delta``), the session folds it into the
+group memberships, re-detects the groups it can change through a read-only
+``DeltaView``, counts anomalies resolved vs. introduced against the error
+index, and reverts the memberships.  "Wrangling suggestions are ranked by
+their effectiveness—favoring repairs that resolve the anomaly with minimal
+side effects on other groups."  A plan is written, re-detected and rolled
+back instead when a detector is not ``local``, when it names one row in two
+ops, or when the view cannot answer a read exactly: group-scoped outlier
+stats, a NaN written on SQL, a frame dtype widened past int64 -> float64.
 """
 
 from __future__ import annotations

@@ -224,7 +224,12 @@ class DataFrame:
         return GroupBy(self, name)
 
     def categorical_columns(self, max_categories: int | None = None) -> list[str]:
-        """Columns suitable as grouping attributes (string/bool/low-card int)."""
+        """Columns suitable as grouping attributes (string/bool/low-card int).
+
+        An integer column needs at least one and at most
+        ``min(max_categories, 20)`` distinct values — the SQL backend's rule,
+        so both backends group one upload the same way.
+        """
         result = []
         for col in self._columns.values():
             if col.dtype in (dtypes.STRING, dtypes.BOOL):
@@ -232,7 +237,7 @@ class DataFrame:
                     result.append(col.name)
             elif col.dtype == dtypes.INT64:
                 distinct = len(col.unique())
-                if distinct <= (max_categories or 20):
+                if 0 < distinct <= min(max_categories or 20, 20):
                     result.append(col.name)
         return result
 

@@ -4,6 +4,7 @@ Every test is parametrized over the SQL and frame backends — Table 1's
 comparison is only meaningful if they compute the same answers.
 """
 
+import numpy as np
 import pytest
 
 from repro.backends import FrameBackend, SQLBackend, make_backend
@@ -91,6 +92,33 @@ class TestReads:
         stats = backend.numeric_stats("income", "country", "Lesotho")
         assert stats.count == 3
         assert stats.mean == pytest.approx((72000 + 48000 + 55000) / 3)
+
+
+class TestFrameScopedStats:
+    """The frame's group-scoped stats cover exactly ``group_row_ids(cat, c)``,
+    whatever the categorical column's dtype, missing cells included."""
+
+    CATEGORIES = {
+        "text": ["a", "b", None, "a", "b", "a", None],
+        "ints": [1, 2, None, 1, 2, 1, 2],
+        "flags": [True, False, None, True, False, True, None],
+        "mixed": [1, "x", None, 1, "x", "y", 1],
+    }
+    NUMBERS = [1.0, 5.0, 2.0, "12k", None, 9.5, 4.0]
+
+    @pytest.mark.parametrize("cat", list(CATEGORIES))
+    def test_stats_over_group_rows(self, cat):
+        backend = FrameBackend(DataFrame.from_dict(
+            {cat: self.CATEGORIES[cat], "num": self.NUMBERS}))
+        for category in backend.group_sizes(cat):
+            rows = backend.group_row_ids(cat, category)
+            numbers = [value for value in backend.values("num", rows)
+                       if isinstance(value, float)]
+            stats = backend.numeric_stats("num", cat, category)
+            assert stats.count == len(numbers)
+            if numbers:
+                assert (stats.mean, stats.std, stats.min, stats.max) == pytest.approx(
+                    (np.mean(numbers), np.std(numbers), min(numbers), max(numbers)))
 
 
 class TestDetectorCapabilities:

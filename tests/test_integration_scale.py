@@ -18,6 +18,8 @@ from repro.core.types import ERROR_SMALL_GROUP, GroupKey
 from repro.datasets import load_dataset
 from repro.ui import BuckarooApp, events
 
+from tests.test_speculation_write_free import record_writes
+
 CATS = ["country", "ed_level"]
 NUMS = ["converted_comp_yearly", "years_code"]
 
@@ -40,6 +42,25 @@ class TestCrossBackendAtScale:
         }
         assert sql_counts == frame_counts
         assert sql_counts  # the injector guarantees anomalies exist
+
+    @pytest.mark.parametrize("dataset", ["stackoverflow", "chicago_crime", "adult_income"])
+    def test_default_columns_agree(self, dataset):
+        """With no columns passed, both backends pick the same roles, build
+        the same groups and find the same anomalies."""
+        frame, _truth = load_dataset(dataset, scale=0.01, seed=7)
+        seen = {}
+        for backend in ("sql", "frame"):
+            session = BuckarooSession.from_frame(frame, backend=backend)
+            keys = session.generate_groups()
+            summary = session.detect()
+            seen[backend] = (
+                session.backend.categorical_columns(session.config.max_categories),
+                session.backend.numerical_columns(),
+                sorted(keys),
+                summary.total,
+                {e.code: e.count for e in summary.error_types},
+            )
+        assert seen["sql"] == seen["frame"]
 
     def test_identical_final_tables_after_pipeline(self):
         outcomes = {}
@@ -84,11 +105,13 @@ class TestPaperScale:
             session = BuckarooSession.from_frame(frame, backend=backend)
             session.generate_groups(cat_cols=CATS, num_cols=NUMS)
             session.detect()
+            writes = record_writes(session.backend)
             start = time.process_time()
             suggestions = session.suggest(self.LARGEST, limit=5)
             print(f"\n{backend}: suggest(limit=5) on {self.LARGEST.describe()} "
                   f"({session.group(self.LARGEST).size} rows): "
                   f"{time.process_time() - start:.2f} s CPU")
+            assert writes == []   # scored without writing the backend
             ranked[backend] = [
                 (s.plan.wrangler_code, s.plan.description, s.score,
                  s.resolved, s.introduced, s.rank)

@@ -4,12 +4,15 @@ ISSUE 5's workload is many concurrent readers (profile panes, stats
 probes, chart backends) racing a writer (repair transactions).  This
 benchmark pins down what the MVCC layer costs and buys:
 
-* ``point`` / ``scan`` — the same query on the quiescent fast path
-  (pre-MVCC behavior: no snapshot, live dict reads) versus through a
-  connection's registered snapshot (version-stamp checks, batched index
-  walks).  These are the tracked ``*_seconds`` hot paths the regression
-  gate guards: the fast path must not regress, and the snapshot path
-  bounds the per-statement MVCC tax.
+* one shape per index walk — ``point`` (composite prefix walk, LIMIT 5),
+  ``scan`` (range aggregate), ``range`` (B+tree range scan returning its
+  rows), ``order_limit`` (``ORDER BY ... DESC LIMIT`` leaf walk) and
+  ``merge_join`` — each timed on the quiescent fast path (no snapshot,
+  live row reads) versus through a connection's registered snapshot
+  (version-chain resolution, key re-checks, batched index walks).  These
+  are the tracked ``*_seconds`` hot paths the regression gate guards: the
+  fast path must not regress, and the snapshot path bounds the
+  per-statement MVCC tax of every walk.
 * ``readers_vs_writer`` — M reader threads streaming aggregate/point
   queries while one writer commits update transactions.  Reported as
   throughput (not gated: thread scheduling is noisy) to track that
@@ -29,9 +32,19 @@ N_ROWS = int(os.environ.get("REPRO_CONC_ROWS", "20000"))
 N_CATEGORIES = 40
 POINT_QUERY = "SELECT val FROM t WHERE cat = ? AND val >= ? ORDER BY val LIMIT 5"
 SCAN_QUERY = "SELECT COUNT(*), SUM(val) FROM t WHERE val >= ?"
+# shape -> (query, params, plan operator it must use, timed calls)
+SHAPES = {
+    "point": (POINT_QUERY, ("c7", 0.0), "IndexOrderScan(t.(cat, val)", 200),
+    "scan": (SCAN_QUERY, (500000.0,), "IndexRangeScan(t.val", 20),
+    "range": ("SELECT val FROM t WHERE val BETWEEN ? AND ?",
+              (100000.0, 150000.0), "IndexRangeScan(t.val", 50),
+    "order_limit": ("SELECT val FROM t ORDER BY val DESC LIMIT 20", (),
+                    "IndexOrderScan(t.val via idx_val, DESC)", 200),
+    "merge_join": ("SELECT COUNT(*) FROM t JOIN d ON t.val = d.val", (),
+                   "MergeJoin(d, key=val)", 10),
+}
 DURATION = float(os.environ.get("REPRO_CONC_SECONDS", "0.6"))
 N_READER_THREADS = 4
-REPEAT = 200
 
 
 def _populate(db: Database) -> None:
@@ -43,12 +56,22 @@ def _populate(db: Database) -> None:
             for i in range(N_ROWS)
         ],
     )
+    # a quarter-size build side sharing t's values: the merge join's input
+    db.execute("CREATE TABLE d (val REAL, label TEXT)")
+    db.insert_rows(
+        "d",
+        [
+            (float((i * 7919) % 999983), f"l{i}")
+            for i in range(0, N_ROWS, 4)
+        ],
+    )
     db.execute("CREATE INDEX idx_cat_val ON t (cat, val)")
     db.execute("CREATE INDEX idx_val ON t (val)")
+    db.execute("CREATE INDEX idx_d_val ON d (val)")
     db.analyze()
 
 
-def _time_per_call(fn, repeat: int = REPEAT) -> float:
+def _time_per_call(fn, repeat: int) -> float:
     fn()  # warm plan caches
     started = time.perf_counter()
     for _ in range(repeat):
@@ -57,40 +80,31 @@ def _time_per_call(fn, repeat: int = REPEAT) -> float:
 
 
 def _measure_overhead(db: Database) -> dict:
-    """Fast path vs snapshot path for the two interactive shapes."""
-    point_stmt = db.prepare(POINT_QUERY)
-    scan_stmt = db.prepare(SCAN_QUERY)
-    point_params = ("c7", 0.0)
-    scan_params = (500000.0,)
-
+    """Fast path vs snapshot path for every index-walk shape."""
     assert not db.mvcc_engaged(), "overhead baseline needs a quiescent db"
-    fast_point = _time_per_call(lambda: point_stmt.execute(point_params).rows)
-    fast_scan = _time_per_call(
-        lambda: scan_stmt.execute(scan_params).rows, repeat=20
-    )
+    prepared = {}
+    fast = {}
+    for shape, (sql, params, operator, repeat) in SHAPES.items():
+        assert operator in db.explain(sql, params), (shape, db.explain(sql, params))
+        stmt = prepared[shape] = db.prepare(sql)
+        fast[shape] = _time_per_call(lambda: stmt.execute(params).rows, repeat)
 
     conn = db.connect()  # engages MVCC: statements read through snapshots
     session = conn._session
-    snap_point = _time_per_call(
-        lambda: point_stmt.execute(point_params, session=session).rows
-    )
-    snap_scan = _time_per_call(
-        lambda: scan_stmt.execute(scan_params, session=session).rows, repeat=20
-    )
+    out = {}
+    for shape, (_sql, params, _operator, repeat) in SHAPES.items():
+        stmt = prepared[shape]
+        snapshot = _time_per_call(
+            lambda: stmt.execute(params, session=session).rows, repeat
+        )
+        out[shape] = {
+            "fastpath_seconds": fast[shape],
+            "snapshot_seconds": snapshot,
+            "overhead_ratio": snapshot / fast[shape],
+        }
     conn.close()
     db.maybe_gc()
-    return {
-        "point": {
-            "fastpath_seconds": fast_point,
-            "snapshot_seconds": snap_point,
-            "overhead_ratio": snap_point / fast_point,
-        },
-        "scan": {
-            "fastpath_seconds": fast_scan,
-            "snapshot_seconds": snap_scan,
-            "overhead_ratio": snap_scan / fast_scan,
-        },
-    }
+    return out
 
 
 def _measure_readers_vs_writer(db: Database) -> dict:
@@ -191,7 +205,7 @@ def test_concurrency_benchmark():
             f"{payload[shape]['snapshot_seconds'] * 1e6:.1f} us",
             f"{payload[shape]['overhead_ratio']:.2f}x",
         ]
-        for shape in ("point", "scan")
+        for shape in SHAPES
     ]
     rows.append([
         "readers-vs-writer",

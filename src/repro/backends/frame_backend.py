@@ -265,12 +265,15 @@ class FrameBackend(Backend):
             self._ids = self._ids[keep]
             self._invalidate()
         if delta.inserted:
-            names = self._frame.column_names
-            rows = [
-                tuple(content.get(name) for name in names)
-                for content in delta.inserted.values()
-            ]
-            addition = DataFrame.from_rows(rows, names)
+            contents = list(delta.inserted.values())
+            at = np.arange(len(contents))
+            # each column's current dtype, widened only where a value does not
+            # fit: re-inferring would read an int in a mixed column as 0.0
+            addition = DataFrame([
+                Column(col.name, [None] * len(contents), dtype=col.dtype).set_at(
+                    at, [content.get(col.name) for content in contents])
+                for col in self._frame.columns
+            ])
             self._frame = self._frame.concat(addition)
             self._ids = np.concatenate([
                 self._ids, np.array(list(delta.inserted.keys()), dtype=np.int64)

@@ -8,7 +8,6 @@ not to the dataset size.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence
 
 from repro.core.types import Stats
@@ -17,7 +16,7 @@ from repro.frame import DataFrame, dtypes
 from repro.minidb import Database, connect
 from repro.snapshots.delta import DeltaSnapshot
 
-from repro.backends.base import Backend, ViewMiss, compose_all
+from repro.backends.base import Backend, compose_all
 from repro.backends.stats_cache import GroupStatsCache
 
 _SQL_TYPES = {
@@ -297,10 +296,7 @@ class SQLBackend(Backend):
         return delta
 
     def classify(self, column: str, values: Sequence) -> list:
-        """Stored values are what detection reads (see ``DeltaView``); a NaN,
-        whose place in the outlier scan's B+tree is undefined, is refused."""
-        if any(isinstance(value, float) and math.isnan(value) for value in values):
-            raise ViewMiss(f"NaN written into {column!r}")
+        """Stored values are what detection reads (see ``DeltaView``)."""
         return list(values)
 
     def apply_delta(self, delta: DeltaSnapshot) -> None:

@@ -407,8 +407,8 @@ class BuckarooSession:
         re-detecting and rolling back instead serves previews (the chart
         needs written data), a detector that is not ``local``, a plan naming
         one row in two ops (the view sees final values only) and a
-        :class:`ViewMiss` (group-scoped stats, a NaN written on SQL, a frame
-        dtype widened past int64 -> float64)."""
+        :class:`ViewMiss` (group-scoped stats, a frame dtype widened past
+        int64 -> float64)."""
         named = [set(op.row_ids) for op in plan.ops]
         if (capture_pair is None
                 and all(detector.local for detector in self.detectors.all())

@@ -10,7 +10,7 @@ their effectiveness—favoring repairs that resolve the anomaly with minimal
 side effects on other groups."  A plan is written, re-detected and rolled
 back instead when a detector is not ``local``, when it names one row in two
 ops, or when the view cannot answer a read exactly: group-scoped outlier
-stats, a NaN written on SQL, a frame dtype widened past int64 -> float64.
+stats, a frame dtype widened past int64 -> float64.
 """
 
 from __future__ import annotations

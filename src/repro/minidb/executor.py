@@ -24,15 +24,20 @@ relies on:
 * a :class:`~repro.minidb.plan_nodes.StreamAggregate` holds one group at
   a time, emitting each as soon as the grouping key changes.
 
-Every read path takes an optional MVCC ``snapshot``.  ``None`` is the
-single-session fast path — byte-for-byte the pre-MVCC code reading the
-live ``Table.rows`` dict.  With a snapshot, rows resolve through version
-chains (:func:`repro.minidb.storage.visible_version`), heap scans
-capture their rowid set atomically up front, and index walks run in
-short re-seeking batches under the write lock with a per-version key
-re-check — so a streaming SELECT reads its snapshot to completion
-regardless of interleaved DML, and ``IndexOrderScan``/``MergeJoin`` stay
-correct under concurrent writers.
+Every read path takes an optional MVCC ``snapshot``, and every index or
+rowid access path is one walk with two resolutions: the access path
+yields candidate ``(expected_key, rowids)`` groups — point probes, a
+rowid list, or a B+tree leaf walk between the index's ``*_bounds`` —
+and one resolver turns them into rows.  With no snapshot (the quiescent
+single-session case) it reads each live row from ``Table.rows``.  With a
+snapshot it resolves version chains
+(:func:`repro.minidb.storage.visible_version`) and re-checks each chained
+row's visible key against its entry; point probes pull their rowid sets
+under the write lock and ordered walks re-seek in short batches under
+it, while heap scans capture their rowid set up front — so a streaming
+SELECT reads its snapshot to completion regardless of interleaved DML,
+and ``IndexOrderScan``/``MergeJoin`` stay correct under concurrent
+writers.
 
 UPDATE/DELETE plan their scans with the same access-path planner, so
 indexed predicates touch only matching rows; under a transaction they
@@ -46,6 +51,7 @@ and shows estimated vs. actual rows per operator.
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 from itertools import islice
 from time import perf_counter
 
@@ -72,6 +78,7 @@ from repro.minidb.planner import (
     INDEX_RANGE,
     ROWID_EQ,
     ROWID_IN,
+    SEQ,
     ScanPlan,
     output_name,
     plan_scan,
@@ -88,6 +95,7 @@ from repro.minidb.vector import (
 )
 
 _EMPTY_ROW: tuple = ()
+_NO_LOCK = nullcontext()
 
 
 def _eval_value(expr: ast.Expr, params: tuple):
@@ -96,268 +104,126 @@ def _eval_value(expr: ast.Expr, params: tuple):
 
 
 def scan_rows(table: Table, plan: ScanPlan, params: tuple, snapshot=None):
-    """Yield ``[rowid, *values]`` rows according to the chosen access path.
+    """An iterator of ``[rowid, *values]`` rows along the chosen access path.
 
     The residual predicate is *not* applied here — the plan tree hangs a
     Filter node above the scan (DML paths apply it themselves).  With a
     ``snapshot``, every row resolves through its version chain and index
-    hits are re-checked against the visible version's key.
+    hits are re-checked against the visible version's key.  Point probes
+    run when this is called; rows are produced as the iterator is pulled.
     """
-    if snapshot is not None:
-        yield from _scan_rows_snapshot(table, plan, params, snapshot)
-        return
-    if plan.kind == ROWID_EQ:
-        rowid = _eval_value(plan.eq_expr, params)
-        values = table.rows.get(rowid)
-        if values is not None:
-            yield [rowid, *values]
-        return
-    if plan.kind == ROWID_IN:
-        seen: set[int] = set()
-        for item in plan.in_exprs:
-            rowid = _eval_value(item, params)
-            if rowid in seen:
-                continue
-            seen.add(rowid)
-            values = table.rows.get(rowid)
-            if values is not None:
-                yield [rowid, *values]
-        return
-    if plan.kind == INDEX_EQ:
-        index = table.indexes[plan.index_name]
-        value = _eval_value(plan.eq_expr, params)
-        for rowid in index.lookup(value):
-            yield [rowid, *table.rows[rowid]]
-        return
-    if plan.kind == INDEX_IN:
-        index = table.indexes[plan.index_name]
-        seen: set[int] = set()
-        for item in plan.in_exprs:
-            value = _eval_value(item, params)
-            for rowid in index.lookup(value):
-                if rowid not in seen:
-                    seen.add(rowid)
-                    yield [rowid, *table.rows[rowid]]
-        return
-    if plan.kind == INDEX_PREFIX:
-        index = table.indexes[plan.index_name]
-        values = tuple(
-            _eval_value(expr, params) for expr in plan.prefix_exprs
-        )
-        rows = table.rows
-        if index.kind == "hash":
-            for rowid in index.lookup_values(values):
-                yield [rowid, *rows[rowid]]
-            return
-        low = high = None
-        if plan.low_expr is not None:
-            low = _eval_value(plan.low_expr, params)
-            if low is None:
-                return  # a comparison with NULL matches nothing
-        if plan.high_expr is not None:
-            high = _eval_value(plan.high_expr, params)
-            if high is None:
-                return
-        for rowid in index.prefix_scan(
-            values, reverse=plan.descending, low=low, high=high,
-            include_low=plan.include_low, include_high=plan.include_high,
-        ):
-            yield [rowid, *rows[rowid]]
-        return
-    if plan.kind == INDEX_NULL:
-        index = table.indexes[plan.index_name]
-        for rowid in index.lookup_null():
-            yield [rowid, *table.rows[rowid]]
-        return
-    if plan.kind == INDEX_RANGE:
-        index = table.indexes[plan.index_name]
-        low = high = None
-        if plan.low_expr is not None:
-            low = _eval_value(plan.low_expr, params)
-            if low is None:
-                return  # a comparison with NULL matches nothing
-        if plan.high_expr is not None:
-            high = _eval_value(plan.high_expr, params)
-            if high is None:
-                return
-        for rowid in index.range(low, high, plan.include_low,
-                                 plan.include_high, reverse=plan.descending):
-            yield [rowid, *table.rows[rowid]]
-        return
+    if plan.kind == SEQ:
+        heap = table.scan() if snapshot is None else table.snapshot_scan(snapshot)
+        return ([rowid, *values] for rowid, values in heap)
+    groups, keyfn = _candidates(table, plan, params, snapshot)
+    return _resolve(table, groups, snapshot, keyfn)
+
+
+def _candidates(table: Table, plan: ScanPlan, params: tuple, snapshot):
+    """``(groups, keyfn)`` for an index or rowid access path.
+
+    ``groups`` iterates candidate ``(expected_key, rowids)`` pairs;
+    ``keyfn`` is what a snapshot reader re-checks a chained row's visible
+    version with (``keyfn(values) != expected_key`` marks a stale entry),
+    or None when the rowids were not reached through an index.
+    """
+    kind = plan.kind
+    if kind == ROWID_EQ or kind == ROWID_IN:
+        if kind == ROWID_EQ:
+            rowids = (_eval_value(plan.eq_expr, params),)
+        else:  # first occurrence of each rowid
+            rowids = dict.fromkeys([_eval_value(e, params) for e in plan.in_exprs])
+        if snapshot is None:  # the live resolver reads rows[rowid]
+            rowids = filter(table.rows.__contains__, rowids)
+        return ((None, rowids),), None
+    index = table.indexes[plan.index_name]
+    if kind == INDEX_NULL:
+        return ((True, index.lookup_null()),), index.null_match
+    if kind == INDEX_PREFIX and index.kind == "hash":
+        probes = (tuple(_eval_value(expr, params) for expr in plan.prefix_exprs),)
+    elif kind == INDEX_EQ or kind == INDEX_IN:
+        exprs = (plan.eq_expr,) if kind == INDEX_EQ else plan.in_exprs
+        probes = [(_eval_value(expr, params),) for expr in exprs]
+    else:
+        return _ordered_walk(index, plan, params, snapshot), index.entry_key
+    # one probe per distinct key: a row lives under exactly one key, so
+    # the groups are disjoint and IN needs no per-row dedup
+    keyed = {}
+    for values in probes:
+        if None not in values:  # SQL equality never matches NULL
+            keyed.setdefault(index.probe_key(values), values)
+    # B+tree point probes are Python-level walks; a concurrent GC/writer
+    # restructuring the tree could tear them, so a snapshot reader pulls
+    # its rowid sets under the write lock (O(log n) hold per probe)
+    with _NO_LOCK if snapshot is None else snapshot.lock:
+        groups = [(key, index.lookup_values(values))
+                  for key, values in keyed.items()]
+    return groups, index.entry_key
+
+
+def _ordered_walk(index, plan: ScanPlan, params: tuple, snapshot):
+    """The B+tree group walk behind INDEX_RANGE/PREFIX/ORDER."""
     if plan.kind == INDEX_ORDER:
-        index = table.indexes[plan.index_name]
-        rows = table.rows
-        for rowid in index.ordered_rowids(reverse=plan.descending):
-            yield [rowid, *rows[rowid]]
-        return
-    for rowid, values in table.scan():
-        yield [rowid, *values]
+        bounds = index.order_bounds()
+    else:
+        low = high = None
+        if plan.low_expr is not None:
+            low = _eval_value(plan.low_expr, params)
+            if low is None:
+                return ()  # a comparison with NULL matches nothing
+        if plan.high_expr is not None:
+            high = _eval_value(plan.high_expr, params)
+            if high is None:
+                return ()
+        if plan.kind == INDEX_RANGE:
+            bounds = index.range_bounds(low, high, plan.include_low,
+                                        plan.include_high)
+        else:
+            bounds = index.prefix_bounds(
+                tuple(_eval_value(expr, params) for expr in plan.prefix_exprs),
+                low=low, high=high,
+                include_low=plan.include_low, include_high=plan.include_high,
+            )
+            if bounds is None:
+                return ()
+    return index.group_walk(bounds, reverse=plan.descending,
+                            lock=snapshot.lock if snapshot is not None else None)
 
 
-def _fetch_version(table: Table, rowid: int, snapshot, index=None,
-                   expected_key=None):
-    """The values of ``rowid`` visible to ``snapshot``, or None.
+def _resolve(table: Table, groups, snapshot, keyfn):
+    """Turn candidate ``(expected_key, rowids)`` groups into rows.
 
-    With ``index``/``expected_key`` the visible version's key is
-    re-checked against the entry it was reached through — an index keeps
-    entries for *all* live versions until GC, so a probe can surface a
-    rowid whose visible version lives under a different key (skip it:
-    the walk meets that version at its own entry, exactly once).
+    Without a snapshot each rowid reads its live row.  With one, a rowid
+    with a version chain resolves to the version the snapshot sees, and
+    that version must still carry the entry's key: an index keeps entries
+    for *all* live versions until GC, so a probe can surface a rowid
+    whose visible version lives under a different key (skip it — the walk
+    meets that version at its own entry, exactly once).
     """
-    # rows is read BEFORE versions: writers publish the chain first, so a
-    # reader that finds no chain holds a pre-mutation row value (the entry
-    # and the live row are in sync — the current values are the version)
-    row = table.rows.get(rowid)
-    chain = table.versions.get(rowid)
-    if chain is None:
-        return row
-    version = visible_version(chain, snapshot)
-    if version is None:
-        return None
-    if expected_key is not None and index.entry_key(version.values) != expected_key:
-        return None
-    return version.values
-
-
-def _walk_groups(index, bounds, reverse, table, snapshot):
-    """Resolve a batched B+tree group walk through the snapshot."""
-    if bounds is None:
+    if snapshot is None:
+        rows = table.rows
+        for _key, rowids in groups:
+            for rowid in rowids:
+                yield [rowid, *rows[rowid]]
         return
-    for key, rowids in index.group_walk(bounds, reverse=reverse,
-                                        lock=snapshot.lock):
+    rows_get = table.rows.get
+    versions_get = table.versions.get
+    for key, rowids in groups:
         for rowid in rowids:
-            values = table.rows.get(rowid)   # rows before versions (see
-            chain = table.versions.get(rowid)  # _fetch_version)
+            # rows before versions: writers publish the chain first, so a
+            # reader that finds no chain holds a pre-mutation row value
+            # (the entry and the live row are in sync)
+            values = rows_get(rowid)
+            chain = versions_get(rowid)
             if chain is not None:
                 version = visible_version(chain, snapshot)
                 if version is None:
                     continue
                 values = version.values
-                if index.entry_key(values) != key:
+                if keyfn is not None and keyfn(values) != key:
                     continue  # stale entry: this version lives elsewhere
             if values is not None:
                 yield [rowid, *values]
-
-
-def _scan_rows_snapshot(table: Table, plan: ScanPlan, params: tuple, snapshot):
-    """The MVCC twin of :func:`scan_rows`: same access paths, version-
-    chain resolution, concurrent-mutation-safe iteration."""
-    kind = plan.kind
-    if kind == ROWID_EQ:
-        rowid = _eval_value(plan.eq_expr, params)
-        values = table.read_visible(rowid, snapshot)
-        if values is not None:
-            yield [rowid, *values]
-        return
-    if kind == ROWID_IN:
-        seen: set[int] = set()
-        for item in plan.in_exprs:
-            rowid = _eval_value(item, params)
-            if rowid in seen:
-                continue
-            seen.add(rowid)
-            values = table.read_visible(rowid, snapshot)
-            if values is not None:
-                yield [rowid, *values]
-        return
-    if kind == INDEX_EQ:
-        index = table.indexes[plan.index_name]
-        value = _eval_value(plan.eq_expr, params)
-        expected = index.probe_key((value,)) if value is not None else None
-        with snapshot.lock:
-            # B+tree point probes are Python-level walks; a concurrent
-            # GC/writer restructuring the tree could tear them, so the
-            # rowid set is pulled under the write lock (O(log n) hold)
-            rowids = tuple(index.lookup(value))
-        for rowid in rowids:
-            values = _fetch_version(table, rowid, snapshot, index, expected)
-            if values is not None:
-                yield [rowid, *values]
-        return
-    if kind == INDEX_IN:
-        index = table.indexes[plan.index_name]
-        seen = set()
-        for item in plan.in_exprs:
-            value = _eval_value(item, params)
-            if value is None:
-                continue
-            expected = index.probe_key((value,))
-            with snapshot.lock:
-                rowids = tuple(index.lookup(value))
-            for rowid in rowids:
-                if rowid in seen:
-                    continue
-                seen.add(rowid)
-                values = _fetch_version(table, rowid, snapshot, index, expected)
-                if values is not None:
-                    yield [rowid, *values]
-        return
-    if kind == INDEX_PREFIX:
-        index = table.indexes[plan.index_name]
-        values = tuple(
-            _eval_value(expr, params) for expr in plan.prefix_exprs
-        )
-        if index.kind == "hash":
-            if any(v is None for v in values):
-                return
-            expected = index.probe_key(values)
-            with snapshot.lock:
-                rowids = tuple(index.lookup_values(values))
-            for rowid in rowids:
-                row = _fetch_version(table, rowid, snapshot, index, expected)
-                if row is not None:
-                    yield [rowid, *row]
-            return
-        low = high = None
-        if plan.low_expr is not None:
-            low = _eval_value(plan.low_expr, params)
-            if low is None:
-                return
-        if plan.high_expr is not None:
-            high = _eval_value(plan.high_expr, params)
-            if high is None:
-                return
-        bounds = index.prefix_bounds(
-            values, low=low, high=high,
-            include_low=plan.include_low, include_high=plan.include_high,
-        )
-        yield from _walk_groups(index, bounds, plan.descending, table, snapshot)
-        return
-    if kind == INDEX_NULL:
-        index = table.indexes[plan.index_name]
-        for rowid in index.lookup_null():
-            values = table.rows.get(rowid)   # rows before versions (see
-            chain = table.versions.get(rowid)  # _fetch_version)
-            if chain is not None:
-                version = visible_version(chain, snapshot)
-                if version is None or not index.null_match(version.values):
-                    continue
-                values = version.values
-            if values is not None:
-                yield [rowid, *values]
-        return
-    if kind == INDEX_RANGE:
-        index = table.indexes[plan.index_name]
-        low = high = None
-        if plan.low_expr is not None:
-            low = _eval_value(plan.low_expr, params)
-            if low is None:
-                return
-        if plan.high_expr is not None:
-            high = _eval_value(plan.high_expr, params)
-            if high is None:
-                return
-        bounds = index.range_bounds(low, high, plan.include_low,
-                                    plan.include_high)
-        yield from _walk_groups(index, bounds, plan.descending, table, snapshot)
-        return
-    if kind == INDEX_ORDER:
-        index = table.indexes[plan.index_name]
-        yield from _walk_groups(index, index.order_bounds(), plan.descending,
-                                table, snapshot)
-        return
-    for rowid, values in table.snapshot_scan(snapshot):
-        yield [rowid, *values]
 
 
 # ---------------------------------------------------------------------------
@@ -569,41 +435,17 @@ def _exec_hash_join(node: nodes.HashJoin, params, snapshot, counters):
     return run()
 
 
-def _merge_groups(node: nodes.MergeJoin, snapshot):
-    """The build side's ``(key, [right_row, ...])`` stream for a merge join.
-
-    Fast path: raw B+tree groups over live rows.  Snapshot path: batched
-    re-seeking walk with per-version key re-checks, so the ordered stream
-    stays correct under concurrent writers.
-    """
-    if snapshot is None:
-        stored_rows = node.table.rows
-        for key, rowids in node.index.ordered_groups():
-            yield key, rowids, stored_rows
-        return
-    table = node.table
-    index = node.index
-    for key, rowids in index.group_walk(index.merge_bounds(),
-                                        lock=snapshot.lock):
-        resolved = []
-        for rowid in rowids:
-            values = table.rows.get(rowid)   # rows before versions (see
-            chain = table.versions.get(rowid)  # _fetch_version)
-            if chain is not None:
-                version = visible_version(chain, snapshot)
-                if version is None or index.entry_key(version.values) != key:
-                    continue
-                values = version.values
-            if values is not None:
-                resolved.append((rowid, values))
-        yield key, resolved, None
-
-
 def _exec_merge_join(node: nodes.MergeJoin, params, snapshot, counters):
     def run():
         right_filter = node.right_filter_fn
         residual_fn = node.residual_fn
-        groups = _merge_groups(node, snapshot)
+        table = node.table
+        index = node.index
+        # the build side: B+tree groups in key order, NULL group skipped
+        groups = index.group_walk(
+            index.merge_bounds(),
+            lock=snapshot.lock if snapshot is not None else None,
+        )
         left_pos = node.left_pos
         if counters is not None:
             # the build subtree is walked here, not via _run_node; attribute
@@ -617,7 +459,6 @@ def _exec_merge_join(node: nodes.MergeJoin, params, snapshot, counters):
                 counters.setdefault(id(filter_node), 0)
         cur_key = None
         cur_rowids = ()
-        cur_stored = None
         cur_rows: list | None = None
         exhausted = False
         for left in _run_node(node.left, params, snapshot, counters):
@@ -627,7 +468,7 @@ def _exec_merge_join(node: nodes.MergeJoin, params, snapshot, counters):
             key = sort_key(value)
             while not exhausted and (cur_key is None or cur_key < key):
                 try:
-                    cur_key, cur_rowids, cur_stored = next(groups)
+                    cur_key, cur_rowids = next(groups)
                     cur_rows = None
                 except StopIteration:
                     exhausted = True
@@ -637,12 +478,8 @@ def _exec_merge_join(node: nodes.MergeJoin, params, snapshot, counters):
                 continue
             if cur_rows is None:  # materialize the group once per key
                 cur_rows = []
-                if cur_stored is not None:
-                    pairs = ((rowid, cur_stored[rowid]) for rowid in cur_rowids)
-                else:
-                    pairs = iter(cur_rowids)
-                for rowid, values in pairs:
-                    right = [rowid, *values]
+                for right in _resolve(table, ((cur_key, cur_rowids),),
+                                      snapshot, index.entry_key):
                     if counters is not None:
                         counters[id(scan_node)] += 1
                     if right_filter is None or truthy(right_filter(right, params)):

@@ -22,6 +22,7 @@ Both index kinds cover one **or more** columns:
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Sequence
 
 from repro.errors import IntegrityError, SerializationError
@@ -30,8 +31,11 @@ from repro.minidb.invariants import holds_write_lock
 from repro.minidb.expressions import sort_key
 
 #: sorts above every real key component ((rank, primitive) with rank <= 2),
-#: used to build the exclusive upper bound of a composite prefix scan
+#: used to build the exclusive upper bound of a composite prefix walk
 _ABOVE_ANY_COMPONENT = (3,)
+
+#: groups a locked :meth:`BTreeIndex.group_walk` pulls per lock hold
+_WALK_BATCH = 64
 
 
 def normalize_key(value):
@@ -384,7 +388,7 @@ class BTreeIndex(_IndexBase):
         if any(row[p] is None for p in self.positions):
             self.null_rowids.add(rowid)
 
-    # -- point and prefix lookups --------------------------------------------
+    # -- point lookups ---------------------------------------------------------
 
     def lookup_values(self, values: tuple) -> set:
         """Rowids whose columns equal ``values`` (empty when any is NULL)."""
@@ -396,32 +400,62 @@ class BTreeIndex(_IndexBase):
         """Rowids whose indexed key contains a NULL (``IS NULL`` scans)."""
         return set(self.null_rowids)
 
-    def prefix_scan(self, values: tuple, reverse: bool = False,
-                    low=None, high=None, include_low: bool = True,
-                    include_high: bool = True) -> Iterator[int]:
-        """Rowids whose first ``len(values)`` columns equal ``values``,
-        ordered (asc, or desc with ``reverse``) by the remaining columns.
+    # -- bounded walks ---------------------------------------------------------
+    #
+    # Every ordered read works out its tree-key bounds with one of the
+    # ``*_bounds`` methods and walks them with :meth:`group_walk`, whether
+    # it reads live rows or resolves an MVCC snapshot.
+
+    def order_bounds(self) -> tuple:
+        """Tree-key bounds of a full ordered walk.  NULL keys come first
+        ascending, last descending — the executor's sort-key semantics."""
+        return (None, None, True, True)
+
+    def merge_bounds(self) -> tuple:
+        """Tree-key bounds of the ascending walk a merge join consumes:
+        every key except the NULL group (NULL join keys never match)."""
+        self._require_single("merge_bounds")
+        return (sort_key(None), None, False, True)
+
+    def range_bounds(self, low=None, high=None, include_low: bool = True,
+                     include_high: bool = True) -> tuple:
+        """Tree-key bounds of the keys between ``low`` and ``high``.
+
+        NULLs never satisfy a comparison, so an unbounded-low walk starts
+        just past the NULL key instead of sweeping it up; numbers sort
+        before text, so an unbounded-high walk reaches text keys.
+        """
+        self._require_single("range_bounds")
+        if low is None:
+            low_key, include_low = sort_key(None), False
+        else:
+            low_key = sort_key(low)
+        high_key = sort_key(high) if high is not None else None
+        return (low_key, high_key, include_low, include_high)
+
+    def prefix_bounds(self, values: tuple, low=None, high=None,
+                      include_low: bool = True,
+                      include_high: bool = True) -> tuple | None:
+        """Tree-key bounds of the keys whose first ``len(values)`` columns
+        equal ``values`` — walked in order of the remaining columns — or
+        None when the walk can match nothing (a NULL component: SQL
+        equality).
 
         ``low``/``high`` additionally bound the *next* index column after
         the equality prefix, so ``WHERE cat = ? AND val > ? ORDER BY val``
         on a ``(cat, val)`` index seeds the leaf walk at the range bound
-        instead of filtering a residual.  A bounded walk never yields NULL
+        instead of filtering a residual.  A bounded walk never reaches NULL
         suffix values (SQL comparisons never match NULL); an unbounded one
         keeps them (ORDER BY includes NULLs).
-
-        Any NULL prefix component yields nothing — this implements SQL
-        equality.
         """
         if any(v is None for v in values):
-            return
-        k = len(values)
-        if k == self.n_columns and low is None and high is None:
-            # full-key equality: order among duplicates is unconstrained
-            yield from self.lookup_values(values)
-            return
+            return None
+        if len(values) == self.n_columns and low is None and high is None:
+            key = self._key(values)
+            return (key, key, True, True)
         prefix = tuple(sort_key(v) for v in values)
         # synthesized bounds compare against real keys without ever equaling
-        # one, so the tree scan always runs [low_key, high_key)
+        # one, so the walk always runs [low_key, high_key)
         if low is not None:
             if include_low:
                 low_key = prefix + (sort_key(low),)
@@ -439,145 +473,55 @@ class BTreeIndex(_IndexBase):
                 high_key = prefix + (sort_key(high),)
         else:
             high_key = prefix + (_ABOVE_ANY_COMPONENT,)
-        scan = self._tree.range_scan_desc if reverse else self._tree.range_scan
-        for _key, rowids in scan(low_key, high_key, True, False):
-            yield from rowids
-
-    def ordered_groups(self) -> Iterator[tuple]:
-        """``(sort_key, rowids)`` groups in ascending key order, skipping the
-        NULL-key group — the pre-grouped stream a merge join consumes."""
-        self._require_single("ordered_groups")
-        for key, rowids in self._tree.range_scan(sort_key(None), None, False):
-            yield key, rowids
-
-    # -- snapshot-safe bounded walks (MVCC read path) -------------------------
-
-    def order_bounds(self) -> tuple:
-        """Tree-key bounds of a full ordered walk."""
-        return (None, None, True, True)
-
-    def merge_bounds(self) -> tuple:
-        """Tree-key bounds of :meth:`ordered_groups` (NULL group skipped)."""
-        self._require_single("merge_bounds")
-        return (sort_key(None), None, False, True)
-
-    def range_bounds(self, low=None, high=None, include_low: bool = True,
-                     include_high: bool = True) -> tuple:
-        """Tree-key bounds equivalent to :meth:`range`'s walk."""
-        self._require_single("range_bounds")
-        if low is None:
-            low_key, include_low = sort_key(None), False
-        else:
-            low_key = sort_key(low)
-        high_key = sort_key(high) if high is not None else None
-        return (low_key, high_key, include_low, include_high)
-
-    def prefix_bounds(self, values: tuple, low=None, high=None,
-                      include_low: bool = True,
-                      include_high: bool = True) -> tuple | None:
-        """Tree-key bounds equivalent to :meth:`prefix_scan`'s walk, or
-        None when the scan can match nothing (a NULL component)."""
-        if any(v is None for v in values):
-            return None
-        if len(values) == self.n_columns and low is None and high is None:
-            key = self._key(values)
-            return (key, key, True, True)
-        prefix = tuple(sort_key(v) for v in values)
-        if low is not None:
-            if include_low:
-                low_key = prefix + (sort_key(low),)
-            else:
-                low_key = prefix + (sort_key(low), _ABOVE_ANY_COMPONENT)
-        elif high is not None:
-            low_key = prefix + (sort_key(None), _ABOVE_ANY_COMPONENT)
-        else:
-            low_key = prefix
-        if high is not None:
-            if include_high:
-                high_key = prefix + (sort_key(high), _ABOVE_ANY_COMPONENT)
-            else:
-                high_key = prefix + (sort_key(high),)
-        else:
-            high_key = prefix + (_ABOVE_ANY_COMPONENT,)
         return (low_key, high_key, True, False)
 
-    def group_walk(self, bounds: tuple, reverse: bool = False, lock=None,
-                   batch: int = 64) -> Iterator[tuple]:
-        """``(tree_key, rowids_tuple)`` groups between ``bounds``, safe
-        under concurrent mutation.
+    def group_walk(self, bounds: tuple, reverse: bool = False,
+                   lock=None) -> Iterator[tuple]:
+        """``(tree_key, rowids)`` groups between ``bounds``, in key order
+        (descending with ``reverse``).
 
-        Up to ``batch`` groups are pulled per ``lock`` acquisition (the
-        database's write lock), then the walk *re-seeks* past the last
-        key with a fresh root descent — a writer splitting leaves between
-        batches cannot tear the iteration, and the lock is never held
-        while the consumer processes rows.  Snapshot readers pair this
-        with a per-version key re-check, so duplicate or stale entries
-        encountered across batches resolve to exactly-once results.
+        With ``lock=None`` this is one straight leaf walk: the caller
+        guarantees no concurrent mutation (the single-session fast path).
+        With ``lock`` (the database's write lock), up to
+        :data:`_WALK_BATCH` groups are pulled per acquisition, then the
+        walk *re-seeks* past the last key with a fresh root descent — a
+        writer splitting leaves between batches cannot tear the iteration,
+        and the lock is never held while the consumer processes rows.
+        Snapshot readers pair this with a per-version key re-check, so
+        duplicate or stale entries met across batches resolve to
+        exactly-once results.
         """
+        scan = self._tree.range_scan_desc if reverse else self._tree.range_scan
+        if lock is None:
+            return scan(*bounds)
+        return self._batched_walk(scan, bounds, reverse, lock)
+
+    @staticmethod
+    def _batched_walk(scan, bounds: tuple, reverse: bool,
+                      lock) -> Iterator[tuple]:
         low_key, high_key, include_low, include_high = bounds
         while True:
-            got: list[tuple] = []
-            if lock is not None:
-                lock.acquire()
-            try:
-                scan = (
-                    self._tree.range_scan_desc if reverse
-                    else self._tree.range_scan
-                )
-                for key, rowids in scan(low_key, high_key,
-                                        include_low, include_high):
-                    got.append((key, tuple(rowids)))
-                    if len(got) >= batch:
-                        break
-            finally:
-                if lock is not None:
-                    lock.release()
-            for item in got:
-                yield item
-            if len(got) < batch:
+            with lock:
+                got = list(islice(
+                    scan(low_key, high_key, include_low, include_high),
+                    _WALK_BATCH,
+                ))
+            yield from got
+            if len(got) < _WALK_BATCH:
                 return
-            last_key = got[-1][0]
             if reverse:
-                high_key, include_high = last_key, False
+                high_key, include_high = got[-1][0], False
             else:
-                low_key, include_low = last_key, False
+                low_key, include_low = got[-1][0], False
 
-    # -- ordered walks ---------------------------------------------------------
-
-    def ordered_rowids(self, reverse: bool = False) -> Iterator[int]:
-        """Every indexed rowid in full key order (reverse walks the leaf
-        chain backward).  NULL keys come first ascending, last descending —
-        matching the executor's sort-key semantics."""
-        scan = self._tree.range_scan_desc if reverse else self._tree.range_scan
-        for _key, rowids in scan(None, None):
-            yield from rowids
-
-    # -- legacy single-value range API ------------------------------------------
-
-    def range(self, low=None, high=None, include_low: bool = True,
-              include_high: bool = True, reverse: bool = False) -> Iterator[int]:
-        """Yield rowids with column values in the given range, in key order
-        (descending with ``reverse`` — the walk behind
-        ``WHERE col > ? ORDER BY col DESC``).
-
-        NULLs never satisfy a comparison, so an unbounded-low scan starts
-        just past the NULL key instead of sweeping it up.
-        """
-        self._require_single("range")
-        if low is None:
-            low_key, include_low = sort_key(None), False
-        else:
-            low_key = sort_key(low)
-        high_key = sort_key(high) if high is not None else None
-        scan = self._tree.range_scan_desc if reverse else self._tree.range_scan
-        for _, rowids in scan(low_key, high_key, include_low, include_high):
-            yield from rowids
+    # -- numeric helpers (the outlier detector's tail scans) -------------------
 
     def numeric_range(self, low=None, high=None, include_low: bool = True,
                       include_high: bool = True) -> Iterator[int]:
-        """Like :meth:`range` but never crosses into text keys.
+        """Rowids with numeric values in the given range, never crossing
+        into text keys.
 
-        Text sorts above every number, so an unbounded-high scan would
+        Text sorts above every number, so an unbounded-high walk would
         otherwise sweep up contaminating text values.  The outlier detector
         uses this for its two tail scans.
         """

@@ -133,8 +133,13 @@ class Table:
     # -- ingest --------------------------------------------------------------
 
     def coerce(self, position: int, value):
-        """Apply the column's type affinity to ``value``."""
-        if value is None:
+        """Apply the column's type affinity to ``value``.
+
+        A NaN — the only value unequal to itself — is stored as NULL in
+        every affinity (SQLite's rule, and the frame's, where NaN reads as
+        missing).
+        """
+        if value is None or value != value:
             return None
         affinity = self.schema.columns[position].affinity
         if affinity == NONE:
@@ -211,21 +216,6 @@ class Table:
                     f"row in {self.name!r} was modified by transaction "
                     f"{stamp}, which committed after this one began"
                 )
-
-    def read_visible(self, rowid: int, snapshot) -> list | None:
-        """The values of ``rowid`` as ``snapshot`` sees them, or None.
-
-        Read order matters for lock-free readers: ``rows`` is read
-        *before* ``versions`` while writers publish the chain *before*
-        mutating ``rows`` — so a reader that finds no chain is holding a
-        row value that predates any in-flight versioned mutation.
-        """
-        row = self.rows.get(rowid)
-        chain = self.versions.get(rowid)
-        if chain is None:
-            return row
-        version = visible_version(chain, snapshot)
-        return version.values if version is not None else None
 
     # -- mutation ---------------------------------------------------------------
 

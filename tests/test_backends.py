@@ -215,6 +215,22 @@ class TestRollbackKeepsTypes:
         if kind == "frame":
             assert backend.frame["x"].dtype == "int64"
 
+    @pytest.mark.parametrize("kind", ["sql", "frame"])
+    def test_multi_row_delete_undo_in_mixed_column(self, kind):
+        """Undo re-inserts each deleted cell with the type it had (on the
+        frame an int stays an int; SQL's REAL affinity stores 0 as 0.0)."""
+        backend = make_backend(DataFrame.from_dict({"x": [0, "x", 2.5, 3]}), kind)
+
+        def typed():
+            return [(type(v), v) for v in backend.values("x", [1, 2, 3, 4])]
+
+        before = typed()
+        if kind == "frame":
+            assert before == [(int, 0), (str, "x"), (float, 2.5), (int, 3)]
+        delta = backend.delete_rows([1, 3])
+        backend.apply_delta(delta.inverse())
+        assert typed() == before
+
     def test_committed_float_stays(self):
         backend = self._ints("frame")
         backend.set_cells("x", [1], value=2.5)
@@ -273,6 +289,28 @@ class TestSQLSpecific:
         backend.ensure_index("country")
         plan = backend.db.explain('SELECT rowid FROM data WHERE "country" = ?')
         assert "IndexEqScan" in plan
+
+    def test_nan_is_stored_as_null(self):
+        """A NaN written through SQL is NULL in every affinity (SQLite's
+        rule): it reads back as missing and leaves no stray B+tree entry."""
+        frame = DataFrame.from_dict({
+            "i": list(range(40)),
+            "t": [f"s{k}" for k in range(40)],
+            "r": [k + 0.5 for k in range(40)],
+        })
+        backend = SQLBackend.from_frame(frame)
+        for column in ("i", "t", "r"):
+            backend.db.execute(
+                f'CREATE INDEX bt_{column} ON data ("{column}") USING btree')
+        nan_rows = [3, 17, 18, 31]
+        for column in ("i", "t", "r"):
+            backend.set_cells(column, nan_rows, value=float("nan"))
+            assert backend.values(column, nan_rows) == [None] * 4
+            assert sorted(backend.missing_row_ids(column)) == nan_rows
+        backend.delete_rows([3, 18, 31, 5])
+        for column in ("i", "t", "r"):
+            assert len(backend._table.indexes[f"bt_{column}"]) == backend.row_count()
+        assert backend.missing_row_ids("r") == [17]
 
     def test_set_cells_replay_matches_stored_state(self):
         """Regression: the snapshot must record exactly what SQL stored.

@@ -6,6 +6,14 @@ from repro.errors import IntegrityError
 from repro.minidb.hash_index import BTreeIndex, HashIndex, normalize_key
 
 
+def walk(index: BTreeIndex, bounds, reverse: bool = False) -> list:
+    """Rowids of a live group walk between ``bounds``, in walk order."""
+    if bounds is None:
+        return []
+    return [rowid for _key, rowids in index.group_walk(bounds, reverse=reverse)
+            for rowid in rowids]
+
+
 class TestNormalizeKey:
     def test_int_float_equivalence(self):
         assert normalize_key(1) == normalize_key(1.0)
@@ -65,8 +73,8 @@ class TestBTreeIndex:
         index.insert(10, 1)
         index.insert(20, 2)
         index.insert("12k", 3)
-        assert set(index.range(15, None)) == {2, 3}
-        assert set(index.range(None, 15)) == {1}
+        assert set(walk(index, index.range_bounds(15, None))) == {2, 3}
+        assert set(walk(index, index.range_bounds(None, 15))) == {1}
 
     def test_nulls_are_indexed_and_tracked(self):
         """NULL-aware keys: NULL rows live in the tree (sorted first) and
@@ -77,8 +85,8 @@ class TestBTreeIndex:
         assert len(index) == 2
         assert index.null_rowids == {1}
         assert index.lookup_null() == {1}
-        assert list(index.ordered_rowids()) == [1, 2]  # NULL sorts first
-        assert list(index.ordered_rowids(reverse=True)) == [2, 1]
+        assert walk(index, index.order_bounds()) == [1, 2]  # NULL sorts first
+        assert walk(index, index.order_bounds(), reverse=True) == [2, 1]
         index.remove(None, 1)
         assert index.null_rowids == set()
 
@@ -87,8 +95,8 @@ class TestBTreeIndex:
         index.insert(None, 1)
         index.insert(3, 2)
         assert index.lookup(None) == set()
-        assert set(index.range(None, None)) == {2}  # unbounded skips NULLs
-        assert set(index.range(None, 10)) == {2}
+        assert set(walk(index, index.range_bounds(None, None))) == {2}  # unbounded skips NULLs
+        assert set(walk(index, index.range_bounds(None, 10))) == {2}
 
     def test_unique_violation(self):
         index = BTreeIndex("i", "c", 0, unique=True)
@@ -121,11 +129,11 @@ class TestCompositeBTreeIndex:
     def test_prefix_scan_orders_by_suffix(self):
         index = self._index()
         # NULL val first, then numbers ascending, then text
-        assert list(index.prefix_scan(("a",))) == [4, 2, 1, 6]
+        assert walk(index, index.prefix_bounds(("a",))) == [4, 2, 1, 6]
 
     def test_prefix_scan_reverse(self):
         index = self._index()
-        assert list(index.prefix_scan(("a",), reverse=True)) == [6, 1, 2, 4]
+        assert walk(index, index.prefix_bounds(("a",)), reverse=True) == [6, 1, 2, 4]
 
     def test_full_key_lookup(self):
         index = self._index()
@@ -135,7 +143,7 @@ class TestCompositeBTreeIndex:
 
     def test_null_prefix_matches_nothing(self):
         index = self._index()
-        assert list(index.prefix_scan((None,))) == []
+        assert walk(index, index.prefix_bounds((None,))) == []
         assert index.lookup_values((None, 9.0)) == set()
 
     def test_null_rowids_track_any_component(self):
@@ -145,15 +153,15 @@ class TestCompositeBTreeIndex:
     def test_ordered_rowids_full_walk(self):
         index = self._index()
         # (NULL, 9) < (a, NULL) < (a, 1) < (a, 3) < (a, '12k') < (b, 2)
-        assert list(index.ordered_rowids()) == [5, 4, 2, 1, 6, 3]
-        assert list(index.ordered_rowids(reverse=True)) == [3, 6, 1, 2, 4, 5]
+        assert walk(index, index.order_bounds()) == [5, 4, 2, 1, 6, 3]
+        assert walk(index, index.order_bounds(), reverse=True) == [3, 6, 1, 2, 4, 5]
 
     def test_remove_row_keeps_tracking_consistent(self):
         index = self._index()
         index.remove_row(["a", None], 4)
         index.remove_row([None, 9.0], 5)
         assert index.null_rowids == set()
-        assert list(index.prefix_scan(("a",))) == [2, 1, 6]
+        assert walk(index, index.prefix_bounds(("a",))) == [2, 1, 6]
 
     def test_unique_composite(self):
         index = BTreeIndex("i", ("a", "b"), (0, 1), unique=True)
@@ -166,7 +174,7 @@ class TestCompositeBTreeIndex:
     def test_single_column_helpers_rejected(self):
         index = BTreeIndex("i", ("a", "b"), (0, 1))
         with pytest.raises(ValueError):
-            list(index.range(1, 2))
+            index.range_bounds(1, 2)
         with pytest.raises(ValueError):
             index.numeric_min()
 

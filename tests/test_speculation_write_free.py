@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.base import ViewMiss
 from repro.config import BuckarooConfig
 from repro.core.session import BuckarooSession
 from repro.core.types import OP_DELETE_ROWS, OP_SET_CELLS, PlanOp, RepairPlan
@@ -36,16 +35,13 @@ ROW = st.tuples(st.sampled_from(["a", "b", None]), st.sampled_from([1, 2, None])
 ROW_ID = st.one_of(st.integers(1, 4), st.integers(1, 16))
 
 
-def _ops(kind: str):
+def _ops():
     """Random plan ops: deletes, and writes of a new or existing category
-    into a categorical column or of any cell into a numerical one.  NaN is
-    written on the frame only: on SQL the write-and-rollback reference
-    itself breaks on it (a NaN has no place in the B+tree order), which is
-    why the view refuses it there."""
-    nan = st.just(float("nan")) if kind == "frame" else st.nothing()
+    into a categorical column or of any cell into a numerical one,
+    including NaN (stored as NULL on SQL, read as missing on the frame)."""
     written = {
         **dict.fromkeys(CATS, st.sampled_from(["a", "b", "new", 1, 3, None])),
-        **dict.fromkeys(NUMS, st.one_of(CELL, nan)),
+        **dict.fromkeys(NUMS, st.one_of(CELL, st.just(float("nan")))),
     }
     return st.one_of(
         st.builds(lambda rows: PlanOp(OP_DELETE_ROWS, tuple(rows)),
@@ -140,7 +136,7 @@ def test_write_free_scoring_matches_write_and_rollback(kind, scope, rows, data):
     for key in session.groups():
         for plan in engine.candidate_plans(key):
             _check(session, plan)
-    for ops in data.draw(st.lists(st.lists(_ops(kind), min_size=1, max_size=3),
+    for ops in data.draw(st.lists(st.lists(_ops(), min_size=1, max_size=3),
                                   max_size=4)):
         _check(session, RepairPlan("random", None, None, ops, description="random"))
 
@@ -169,13 +165,6 @@ def test_frame_widening_takes_the_write_and_rollback_path():
     session.undo()
     _check(session, plan)
     assert session.speculate(plan).introduced == 1   # row 3's NaN reads as missing
-
-
-def test_sql_refuses_to_classify_nan():
-    backend = make_session("sql").backend
-    assert backend.classify("income", [1.0, None, "12k"]) == [1.0, None, "12k"]
-    with pytest.raises(ViewMiss):
-        backend.classify("income", [float("nan")])
 
 
 @pytest.mark.parametrize("kind", ["sql", "frame"])

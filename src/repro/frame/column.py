@@ -79,16 +79,22 @@ class Column:
         return _to_python(self._data[position], self.dtype)
 
     def __iter__(self) -> Iterator:
-        data, valid, dtype = self._data, self._valid, self.dtype
-        for i in range(len(data)):
-            yield _to_python(data[i], dtype) if valid[i] else None
+        return iter(self.to_list())
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, dtype={self.dtype}, len={len(self)}, missing={self.n_missing})"
 
     def to_list(self) -> list:
-        """Materialize Python values, with ``None`` for missing cells."""
-        return list(self)
+        """Materialize Python values, with ``None`` for missing cells.
+
+        The whole storage array converts at once (``ndarray.tolist`` gives
+        the same Python types ``__getitem__`` does); missing positions are
+        then overwritten with ``None``.
+        """
+        values = self._data.tolist()
+        for position in np.flatnonzero(~self._valid).tolist():
+            values[position] = None
+        return values
 
     def equals(self, other: "Column") -> bool:
         """Value equality: same length, same missing pattern, same values."""

@@ -81,6 +81,54 @@ class BTree:
             self.root = new_root
 
     @holds_write_lock
+    def load_sorted(self, items: list) -> None:
+        """Fill an empty tree bottom-up from ``(key, rowids)`` pairs in
+        strictly ascending key order (each ``rowids`` a non-empty set the
+        tree takes ownership of).
+
+        Leaves are packed ``order`` keys full and chained; each internal
+        level above groups up to ``order + 1`` children, with the first
+        key under every child but the first as its separator.  Later
+        inserts split the packed nodes as usual.
+        """
+        if self._n_entries:
+            raise ValueError("load_sorted() needs an empty tree")
+        if not items:
+            return
+        order = self.order
+        level = []  # (first key below, node) per node of the level
+        prev = None
+        for start in range(0, len(items), order):
+            leaf = _Leaf()
+            chunk = items[start:start + order]
+            leaf.keys = [key for key, _rowids in chunk]
+            leaf.values = [rowids for _key, rowids in chunk]
+            leaf.prev = prev
+            if prev is not None:
+                prev.next = leaf
+            prev = leaf
+            level.append((leaf.keys[0], leaf))
+        while len(level) > 1:
+            # spread the children evenly so no internal node is left
+            # with a lone child
+            groups = -(-len(level) // (order + 1))
+            size, extra = divmod(len(level), groups)
+            parents = []
+            start = 0
+            for g in range(groups):
+                end = start + size + (1 if g < extra else 0)
+                node = _Internal()
+                children = level[start:end]
+                node.keys = [first for first, _child in children[1:]]
+                node.children = [child for _first, child in children]
+                parents.append((children[0][0], node))
+                start = end
+            level = parents
+        self.root = level[0][1]
+        self._n_keys = len(items)
+        self._n_entries = sum(len(rowids) for _key, rowids in items)
+
+    @holds_write_lock
     def remove(self, key, rowid: int) -> bool:
         """Remove the pair; returns False when it was not present."""
         node = self._find_leaf(key)

@@ -283,12 +283,16 @@ class Database:
     def insert_rows(self, table_name: str, rows) -> list[int]:
         """Bulk-insert value tuples directly (fast path for data loading).
 
-        One durability barrier covers the whole batch: the WAL is synced
-        once at the end instead of per row.
+        The batch is all or nothing (:meth:`Table.insert_many`): arity is
+        checked and values coerced before any row is stored, and a
+        storage error mid-batch takes the rows already inserted back out.
+        Every row gets its own change event and WAL record; one
+        durability barrier covers the whole batch — the WAL is synced once
+        at the end instead of per row.
         """
         table = self.table(table_name)
         with self.txn.lock:
-            rowids = [table.insert(list(row)) for row in rows]
+            rowids = table.insert_many(rows)
         self._wal_barrier()
         return rowids
 

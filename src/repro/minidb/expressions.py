@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.errors import ExecutionError, PlanningError
 from repro.minidb import ast_nodes as ast
-from repro.minidb.functions import call_scalar, is_aggregate
+from repro.minidb.functions import call_scalar, huge_int_key, is_aggregate
 
 RowFn = Callable[[tuple, tuple], object]
 """Compiled expression: ``fn(row, params) -> value``."""
@@ -194,7 +194,10 @@ def sort_key(value):
     if value is None:
         return (0, 0.0)
     if _is_number(value) or isinstance(value, bool):
-        return (1, float(value))
+        try:
+            return (1, float(value))
+        except OverflowError:
+            return huge_int_key(1, value)
     return (2, str(value))
 
 

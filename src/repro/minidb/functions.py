@@ -343,9 +343,23 @@ def _as_number(value) -> float | None:
 
 
 def _sort_key(value):
-    """Order values across storage classes: numbers < text."""
+    """Order values across storage classes: numbers < text.
+
+    An integer beyond float range sorts at ±inf among the numbers and
+    carries its exact value as a tiebreak (see :func:`huge_int_key`).
+    """
     if isinstance(value, bool):
         return (0, float(value))
     if isinstance(value, (int, float)):
-        return (0, float(value))
+        try:
+            return (0, float(value))
+        except OverflowError:
+            return huge_int_key(0, value)
     return (1, str(value))
+
+
+def huge_int_key(rank: int, value: int) -> tuple:
+    """Sort key of an integer too large for a float: ``(rank, ±inf,
+    value)``.  It sorts with the infinities of its sign and keeps the
+    exact integer, so two different huge integers never share a key."""
+    return (rank, math.inf if value > 0 else -math.inf, value)

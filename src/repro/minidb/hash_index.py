@@ -23,6 +23,7 @@ Both index kinds cover one **or more** columns:
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.errors import IntegrityError, SerializationError
@@ -39,11 +40,16 @@ _WALK_BATCH = 64
 
 
 def normalize_key(value):
-    """Normalize a column value for index equality (1 == 1.0, bool as int)."""
+    """Normalize a column value for index equality (1 == 1.0, bool as int).
+
+    An integer beyond float range keeps its exact value as its key."""
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            return value
     return value
 
 
@@ -73,6 +79,8 @@ class _IndexBase:
                 f"{len(self.positions)} positions"
             )
         self.unique = unique
+        self._pick = itemgetter(*self.positions)
+        self._single = len(self.positions) == 1
         # back-reference to the owning Table (set by Table.create_index);
         # lets UNIQUE enforcement distinguish live rows from dead MVCC
         # versions whose stale entries await garbage collection
@@ -98,7 +106,8 @@ class _IndexBase:
 
     def key_values(self, row: Sequence) -> tuple:
         """This index's key components extracted from a stored row."""
-        return tuple(row[p] for p in self.positions)
+        values = self._pick(row)
+        return (values,) if self._single else values
 
     def entry_key(self, row: Sequence):
         """The normalized key this index files ``row`` under.
@@ -224,6 +233,49 @@ class _IndexBase:
                 f"by a concurrent transaction"
             )
 
+    # -- bulk build (CREATE INDEX) -------------------------------------------
+
+    @holds_write_lock
+    def build(self, live, chained=()) -> None:
+        """Fill this empty index in one pass.
+
+        ``live`` yields ``(rowid, row)`` for the table's current rows and
+        ``chained`` ``(rowid, values)`` for the version-chain rows that
+        differ from them.  Each entry key is computed once, rowids are
+        grouped by key, and the structure is built once from the groups
+        (:meth:`_install`).  UNIQUE is enforced on live rows with the same
+        check — and error — as :meth:`insert_values`; chain versions are
+        dead or superseded state whose keys may collide with a live row
+        without constituting a violation, so they are never checked.
+        """
+        groups: dict = {}
+        nulls: set = set()
+        self._group(live, groups, nulls, self.unique)
+        self._group(chained, groups, nulls, False)
+        self._install(groups, nulls)
+
+    @holds_write_lock
+    def _group(self, entries, groups: dict, nulls: set,
+               check_unique: bool) -> None:
+        values_of = self.key_values
+        key_of = self._key
+        for rowid, row in entries:
+            values = values_of(row)
+            if None in values:
+                if not self.indexes_nulls:
+                    continue
+                nulls.add(rowid)
+                groups.setdefault(key_of(values), set()).add(rowid)
+                continue  # NULLs never collide under UNIQUE
+            key = key_of(values)
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = {rowid}
+                continue
+            if check_unique:
+                self._check_unique(bucket, rowid, values, key)
+            bucket.add(rowid)
+
     # -- row-level maintenance (called by Table on every mutation) ----------
 
     @holds_write_lock
@@ -254,10 +306,15 @@ class HashIndex(_IndexBase):
     """Equality-only index: value tuple -> set of rowids.  NULLs skipped."""
 
     kind = "hash"
+    indexes_nulls = False
 
     def __init__(self, name: str, columns, positions, unique: bool = False):
         super().__init__(name, columns, positions, unique)
         self._buckets: dict = {}
+
+    @holds_write_lock
+    def _install(self, groups: dict, nulls: set) -> None:
+        self._buckets = groups
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._buckets.values())
@@ -318,7 +375,9 @@ class HashIndex(_IndexBase):
         return list(self._buckets)
 
     def _key(self, values: tuple) -> tuple:
-        return tuple(normalize_key(v) for v in values)
+        if self._single:
+            return (normalize_key(values[0]),)
+        return tuple(map(normalize_key, values))
 
 
 class BTreeIndex(_IndexBase):
@@ -333,12 +392,18 @@ class BTreeIndex(_IndexBase):
     """
 
     kind = "btree"
+    indexes_nulls = True
 
     def __init__(self, name: str, columns, positions, unique: bool = False,
                  order: int = 64):
         super().__init__(name, columns, positions, unique)
         self._tree = BTree(order=order)
         self.null_rowids: set[int] = set()
+
+    @holds_write_lock
+    def _install(self, groups: dict, nulls: set) -> None:
+        self._tree.load_sorted(sorted(groups.items(), key=itemgetter(0)))
+        self.null_rowids = nulls
 
     def __len__(self) -> int:
         return len(self._tree)
@@ -548,9 +613,9 @@ class BTreeIndex(_IndexBase):
     # -- internals -------------------------------------------------------------
 
     def _key(self, values: tuple):
-        if self.n_columns == 1:
+        if self._single:
             return sort_key(values[0])
-        return tuple(sort_key(v) for v in values)
+        return tuple(map(sort_key, values))
 
     def _require_single(self, what: str) -> None:
         if self.n_columns != 1:

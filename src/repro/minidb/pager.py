@@ -16,14 +16,18 @@ Deleting a record tombstones its slot and counts the bytes as garbage;
 an insert that fits the page's total free space but not the contiguous
 hole compacts the cells in place first.
 
-**Buffer pool**: ``Pager`` caches decoded pages in an LRU ``OrderedDict``
-capped at ``pool_pages``.  Eviction is *clean-only* (no-steal): dirty
-pages stay resident until :meth:`Pager.flush` — called by the database's
-checkpoint — writes them back, so the heap file on disk always reflects
-a transaction-consistent checkpoint state and crash recovery is simply
-"load the heap, replay the WAL tail".  Under a write burst the pool can
-therefore temporarily exceed its budget; the database bounds that by
-checkpointing on dirty-page pressure.
+**Buffer pool**: ``Pager`` holds at most ``pool_pages`` pages, clean and
+dirty together.  Eviction is *clean-only* (no-steal): a dirty page is
+pinned in a separate dirty set — out of the LRU ``OrderedDict`` that
+holds only clean pages — until :meth:`Pager.flush` (called by the
+database's checkpoint) writes it back and returns it to the LRU, so the
+heap file on disk always reflects a transaction-consistent checkpoint
+state and crash recovery is simply "load the heap, replay the WAL tail".
+The eviction rule is therefore one step: while clean + dirty pages
+exceed the budget, drop the least recently used clean page (the LRU
+head) — no walk past dirty pages.  Under a write burst the pool can
+temporarily exceed its budget with dirty pages alone; the database
+bounds that by checkpointing on dirty-page pressure.
 
 **Freed pages** (dropped tables, rewritten catalogs, dead overflow
 chains) are reused only after the *next completed checkpoint*: until the
@@ -309,8 +313,7 @@ class Pager:
                 self.stats["hits"] += 1
                 return page
             page = self._dirty.get(pid)
-            if page is not None:  # dirty but fell out of the pool: the disk
-                self._admit(page)  # image is stale, serve the dirty copy
+            if page is not None:  # dirty pages live outside the LRU
                 self.stats["hits"] += 1
                 return page
             if pid <= 0 or pid >= self.page_count:
@@ -336,10 +339,10 @@ class Pager:
             page = Page(pid)
             page.init(page_type)
             self.stats["pages_allocated"] += 1
-            # dirty BEFORE admit: _admit evicts clean pages only, and the
-            # fresh page has no durable image to re-read if evicted
+            # a fresh page has no durable image to re-read: it is dirty
+            # (never evicted) until the next flush
             self.mark_dirty(page)
-            self._admit(page)
+            self._evict()
             return page
 
     def free(self, pid: int) -> None:
@@ -351,8 +354,11 @@ class Pager:
             self._pool.pop(pid, None)
 
     def mark_dirty(self, page: Page) -> None:
+        """Pin ``page`` in memory until the next :meth:`flush` (it leaves
+        the clean LRU; :meth:`get` serves it from the dirty set)."""
         with self.lock:
             self._dirty[page.pid] = page
+            self._pool.pop(page.pid, None)
 
     def is_dirty(self, pid: int) -> bool:
         return pid in self._dirty
@@ -363,29 +369,25 @@ class Pager:
 
     @property
     def resident_pages(self) -> int:
-        return len(self._pool)
+        return len(self._pool) + len(self._dirty)
 
     def _admit(self, page: Page) -> None:
         self._pool[page.pid] = page
-        while len(self._pool) > self.pool_pages:
-            evicted = False
-            for pid in self._pool:
-                if pid not in self._dirty:  # clean-only (no-steal) eviction
-                    del self._pool[pid]
-                    self.stats["evictions"] += 1
-                    evicted = True
-                    break
-            if not evicted:
-                break  # every resident page is dirty: exceed the budget
-                # until the next checkpoint flushes them clean
+        self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used clean pages while over budget.  When
+        only dirty pages are left the pool exceeds its budget until the
+        next checkpoint flushes them clean."""
+        pool = self._pool
+        while pool and len(pool) + len(self._dirty) > self.pool_pages:
+            pool.popitem(last=False)
+            self.stats["evictions"] += 1
 
     def resize_pool(self, pool_pages: int) -> None:
         with self.lock:
             self.pool_pages = max(4, int(pool_pages))
-            surplus = [pid for pid in self._pool if pid not in self._dirty]
-            while len(self._pool) > self.pool_pages and surplus:
-                del self._pool[surplus.pop(0)]
-                self.stats["evictions"] += 1
+            self._evict()
 
     # -- durability ---------------------------------------------------------------
 
@@ -398,6 +400,7 @@ class Pager:
                 self._fh.seek(pid * PAGE_SIZE)
                 self._fh.write(bytes(page.buf))
                 written += 1
+                self._pool[pid] = page  # clean again: back into the LRU
             self._dirty.clear()
             if written:
                 self._fh.flush()
@@ -406,9 +409,7 @@ class Pager:
             self.stats["pages_written"] += written
             # the pool may hold more pages than its budget allows while
             # they were dirty; trim back now that they are clean
-            while len(self._pool) > self.pool_pages:
-                pid, _page = self._pool.popitem(last=False)
-                self.stats["evictions"] += 1
+            self._evict()
             return written
 
     def promote_pending_free(self) -> None:

@@ -26,8 +26,16 @@ on the write path), and column estimates are **rebuilt on demand** the
 first time the planner asks after the version has drifted past a
 staleness threshold.  Rebuilds read exact distinct counts from covering
 single-column indexes when available (hash buckets and the B+tree's O(1)
-distinct-key counter) and otherwise scan a bounded sample of rows.
-``Database.analyze()`` forces an immediate rebuild.
+distinct-key counter) and otherwise estimate from a bounded sample of
+rows.  ``Database.analyze()`` forces an immediate rebuild.
+
+A rebuild is one columnar pass: the sample (the rows of the first
+:data:`SAMPLE_CAP` rowids) is transposed once, and each column is
+tallied with one ``Counter`` and sorted once for its histogram, keying
+only distinct and boundary values rather than every cell
+(:func:`_tally_and_histogram`).  The numbers — distinct counts, NULL
+fractions, histogram bounds, MCV lists and their tie order — are the
+ones a per-value loop over the sample computes.
 """
 
 from __future__ import annotations
@@ -208,50 +216,29 @@ class TableStats:
         columns: dict[str, ColumnStats] = {}
         exact = self._from_indexes(n)
         names = table.schema.column_names
-        if names and n:
-            sampled = 0
-            tallies: list[Counter] = [Counter() for _ in names]
-            nulls = [0] * len(names)
-            sample: list[list] = [[] for _ in names]
-            # one atomic copy of the *rowids* (cheap for dicts and paged
-            # heaps alike: no row decodes), capped up front so sampling a
-            # file-backed table never pages in more than SAMPLE_CAP rows;
-            # concurrent writers must not resize the store mid-sample
-            # (estimates may be slightly stale, never torn).  Every column
-            # is tallied — histograms and MCV lists come off the tally even
-            # where an index already gave exact distinct/NULL numbers.
-            for rowid in list(table.rows.keys())[:SAMPLE_CAP]:
-                row = table.rows.get(rowid)
-                if row is None:  # deleted between capture and fetch
-                    continue
-                for i, name in enumerate(names):
-                    value = row[i]
-                    if value is None:
-                        nulls[i] += 1
-                        continue
-                    sample[i].append(_hist_key(value))
-                    try:
-                        tallies[i][normalize_key(value)] += 1
-                    except TypeError:  # unhashable cell: key it by repr
-                        tallies[i][repr(value)] += 1
-                sampled += 1
-            for i, name in enumerate(names):
-                hist = _equi_depth(sample[i])
-                mcv = _common_values(tallies[i], sampled)
-                base = exact.get(name)
-                if base is not None:
-                    base.bounds = hist
-                    base.mcv = mcv
-                    columns[name] = base
-                else:
-                    columns[name] = ColumnStats(
-                        _extrapolate_distinct(len(tallies[i]), sampled, n),
-                        nulls[i] / sampled if sampled else 0.0,
-                        hist,
-                        mcv,
-                    )
-        else:
-            for name in names:
+        rows = _sample_rows(table) if names and n else []
+        sampled = len(rows)
+        # one transpose, then every column is tallied as a whole —
+        # histograms and MCV lists come off the tally even where an index
+        # already gave exact distinct/NULL numbers
+        for name, values in zip(names, zip(*rows) if rows else ()):
+            present = [value for value in values if value is not None]
+            tally, hist = _tally_and_histogram(present)
+            mcv = _common_values(tally, sampled)
+            base = exact.get(name)
+            if base is not None:
+                base.bounds = hist
+                base.mcv = mcv
+                columns[name] = base
+            else:
+                columns[name] = ColumnStats(
+                    _extrapolate_distinct(len(tally), sampled, n),
+                    (sampled - len(present)) / sampled,
+                    hist,
+                    mcv,
+                )
+        for name in names:
+            if name not in columns:
                 columns[name] = exact.get(name) or ColumnStats(1.0, 0.0)
         self._columns = columns
         self._built_version = table.version
@@ -280,16 +267,99 @@ class TableStats:
         return out
 
 
-def _equi_depth(keys: list, buckets: int = HIST_BUCKETS):
-    """``b+1`` equi-depth boundary keys for ``keys`` (sorted in place),
-    or None when the sample is empty.  ``b`` shrinks to the sample size
-    for tiny samples so boundaries stay distinct positions."""
-    if not keys:
+def _sample_rows(table: Table) -> list:
+    """The live rows among the table's first :data:`SAMPLE_CAP` rowids.
+
+    The rowids are copied atomically up front (no row decodes), so a
+    concurrent writer never resizes the store mid-sample — estimates may
+    be slightly stale, never torn — and a file-backed table never pages
+    in more than ``SAMPLE_CAP`` rows.  A paged heap decodes its sample
+    page by page (:meth:`Table.scan_chunks` makes that same rowid copy);
+    the dict heap looks its rows up directly.
+    """
+    heap = table.rows
+    if isinstance(heap, dict):
+        return [row for row in map(heap.get, list(heap)[:SAMPLE_CAP])
+                if row is not None]  # None: deleted since the copy
+    for _rowids, rows in table.scan_chunks(SAMPLE_CAP):
+        return rows
+    return []
+
+
+def _tally_and_histogram(present: list) -> tuple:
+    """``(tally, bounds)`` for one column's non-NULL sampled values.
+
+    ``tally`` counts each value under its index-equality key
+    (:func:`normalize_key`; an unhashable cell counts under its repr),
+    in first-seen order, so ``most_common`` breaks ties as it always
+    did.  ``bounds`` is the equi-depth histogram over :func:`_hist_key`.
+
+    A column of numbers and text — the common case, dirty numeric
+    columns included — is sorted as raw numbers followed by raw text,
+    which is :func:`_hist_key` order (``float`` is monotone over the
+    numbers), so only the boundary values become keys.  Anything else
+    takes per-value keys.
+    """
+    kinds = set(map(type, present))
+    tally = _plain_tally(present, kinds) if kinds <= _PLAIN_TYPES else None
+    if tally is None:
+        return (Counter(map(_tally_key, present)),
+                _equi_depth(sorted(present, key=_hist_key)))
+    if str in kinds and len(kinds) > 1:
+        ordered = (sorted([v for v in present if type(v) is not str])
+                   + sorted([v for v in present if type(v) is str]))
+    else:
+        ordered = sorted(present)
+    return tally, _equi_depth(ordered)
+
+
+#: the storage types whose raw order and equality agree with the keys
+_PLAIN_TYPES = frozenset((int, float, str))
+_TEXT_TYPE = frozenset((str,))
+
+
+def _plain_tally(present: list, kinds: set):
+    """The tally of a column holding only numbers and text, or None.
+
+    Raw values are counted first (``1`` and ``1.0`` already share a
+    slot) and only the distinct ones are normalized.  None — per-value
+    keys needed — for an integer beyond float range or two integers one
+    float cannot tell apart (their keys would merge).
+    """
+    counts = Counter(present)
+    if kinds == _TEXT_TYPE:
+        return counts
+    if str in kinds:
+        keys = (key if type(key) is str else float(key) for key in counts)
+    else:
+        keys = map(float, counts)
+    try:
+        tally = Counter(dict(zip(keys, counts.values())))
+    except OverflowError:  # an integer beyond float range
         return None
-    keys.sort()
-    n = len(keys)
+    return tally if len(tally) == len(counts) else None
+
+
+def _tally_key(value):
+    """The key ``value`` is tallied (and MCV-looked-up) under."""
+    key = normalize_key(value)
+    try:
+        hash(key)
+    except TypeError:  # unhashable cell: key it by repr
+        return repr(value)
+    return key
+
+
+def _equi_depth(ordered: list, buckets: int = HIST_BUCKETS):
+    """``b+1`` equi-depth boundary keys picked from ``ordered`` (values
+    sorted in :func:`_hist_key` order), or None when the sample is
+    empty.  ``b`` shrinks to the sample size for tiny samples so
+    boundaries stay distinct positions."""
+    if not ordered:
+        return None
+    n = len(ordered)
     b = min(buckets, n)
-    return tuple(keys[(i * (n - 1)) // b] for i in range(b + 1))
+    return tuple(_hist_key(ordered[(i * (n - 1)) // b]) for i in range(b + 1))
 
 
 def _common_values(tally: Counter, sampled: int):
@@ -486,11 +556,7 @@ def _equality_selectivity(stats: TableStats, conjunct: ast.Binary,
     col_stats = stats.column(column)
     if col_stats is None or not col_stats.mcv:
         return None
-    try:
-        key = normalize_key(comparand.value)
-    except TypeError:
-        key = repr(comparand.value)
-    hit = col_stats.mcv.get(key)
+    hit = col_stats.mcv.get(_tally_key(comparand.value))
     if hit is not None:
         return min(1.0, hit)
     rest = max(

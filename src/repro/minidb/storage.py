@@ -47,6 +47,11 @@ from repro.minidb.hash_index import BTreeIndex, HashIndex
 from repro.minidb.invariants import holds_write_lock, wal_exempt
 from repro.minidb.transactions import ANCIENT
 
+#: rows decoded per chunk while an index build reads the heap
+_BUILD_CHUNK = 1024
+#: rows coerced per chunk by a batch insert
+_COERCE_CHUNK = 1024
+
 ChangeEvent = tuple
 """('insert', table, rowid, values) | ('delete', table, rowid, values)
 | ('update', table, rowid, {position: old}, {position: new})"""
@@ -139,36 +144,35 @@ class Table:
         every affinity (SQLite's rule, and the frame's, where NaN reads as
         missing).
         """
-        if value is None or value != value:
-            return None
-        affinity = self.schema.columns[position].affinity
-        if affinity == NONE:
-            return _plain(value)
-        if affinity == TEXT:
-            if isinstance(value, bool):
-                return str(int(value))
-            if isinstance(value, (int, float)):
-                return _number_to_text(value)
-            return str(value)
-        # numeric affinities: try to make a number, keep text when impossible
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return float(value) if affinity == REAL else value
-        if isinstance(value, float):
-            if affinity == INTEGER and value == int(value):
-                return int(value)
-            return value
-        if isinstance(value, str):
-            number = _parse_strict(value)
-            if number is None:
-                return value  # the type-mismatch case: text in a numeric column
-            if affinity == INTEGER and number == int(number):
-                return int(number)
-            # widen like the direct-number path so coercion is idempotent:
-            # coerce(coerce("7")) must equal coerce("7") for replay fidelity
-            return float(number) if affinity == REAL else number
-        return _plain(value)
+        return _COERCERS[self.schema.columns[position].affinity](value)
+
+    def _coerce_row(self, values, coercers) -> list:
+        """``values`` checked for arity and coerced, one coercer per column."""
+        if len(values) != len(coercers):
+            raise IntegrityError(
+                f"table {self.name!r}: {len(values)} values for "
+                f"{len(coercers)} columns"
+            )
+        return [coerce(value) for coerce, value in zip(coercers, values)]
+
+    def _coerce_rows(self, batch) -> list:
+        """Every row of ``batch`` checked for arity and coerced, a chunk of
+        rows at a time and column by column (one coercer mapped over each
+        column)."""
+        coercers = self._coercers()
+        rows: list = []
+        source = iter(batch)
+        while chunk := list(islice(source, _COERCE_CHUNK)):
+            if set(map(len, chunk)) != {len(coercers)}:
+                for values in chunk:
+                    self._coerce_row(values, coercers)  # raises on arity
+            columns = [list(map(coerce, column))
+                       for coerce, column in zip(coercers, zip(*chunk))]
+            rows.extend(map(list, zip(*columns)))
+        return rows
+
+    def _coercers(self) -> list:
+        return [_COERCERS[column.affinity] for column in self.schema.columns]
 
     # -- MVCC plumbing ---------------------------------------------------------
 
@@ -222,11 +226,7 @@ class Table:
     @holds_write_lock
     def insert(self, values: list, rowid: int | None = None, txn=None) -> int:
         """Insert a row; returns its rowid.  ``values`` must match arity."""
-        if len(values) != len(self.schema.columns):
-            raise IntegrityError(
-                f"table {self.name!r}: {len(values)} values for "
-                f"{len(self.schema.columns)} columns"
-            )
+        row = self._coerce_row(values, self._coercers())
         if rowid is None:
             rowid = self.next_rowid
             self.next_rowid += 1
@@ -234,8 +234,39 @@ class Table:
             if rowid in self.rows:
                 raise IntegrityError(f"duplicate rowid {rowid} in {self.name!r}")
             self.next_rowid = max(self.next_rowid, rowid + 1)
-        row = [self.coerce(i, v) for i, v in enumerate(values)]
         txn, versioned = self._write_context(txn)
+        self._put(row, rowid, txn, versioned)
+        return rowid
+
+    @holds_write_lock
+    def insert_many(self, batch) -> list[int]:
+        """Insert a batch of rows, all or nothing; returns their rowids.
+
+        Every row is checked for arity and coerced — one coercer per
+        column, picked by affinity — before the first is stored, and one
+        write-context decision covers the batch.  Each row still gets its
+        own change event.  A storage error mid-batch (a UNIQUE violation,
+        say) deletes the rows already inserted before it propagates, so a
+        failed batch leaves no row behind.
+        """
+        rows = self._coerce_rows(batch)
+        txn, versioned = self._write_context(None)
+        rowids: list[int] = []
+        try:
+            for row in rows:
+                rowid = self.next_rowid
+                self.next_rowid += 1
+                self._put(row, rowid, txn, versioned)
+                rowids.append(rowid)
+        except BaseException:
+            for rowid in reversed(rowids):
+                self.delete(rowid, txn=txn)
+            raise
+        return rowids
+
+    @holds_write_lock
+    def _put(self, row: list, rowid: int, txn, versioned: bool) -> None:
+        """Store one coerced row under ``rowid``, index it and announce it."""
         if versioned:
             chain = self.versions.get(rowid)
             if chain is not None:
@@ -257,12 +288,20 @@ class Table:
                 txn.undo.append((self, "insert", rowid, version))
             self.rows[rowid] = row
             self._notify(("insert", self.name, rowid, list(row)), txn)
-            return rowid
-        self.rows[rowid] = row
-        for index in self.indexes.values():
-            index.add_row(row, rowid)
+            return
+        # index before storing: a row some index refuses (UNIQUE) must
+        # leave neither a heap row nor another index's entry behind
+        added = []
+        try:
+            for index in self.indexes.values():
+                index.add_row(row, rowid)
+                added.append(index)
+            self.rows[rowid] = row
+        except BaseException:
+            for index in added:
+                index.remove_row(row, rowid)
+            raise
         self._notify(("insert", self.name, rowid, list(row)), txn)
-        return rowid
 
     @holds_write_lock
     def delete(self, rowid: int, txn=None) -> list:
@@ -626,11 +665,21 @@ class Table:
     @holds_write_lock
     def create_index(self, name: str, columns, kind: str = "btree",
                      unique: bool = False) -> None:
-        """Build (and backfill) an index over one or more columns.
+        """Build an index over one or more columns, bottom-up.
 
         Column names are validated against the schema *before* any key is
         built, so a typo surfaces as a :class:`CatalogError` naming the
-        column rather than an error deep inside the B+tree backfill.
+        column rather than an error deep inside the build.
+
+        One pass over the heap — page by page for a paged heap
+        (:meth:`scan_chunks`) — computes every live row's entry key;
+        version-chain rows still visible to some snapshot contribute the
+        keys of the versions that differ from the live row, so snapshot
+        probes keep finding them.  The index then builds itself once from
+        the rowids grouped by key (its ``build``): sorted keys packed into
+        B+tree leaves, or hash buckets filled in one go.  This is the only
+        way an index is populated from existing rows — ``CREATE INDEX``
+        and recovery alike.
         """
         if name in self.indexes:
             raise CatalogError(f"index {name!r} already exists")
@@ -650,23 +699,25 @@ class Table:
         index_cls = {"btree": BTreeIndex, "hash": HashIndex}[kind]
         index = index_cls(name, columns, positions, unique=unique)
         index.owner = self
-        for rowid, row in self.rows.items():
-            index.add_row(row, rowid)
-        # version-chain rows still visible to some snapshot get their old
-        # keys indexed too, so snapshot probes keep finding them.  These
-        # entries are *dead or superseded* state: a dead version may well
-        # hold a key some live row legitimately owns now, so backfilling
-        # them must not run UNIQUE enforcement (the live-row loop above
-        # already proved uniqueness of the current state).
-        for rowid, chain in self.versions.items():
-            for version in chain:
-                # equality, not identity: a paged heap decodes a fresh list
-                # per read, so the chain head is never the same object as
-                # the stored row — but equal values mean equal index keys,
-                # already covered by the live-row loop above
-                if version.values != self.rows.get(rowid):
-                    index.add_row(version.values, rowid, check_unique=False)
+        index.build(self._live_entries(), self._chained_entries())
         self.indexes[name] = index
+
+    def _live_entries(self) -> Iterator[tuple]:
+        """``(rowid, values)`` for every current row, decoded in chunks."""
+        for rowids, value_rows in self.scan_chunks(_BUILD_CHUNK):
+            yield from zip(rowids, value_rows)
+
+    def _chained_entries(self) -> Iterator[tuple]:
+        """``(rowid, values)`` for the chain versions that differ from the
+        current row.  Equality, not identity: a paged heap decodes a fresh
+        list per read, so the chain head is never the stored row object —
+        but equal values mean equal index keys, already in the live pass."""
+        rows = self.rows
+        for rowid, chain in self.versions.items():
+            current = rows.get(rowid)
+            for version in chain:
+                if version.values != current:
+                    yield rowid, version.values
 
     @holds_write_lock
     def drop_index(self, name: str) -> None:
@@ -683,6 +734,82 @@ class Table:
     def btree_indexes(self) -> list:
         """Every ordered (B+tree) index, single- and multi-column."""
         return [ix for ix in self.indexes.values() if ix.kind == "btree"]
+
+
+# -- affinity coercers (one per affinity; see Table.coerce) -------------------
+
+
+def _coerce_none(value):
+    if value is None or value != value:
+        return None
+    return _plain(value)
+
+
+def _coerce_text(value):
+    if type(value) is str:  # the common case first
+        return value
+    if value is None or value != value:
+        return None
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, float)):
+        return _number_to_text(value)
+    return str(value)
+
+
+# numeric affinities: try to make a number, keep text when impossible
+
+
+def _coerce_integer(value):
+    if type(value) is int:  # the common case first
+        return value
+    if value is None or value != value:
+        return None
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float):
+        return int(value) if value == int(value) else value
+    if isinstance(value, str):
+        number = _parse_strict(value)
+        if number is None:
+            return value  # the type-mismatch case: text in a numeric column
+        return int(number) if number == int(number) else number
+    return _plain(value)
+
+
+def _coerce_real(value):
+    if type(value) is float:  # the common case first (NaN is NULL)
+        return None if value != value else value
+    if value is None or value != value:
+        return None
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return value
+    if isinstance(value, str):
+        number = _parse_strict(value)
+        if number is None:
+            return value  # the type-mismatch case: text in a numeric column
+        # widen like the direct-number path so coercion is idempotent:
+        # coerce(coerce("7")) must equal coerce("7") for replay fidelity
+        return _widen(number)
+    if isinstance(value, int):
+        return _widen(value)
+    return _plain(value)
+
+
+def _widen(number):
+    """``number`` as a float; an integer beyond float range stays exact."""
+    try:
+        return float(number)
+    except OverflowError:
+        return number
+
+
+_COERCERS = {NONE: _coerce_none, TEXT: _coerce_text,
+             INTEGER: _coerce_integer, REAL: _coerce_real}
 
 
 def _plain(value):

@@ -10,11 +10,12 @@ the full scan.  Results land in ``benchmarks/artifacts/indexes.json``.
 
 The ``build`` section times what a user waits for before those lookups
 can run — the upload path: bulk-loading the rows (``load_seconds``),
-building each index over them (``hash_index_seconds``,
-``btree_index_seconds``) and the planner-statistics rebuild
+building a B+tree over them (``btree_index_seconds``) and the
+planner-statistics rebuild
 (``analyze_seconds``).  Each is the best of :data:`BUILD_REPEATS` runs.
 """
 
+import gc
 import time
 
 import pytest
@@ -40,12 +41,15 @@ def _make_db(indexed: bool) -> Database:
     db.execute("CREATE TABLE t (cat TEXT, val REAL)")
     db.insert_rows("t", _rows())
     if indexed:
-        db.execute("CREATE INDEX idx_cat ON t (cat) USING hash")
+        db.execute("CREATE INDEX idx_cat ON t (cat)")
         db.execute("CREATE INDEX idx_val ON t (val)")
     return db
 
 
 def _timed(fn) -> float:
+    # a full collection lands in whichever step crosses the threshold; start
+    # every step collected so none pays for garbage another step left
+    gc.collect()
     start = time.perf_counter()
     fn()
     return time.perf_counter() - start
@@ -62,8 +66,6 @@ def _build_seconds() -> dict:
         db.execute("CREATE TABLE t (cat TEXT, val REAL)")
         steps = {
             "load_seconds": lambda: db.insert_rows("t", rows),
-            "hash_index_seconds": lambda: db.execute(
-                "CREATE INDEX idx_cat ON t (cat) USING hash"),
             "btree_index_seconds": lambda: db.execute(
                 "CREATE INDEX idx_val ON t (val)"),
             "analyze_seconds": db.analyze,
@@ -166,8 +168,8 @@ def test_top_k_fetch(benchmark, mode, indexed_db, seq_db):
 
 def test_build_section_times_every_step():
     build = _build_seconds()
-    assert set(build) == {"load_seconds", "hash_index_seconds",
-                          "btree_index_seconds", "analyze_seconds"}
+    assert set(build) == {"load_seconds", "btree_index_seconds",
+                          "analyze_seconds"}
     assert all(seconds > 0 for seconds in build.values())
 
 

@@ -35,7 +35,7 @@ def db() -> Database:
         [(f"c{i % 50}", float((i * 7919) % 999983)) for i in range(N_ROWS)],
     )
     db.execute("CREATE INDEX idx_val ON t (val)")
-    db.execute("CREATE INDEX idx_cat ON t (cat) USING hash")
+    db.execute("CREATE INDEX idx_cat ON t (cat)")
     return db
 
 

@@ -215,14 +215,11 @@ class SQLBackend(Backend):
         ).scalars()
 
     def out_of_range_row_ids(self, num_col: str, low: float, high: float) -> list[int]:
-        btree = next(
-            (ix for ix in self._table.indexes_on(num_col) if ix.kind == "btree"),
-            None,
-        )
-        if btree is not None:
+        indexes = self._table.indexes_on(num_col)
+        if indexes:
             # two tail scans over the value index: O(answer), not O(table)
-            rows = set(btree.numeric_range(None, low, include_high=False))
-            rows.update(btree.numeric_range(high, None, include_low=False))
+            rows = set(indexes[0].numeric_range(None, low, include_high=False))
+            rows.update(indexes[0].numeric_range(high, None, include_low=False))
             return sorted(rows)
         sql = (
             f'SELECT rowid FROM {self.table_name} '
@@ -315,7 +312,7 @@ class SQLBackend(Backend):
     # -- infrastructure -----------------------------------------------------------
 
     def ensure_index(self, column: str) -> None:
-        """Index ``column``: hash for text attributes, B+tree for numerics.
+        """Index ``column`` with one B+tree, whatever its affinity.
 
         Implements "Buckaroo also creates Postgres indexes for all the
         attribute combinations in the charts" (§2).
@@ -323,11 +320,9 @@ class SQLBackend(Backend):
         index_name = f"idx_{self.table_name}_{column}"
         if index_name in self.db.index_catalog:
             return
-        affinity = self._table.schema.column(column).affinity
-        kind = "hash" if affinity == "text" else "btree"
         self.db.execute(
             f'CREATE INDEX IF NOT EXISTS {index_name} '
-            f'ON {self.table_name} ("{column}") USING {kind}'
+            f'ON {self.table_name} ("{column}")'
         )
 
     def flush(self) -> int:

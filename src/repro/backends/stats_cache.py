@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from repro.core.types import Stats
-from repro.minidb.hash_index import normalize_key
+from repro.minidb.functions import normalize_key
 from repro.minidb.storage import Table
 
 
@@ -233,9 +233,9 @@ class GroupStatsCache:
         return cache.min, cache.max
 
     def _recompute_range(self, num_col: str, cache: _NumericCache):
-        for index in self.table.indexes_on(num_col):
-            if index.kind == "btree":
-                return index.numeric_min(), index.numeric_max()
+        indexes = self.table.indexes_on(num_col)
+        if indexes:
+            return indexes[0].numeric_min(), indexes[0].numeric_max()
         low = high = None
         for row in self.table.rows.values():
             value = row[cache.position]

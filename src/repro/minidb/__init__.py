@@ -2,7 +2,7 @@
 
 This package is the reproduction's substitute for PostgreSQL, which an
 offline, dependency-free reproduction cannot run: a SQL engine with a
-tokenizer, recursive-descent parser, expression compiler, hash + B+tree
+tokenizer, recursive-descent parser, expression compiler, B+tree
 indexes, an index-selecting planner, a volcano-style executor, transactions
 with rollback, and a write-ahead log.
 
@@ -13,10 +13,9 @@ zoom engine's viewport fetches are parameterized range queries.
 
 import os
 
-from repro.minidb.btree import BTree
+from repro.minidb.btree import BTree, BTreeIndex
 from repro.minidb.catalog import ColumnDef, IndexDef, TableSchema, affinity_of
 from repro.minidb.database import Database
-from repro.minidb.hash_index import BTreeIndex, HashIndex
 from repro.minidb.parser import parse, parse_expression
 from repro.minidb.plan_cache import PlanCache
 from repro.minidb.prepared import Cursor, PreparedStatement
@@ -50,7 +49,6 @@ __all__ = [
     "Connection",
     "Cursor",
     "Database",
-    "HashIndex",
     "IndexDef",
     "PlanCache",
     "PreparedStatement",

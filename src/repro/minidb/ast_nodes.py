@@ -254,14 +254,16 @@ class CreateTableStmt:
 
 @dataclass(frozen=True)
 class CreateIndexStmt:
-    """``CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (cols) [USING kind]``."""
+    """``CREATE [UNIQUE] INDEX [IF NOT EXISTS] name ON table (cols)``.
+
+    Every index is a B+tree; a trailing ``USING btree|hash`` (as older
+    WAL tails spell it) parses and is discarded."""
 
     name: str
     table: str
     columns: tuple
     unique: bool = False
     if_not_exists: bool = False
-    kind: str = "btree"  # 'btree' or 'hash'
 
 
 @dataclass(frozen=True)

@@ -56,19 +56,19 @@ class IndexDef:
     name: str
     table: str
     columns: tuple
-    kind: str = "btree"
     unique: bool = False
 
     def to_dict(self) -> dict:
         """JSON-serializable form for the durable catalog page."""
         return {"name": self.name, "table": self.table,
-                "columns": list(self.columns), "kind": self.kind,
-                "unique": self.unique}
+                "columns": list(self.columns), "unique": self.unique}
 
     @classmethod
     def from_dict(cls, data: dict) -> "IndexDef":
+        # pages written by older versions also store a "kind" ("btree" or
+        # "hash"); every index is a B+tree now, so it is ignored
         return cls(data["name"], data["table"], tuple(data["columns"]),
-                   data.get("kind", "btree"), bool(data.get("unique", False)))
+                   bool(data.get("unique", False)))
 
 
 def partitioned_table_error(name: str) -> CatalogError:

@@ -505,8 +505,7 @@ class Database:
                 for entry in catalog.get("indexes", ()):
                     meta = IndexDef.from_dict(entry)
                     self.table(meta.table).create_index(
-                        meta.name, meta.columns,
-                        kind=meta.kind, unique=meta.unique,
+                        meta.name, meta.columns, unique=meta.unique,
                     )
                     self.index_catalog[meta.name] = meta
                 self.schema_epoch += 1
@@ -777,12 +776,11 @@ class Database:
         # column validation happens in Table.create_index before any key is
         # built, so a typo'd column raises a CatalogError naming it
         table.create_index(
-            statement.name, statement.columns,
-            kind=statement.kind, unique=statement.unique,
+            statement.name, statement.columns, unique=statement.unique,
         )
         self.index_catalog[statement.name] = IndexDef(
             statement.name, statement.table, statement.columns,
-            statement.kind, statement.unique,
+            statement.unique,
         )
         self.schema_epoch += 1
         if self.wal is not None and not self.txn.replaying:

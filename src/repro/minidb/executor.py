@@ -65,8 +65,7 @@ from repro.minidb.expressions import (
     sort_key,
     truthy,
 )
-from repro.minidb.functions import make_aggregate
-from repro.minidb.hash_index import normalize_key
+from repro.minidb.functions import make_aggregate, normalize_key
 from repro.minidb.invariants import holds_write_lock
 from repro.minidb.plan_cache import select_plan
 from repro.minidb.planner import (
@@ -74,7 +73,6 @@ from repro.minidb.planner import (
     INDEX_IN,
     INDEX_NULL,
     INDEX_ORDER,
-    INDEX_PREFIX,
     INDEX_RANGE,
     ROWID_EQ,
     ROWID_IN,
@@ -139,18 +137,15 @@ def _candidates(table: Table, plan: ScanPlan, params: tuple, snapshot):
     index = table.indexes[plan.index_name]
     if kind == INDEX_NULL:
         return ((True, index.lookup_null()),), index.null_match
-    if kind == INDEX_PREFIX and index.kind == "hash":
-        probes = (tuple(_eval_value(expr, params) for expr in plan.prefix_exprs),)
-    elif kind == INDEX_EQ or kind == INDEX_IN:
-        exprs = (plan.eq_expr,) if kind == INDEX_EQ else plan.in_exprs
-        probes = [(_eval_value(expr, params),) for expr in exprs]
-    else:
+    if kind != INDEX_EQ and kind != INDEX_IN:
         return _ordered_walk(index, plan, params, snapshot), index.entry_key
+    exprs = (plan.eq_expr,) if kind == INDEX_EQ else plan.in_exprs
     # one probe per distinct key: a row lives under exactly one key, so
     # the groups are disjoint and IN needs no per-row dedup
     keyed = {}
-    for values in probes:
-        if None not in values:  # SQL equality never matches NULL
+    for expr in exprs:
+        values = (_eval_value(expr, params),)
+        if values[0] is not None:  # SQL equality never matches NULL
             keyed.setdefault(index.probe_key(values), values)
     # B+tree point probes are Python-level walks; a concurrent GC/writer
     # restructuring the tree could tear them, so a snapshot reader pulls

@@ -190,10 +190,15 @@ def _rank(value) -> int:
 
 
 def sort_key(value):
-    """Key for ORDER BY and B+tree storage: NULL < numbers < text."""
+    """Key for ORDER BY and B+tree storage: NULL < numbers < text.
+
+    Every index insert, removal and probe computes one, so plain text
+    skips the number tests; a bool is an int, keyed as a number."""
     if value is None:
         return (0, 0.0)
-    if _is_number(value) or isinstance(value, bool):
+    if type(value) is str:
+        return (2, value)
+    if isinstance(value, (int, float)):
         try:
             return (1, float(value))
         except OverflowError:

@@ -342,6 +342,21 @@ def _as_number(value) -> float | None:
         return None
 
 
+def normalize_key(value):
+    """Normalize a value for hash equality (1 == 1.0, bool as int): the key
+    of GROUP BY, DISTINCT, hash joins and planner statistics tallies.
+
+    An integer beyond float range keeps its exact value as its key."""
+    if isinstance(value, bool):
+        return float(value)
+    if isinstance(value, (int, float)):
+        try:
+            return float(value)
+        except OverflowError:
+            return value
+    return value
+
+
 def _sort_key(value):
     """Order values across storage classes: numbers < text.
 

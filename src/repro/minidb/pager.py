@@ -548,16 +548,20 @@ class PagedHeap:
         return self.directory.keys()
 
     def get(self, rowid: int, default=None):
-        loc = self.directory.get(rowid)
-        if loc is None:
-            return default
-        return self._fetch(loc)
+        # the directory is read under the same lock hold as the slot: a
+        # writer relocating the row in between would leave ``loc`` naming
+        # an emptied (or reused) slot
+        with self.pager.lock:
+            loc = self.directory.get(rowid)
+            if loc is None:
+                return default
+            return self._fetch(loc)
 
     def __getitem__(self, rowid: int) -> list:
-        loc = self.directory.get(rowid)
-        if loc is None:
+        values = self.get(rowid)
+        if values is None:
             raise KeyError(rowid)
-        return self._fetch(loc)
+        return values
 
     def __setitem__(self, rowid: int, values: list) -> None:
         with self.pager.lock:
@@ -652,15 +656,15 @@ class PagedHeap:
     # -- internals ---------------------------------------------------------------
 
     def _fetch(self, loc: tuple[int, int]) -> list:
+        """Decode the record at ``loc``; the caller holds the pager lock."""
         pager = self.pager
-        with pager.lock:
-            pid, slot = loc
-            payload = pager.get(pid).read(slot)
-            _rowid, flag = _RECORD.unpack_from(payload, 0)
-            if flag == FLAG_INLINE:
-                return decode_values(payload, _RECORD.size)
-            ov_pid, _length = _OVERFLOW_REF.unpack_from(payload, _RECORD.size)
-            return decode_values(pager.read_chain(ov_pid))
+        pid, slot = loc
+        payload = pager.get(pid).read(slot)
+        _rowid, flag = _RECORD.unpack_from(payload, 0)
+        if flag == FLAG_INLINE:
+            return decode_values(payload, _RECORD.size)
+        ov_pid, _length = _OVERFLOW_REF.unpack_from(payload, _RECORD.size)
+        return decode_values(pager.read_chain(ov_pid))
 
     def _store(self, rowid: int, values: list) -> tuple[int, int]:
         pager = self.pager

@@ -333,12 +333,12 @@ class _Parser:
             while self._accept_op(","):
                 columns.append(self._identifier("column name"))
             self._expect_op(")")
-            kind = "btree"
             if self._accept_keyword("USING"):
+                # every index is a B+tree; older WAL tails still say hash
                 kind = self._identifier("index kind").lower()
                 if kind not in ("btree", "hash"):
                     raise SQLSyntaxError(f"unknown index kind {kind!r}")
-            return ast.CreateIndexStmt(name, table, tuple(columns), unique, if_not_exists, kind)
+            return ast.CreateIndexStmt(name, table, tuple(columns), unique, if_not_exists)
         token = self._peek()
         raise SQLSyntaxError(f"expected TABLE or INDEX, found {token.text!r}", token.position)
 

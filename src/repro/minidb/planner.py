@@ -9,12 +9,12 @@ planner picks the cheapest scan:
    ``(cat, val)`` becomes one bounded leaf walk (backward for DESC),
    with no sort or top-k operator downstream;
 3. full equality over every column of a multi-column index;
-4. equality on a hash-indexed column, then on a B+tree-indexed column;
+4. equality on an indexed column;
 5. ``IN`` list over an indexed column (union of point lookups);
-6. ``IS NULL`` on a B+tree-indexed column (the index tracks its NULL
-   rowids, so the predicate is a point lookup);
-7. range predicates (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) on a
-   B+tree-indexed column, with bounds merged across conjuncts;
+6. ``IS NULL`` on an indexed column (the index tracks its NULL rowids,
+   so the predicate is a point lookup);
+7. range predicates (``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``) on an
+   indexed column, with bounds merged across conjuncts;
 8. an equality-prefix walk of a composite index even when it leaves the
    order unsatisfied (it still touches only the matching group);
 9. a full B+tree walk in key order — forward or backward — when it
@@ -47,7 +47,9 @@ rewriting) and then builds a physical plan tree
   arrive index-ordered on the join key (preserving key order through to
   ORDER BY elision), and
 * choose a :class:`~repro.minidb.plan_nodes.StreamAggregate` when the
-  GROUP BY input is already ordered on the grouping columns.
+  GROUP BY input is already ordered on the grouping columns — over a
+  full index walk only when group order elides the sort or a LIMIT stops
+  the walk early.
 
 The executor is a dispatcher over the resulting tree.
 """
@@ -242,7 +244,7 @@ def plan_scan(table: Table, where: ast.Expr | None,
     ``order_satisfied`` — so the executor can drop its sort/top-k stage.
     """
     conjuncts = split_conjuncts(where)
-    eq_candidates: list[tuple[int, str, ast.Expr, int]] = []  # (score, col, value, idx)
+    eq_candidates: list[tuple[str, ast.Expr, int]] = []  # (col, value, idx)
     eq_map: dict[str, tuple[ast.Expr, int]] = {}  # every equality conjunct
     in_candidates: list[tuple[str, tuple, int]] = []
     null_candidates: list[tuple[str, int]] = []  # (col, idx) for IS NULL
@@ -284,10 +286,8 @@ def plan_scan(table: Table, where: ast.Expr | None,
                 continue
             if op == "=":
                 eq_map.setdefault(column, (value, i))
-                indexes = table.indexes_on(column)
-                if indexes:
-                    score = 100 if any(ix.kind == "hash" for ix in indexes) else 90
-                    eq_candidates.append((score, column, value, i))
+                if table.indexes_on(column):
+                    eq_candidates.append((column, value, i))
             else:
                 entry = bounds.setdefault(
                     column,
@@ -357,9 +357,9 @@ def plan_scan(table: Table, where: ast.Expr | None,
                             order_satisfied=True, bounds=bounds)
 
     # full equality across every column of a multi-column index
-    full_eq = _match_full_equality(table, eq_map)
-    if full_eq is not None:
-        index, prefix_cols = full_eq
+    index = _match_full_equality(table, eq_map)
+    if index is not None:
+        prefix_cols = index.columns
         used = {eq_map[c][1] for c in prefix_cols}
         residual = conjoin([c for j, c in enumerate(conjuncts) if j not in used])
         return finalize(ScanPlan(
@@ -371,9 +371,8 @@ def plan_scan(table: Table, where: ast.Expr | None,
 
     # best single-column equality
     if eq_candidates:
-        eq_candidates.sort(reverse=True, key=lambda c: c[0])
-        _, column, value, used = eq_candidates[0]
-        index = _best_index(table, column, prefer="hash")
+        column, value, used = eq_candidates[0]
+        index = _best_index(table, column)
         residual = conjoin([c for j, c in enumerate(conjuncts) if j != used])
         return finalize(ScanPlan(
             table=table.name, kind=INDEX_EQ, index_name=index.name, column=column,
@@ -381,30 +380,30 @@ def plan_scan(table: Table, where: ast.Expr | None,
         ))
     if in_candidates:
         column, items, used = in_candidates[0]
-        index = _best_index(table, column, prefer="hash")
+        index = _best_index(table, column)
         residual = conjoin([c for j, c in enumerate(conjuncts) if j != used])
         return finalize(ScanPlan(
             table=table.name, kind=INDEX_IN, index_name=index.name, column=column,
             in_exprs=items, residual=residual,
         ))
     for column, used in null_candidates:
-        btree = _best_index(table, column, prefer="btree", require_btree=True)
-        if btree is None or not btree.covers(table.n_rows):
+        index = _best_index(table, column)
+        if index is None or not index.covers(table.n_rows):
             continue
         residual = conjoin([c for j, c in enumerate(conjuncts) if j != used])
         return finalize(ScanPlan(
-            table=table.name, kind=INDEX_NULL, index_name=btree.name, column=column,
+            table=table.name, kind=INDEX_NULL, index_name=index.name, column=column,
             residual=residual,
         ))
     for column, entry in bounds.items():
-        btree = _best_index(table, column, prefer="btree", require_btree=True)
-        if btree is None:
+        index = _best_index(table, column)
+        if index is None:
             continue
         used = set(entry["conjuncts"])
         residual = conjoin([c for j, c in enumerate(conjuncts) if j not in used])
         descending = effective_order == [(column, False)]
         return finalize(ScanPlan(
-            table=table.name, kind=INDEX_RANGE, index_name=btree.name, column=column,
+            table=table.name, kind=INDEX_RANGE, index_name=index.name, column=column,
             low_expr=entry["low"], high_expr=entry["high"],
             include_low=entry["incl_low"], include_high=entry["incl_high"],
             descending=descending, residual=residual,
@@ -446,7 +445,7 @@ def plan_scan(table: Table, where: ast.Expr | None,
 
 
 def _match_ordered_walk(table: Table, eq_map: dict, effective_order: list):
-    """The B+tree index (if any) whose key order serves the ORDER BY after
+    """The index (if any) whose key order serves the ORDER BY after
     an equality prefix: returns ``(index, prefix_len, descending)``.
 
     The index columns past the equality prefix must start with exactly the
@@ -461,7 +460,7 @@ def _match_ordered_walk(table: Table, eq_map: dict, effective_order: list):
         return None
     descending = not directions.pop()
     best = None
-    for index in table.btree_indexes():
+    for index in table.indexes.values():
         if not index.covers(table.n_rows):
             continue
         k = _eq_prefix_len(index.columns, eq_map)
@@ -486,16 +485,15 @@ def _match_full_equality(table: Table, eq_map: dict):
             continue
         if any(column not in eq_map for column in index.columns):
             continue
-        rank = (index.n_columns, index.kind == "hash")
-        if best is None or rank > best[0]:
-            best = (rank, (index, index.columns))
-    return best[1] if best is not None else None
+        if best is None or index.n_columns > best.n_columns:
+            best = index
+    return best
 
 
 def _match_longest_prefix(table: Table, eq_map: dict):
-    """The composite B+tree with the longest equality-bound leading prefix."""
+    """The composite index with the longest equality-bound leading prefix."""
     best = None
-    for index in table.btree_indexes():
+    for index in table.indexes.values():
         if index.n_columns < 2 or not index.covers(table.n_rows):
             continue
         k = _eq_prefix_len(index.columns, eq_map)
@@ -524,10 +522,9 @@ def _prefix_plan(table: Table, conjuncts: list, eq_map: dict, index, k: int,
     if bounds and k < index.n_columns:
         # range + order fusion: a range conjunct on the column right after
         # the equality prefix seeds the leaf walk at the bound instead of
-        # surviving as a residual filter (hash full-equality paths never
-        # reach here with k < n_columns, so the index is a B+tree)
+        # surviving as a residual filter
         entry = bounds.get(index.columns[k])
-        if entry is not None and index.kind == "btree":
+        if entry is not None:
             low_expr, high_expr = entry["low"], entry["high"]
             include_low, include_high = entry["incl_low"], entry["incl_high"]
             used |= set(entry["conjuncts"])
@@ -543,14 +540,10 @@ def _prefix_plan(table: Table, conjuncts: list, eq_map: dict, index, k: int,
     )
 
 
-def _best_index(table: Table, column: str, prefer: str,
-                require_btree: bool = False):
+def _best_index(table: Table, column: str):
+    """The first single-column index on ``column``, or None."""
     indexes = table.indexes_on(column)
-    if require_btree:
-        indexes = [ix for ix in indexes if ix.kind == "btree"]
-        return indexes[0] if indexes else None
-    preferred = [ix for ix in indexes if ix.kind == prefer]
-    return preferred[0] if preferred else indexes[0]
+    return indexes[0] if indexes else None
 
 
 # ---------------------------------------------------------------------------
@@ -1220,14 +1213,11 @@ def _prepare_aggregate(stmt: ast.SelectStmt, items, resolver: Resolver):
 # -- merge-join eligibility --------------------------------------------------
 
 
-def _provided_order(plan: ScanPlan, table: Table) -> list:
+def _provided_order(plan: ScanPlan) -> list:
     """The ``(column, ascending)`` order a chosen scan streams rows in."""
     if plan.kind == INDEX_ORDER:
         return [(c, not plan.descending) for c in plan.columns]
     if plan.kind == INDEX_PREFIX and plan.columns:
-        index = table.indexes.get(plan.index_name)
-        if index is None or index.kind != "btree":
-            return []  # hash full-equality lookups carry no order
         k = len(plan.prefix_exprs)
         return [(c, not plan.descending) for c in plan.columns[k:]]
     if plan.kind == INDEX_RANGE:
@@ -1236,9 +1226,9 @@ def _provided_order(plan: ScanPlan, table: Table) -> list:
 
 
 def _covering_single_btree(table: Table, column: str):
-    """A B+tree over exactly ``column`` that indexes every row, or None."""
-    for index in table.btree_indexes():
-        if index.columns == (column,) and index.covers(table.n_rows):
+    """An index over exactly ``column`` that indexes every row, or None."""
+    for index in table.indexes_on(column):
+        if index.covers(table.n_rows):
             return index
     return None
 
@@ -1254,7 +1244,7 @@ def _merge_eligible(step: _JoinStepSpec, driver, driver_plan: ScanPlan,
     left_binding, left_col, right_col = step.pairs[0]
     if left_binding != driver.binding or left_col == "rowid" or right_col == "rowid":
         return None
-    provided = _provided_order(driver_plan, driver.table)
+    provided = _provided_order(driver_plan)
     if not provided or provided[0] != (left_col, True):
         return None
     if right_plan.kind != SEQ:
@@ -1285,7 +1275,7 @@ def _maybe_steer_merge(driver, driver_plan: ScanPlan, pushed_where,
         return driver_plan
     steered = plan_scan(driver.table, pushed_where, binding=driver.binding,
                         order_spec=[(left_col, True)])
-    provided = _provided_order(steered, driver.table)
+    provided = _provided_order(steered)
     if not provided or provided[0] != (left_col, True):
         return driver_plan
     _path, right_out = first_step.right_ests
@@ -1527,6 +1517,9 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
     group_spec = (
         _group_order_spec(stmt, alias_map, driver) if has_aggregates else None
     )
+    aggregate = (
+        _prepare_aggregate(stmt, items, resolver) if has_aggregates else None
+    )
 
     # -- driver access path --------------------------------------------------
     post_where = None
@@ -1552,8 +1545,13 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
         ordered_path, _out2 = _estimate_scan(driver.stats, ordered,
                                              driver_conjuncts, driver.binding)
         # stream only when ordering the input costs nothing in access-path
-        # quality (no index filtering given up for the walk)
-        if ordered.order_satisfied and ordered_path <= plain_path:
+        # quality (no index filtering given up for the walk).  A full index
+        # walk's per-row heap reads cost more than the batch scan and hash
+        # table they replace, so it streams only when group order elides
+        # the sort or a LIMIT sits directly on the aggregate
+        walk_pays = aggregate[1] if stmt.order_by else stmt.limit is not None
+        if (ordered.order_satisfied and ordered_path <= plain_path
+                and (ordered.kind != INDEX_ORDER or walk_pays)):
             driver_plan = ordered
             stream_group = True
         else:
@@ -1617,7 +1615,7 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
             current_est = post_est
 
     names, root = _finish_select(
-        stmt, items, alias_map, resolver, node, current_est, has_aggregates,
+        stmt, items, alias_map, resolver, node, current_est, aggregate,
         stream_group, order_served, slots,
     )
     root = _vectorize(root, resolver, getattr(db, "vectorize", "auto"))
@@ -1802,15 +1800,18 @@ def _vector_position(expr: ast.Expr, resolver: Resolver) -> int | None:
 
 def _finish_select(stmt: ast.SelectStmt, items, alias_map: dict,
                    resolver: Resolver, node, input_est: float,
-                   has_aggregates: bool, stream_group: bool,
+                   aggregate, stream_group: bool,
                    order_served: bool, slots):
-    """Build the top of the tree: aggregate/project, order, distinct, limit."""
+    """Build the top of the tree: aggregate/project, order, distinct, limit.
+
+    ``aggregate`` is :func:`_prepare_aggregate`'s ``(spec, elide_sort)``
+    for an aggregate query, else None."""
     names = [output_name(item) for item in items]
     limit_value = _limit_literal(stmt.limit) if stmt.limit is not None else None
     offset_value = _limit_literal(stmt.offset) if stmt.offset is not None else 0
 
-    if has_aggregates:
-        spec, elide_sort = _prepare_aggregate(stmt, items, resolver)
+    if aggregate is not None:
+        spec, elide_sort = aggregate
         group_est = _estimate_groups(stmt, alias_map, slots, input_est)
         if spec.having_fn is not None:
             group_est = max(1.0, group_est * 0.5)

@@ -45,8 +45,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 
 from repro.minidb import ast_nodes as ast
-from repro.minidb.functions import _sort_key
-from repro.minidb.hash_index import normalize_key
+from repro.minidb.functions import _sort_key, normalize_key
 from repro.minidb.storage import Table
 
 #: rebuild when at least this many mutations landed since the last build...
@@ -250,20 +249,14 @@ class TableStats:
         """Exact column stats read straight off single-column indexes."""
         out: dict[str, ColumnStats] = {}
         for index in self.table.indexes.values():
-            if index.n_columns != 1 or index.column in out:
+            if (index.n_columns != 1 or index.column in out
+                    or not index.covers(n_rows)):
                 continue
-            if index.kind == "btree" and index.covers(n_rows):
-                n_null = len(index.null_rowids)
-                distinct = index.n_keys - (1 if n_null else 0)
-                out[index.column] = ColumnStats(
-                    max(1, distinct), n_null / n_rows if n_rows else 0.0
-                )
-            elif index.kind == "hash" and n_rows:
-                # NULLs are not indexed; infer their share from the bucket sum
-                n_null = max(0, n_rows - len(index))
-                out[index.column] = ColumnStats(
-                    max(1, index.n_keys), n_null / n_rows
-                )
+            n_null = len(index.null_rowids)
+            distinct = index.n_keys - (1 if n_null else 0)
+            out[index.column] = ColumnStats(
+                max(1, distinct), n_null / n_rows if n_rows else 0.0
+            )
         return out
 
 

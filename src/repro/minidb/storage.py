@@ -43,7 +43,7 @@ from typing import Callable, Iterator
 
 from repro.errors import CatalogError, IntegrityError, SerializationError
 from repro.minidb.catalog import INTEGER, NONE, REAL, TEXT, ColumnDef, TableSchema
-from repro.minidb.hash_index import BTreeIndex, HashIndex
+from repro.minidb.btree import BTreeIndex
 from repro.minidb.invariants import holds_write_lock, wal_exempt
 from repro.minidb.transactions import ANCIENT
 
@@ -663,8 +663,7 @@ class Table:
     # -- index management --------------------------------------------------------
 
     @holds_write_lock
-    def create_index(self, name: str, columns, kind: str = "btree",
-                     unique: bool = False) -> None:
+    def create_index(self, name: str, columns, unique: bool = False) -> None:
         """Build an index over one or more columns, bottom-up.
 
         Column names are validated against the schema *before* any key is
@@ -677,9 +676,9 @@ class Table:
         keys of the versions that differ from the live row, so snapshot
         probes keep finding them.  The index then builds itself once from
         the rowids grouped by key (its ``build``): sorted keys packed into
-        B+tree leaves, or hash buckets filled in one go.  This is the only
-        way an index is populated from existing rows — ``CREATE INDEX``
-        and recovery alike.
+        B+tree leaves bottom-up.  This is the only way an index is
+        populated from existing rows — ``CREATE INDEX`` and recovery
+        alike.
         """
         if name in self.indexes:
             raise CatalogError(f"index {name!r} already exists")
@@ -696,8 +695,7 @@ class Table:
                 )
             seen.add(column)
         positions = tuple(self.schema.position(column) for column in columns)
-        index_cls = {"btree": BTreeIndex, "hash": HashIndex}[kind]
-        index = index_cls(name, columns, positions, unique=unique)
+        index = BTreeIndex(name, columns, positions, unique=unique)
         index.owner = self
         index.build(self._live_entries(), self._chained_entries())
         self.indexes[name] = index
@@ -730,10 +728,6 @@ class Table:
     def indexes_on(self, column: str) -> list:
         """All single-column indexes whose key is exactly ``column``."""
         return [ix for ix in self.indexes.values() if ix.columns == (column,)]
-
-    def btree_indexes(self) -> list:
-        """Every ordered (B+tree) index, single- and multi-column."""
-        return [ix for ix in self.indexes.values() if ix.kind == "btree"]
 
 
 # -- affinity coercers (one per affinity; see Table.coerce) -------------------

@@ -9,7 +9,7 @@ tight per-column loops instead of per-row closures.
 
 Semantics contract: every loop in this module replicates the row-mode
 value semantics (``expressions.sql_equal``/``sql_compare``, the
-``functions`` aggregate accumulators, ``hash_index.normalize_key`` group
+``functions`` aggregate accumulators, ``functions.normalize_key`` group
 keys) **bit for bit** — the parity suite in
 ``tests/test_minidb_vectorized.py`` holds both pipelines to identical
 output.  Batches preserve row order end to end (scan = insertion order,
@@ -26,8 +26,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.minidb.functions import _sort_key
-from repro.minidb.hash_index import normalize_key
+from repro.minidb.functions import _sort_key, normalize_key
 
 BATCH_SIZE = 1024
 """Rows per batch: large enough to amortize dispatch, small enough to

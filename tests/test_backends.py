@@ -279,9 +279,13 @@ class TestSQLSpecific:
         backend.ensure_index("income")
         names = backend.db.index_names()
         assert "idx_data_country" in names and "idx_data_income" in names
-        # text -> hash, numeric -> btree
-        assert backend.db.index_catalog["idx_data_country"].kind == "hash"
-        assert backend.db.index_catalog["idx_data_income"].kind == "btree"
+        # one B+tree per chart column, text and numeric alike
+        from repro.minidb import BTreeIndex
+        indexes = backend._table.indexes
+        assert sorted(indexes) == ["idx_data_country", "idx_data_income"]
+        assert indexes["idx_data_country"].columns == ("country",)
+        assert indexes["idx_data_income"].columns == ("income",)
+        assert all(isinstance(ix, BTreeIndex) for ix in indexes.values())
 
     def test_group_lookup_uses_index(self):
         frame = DataFrame.from_rows(ROWS, COLUMNS)

@@ -21,7 +21,8 @@ from repro.backends.sql_backend import SQLBackend
 from repro.errors import IntegrityError
 from repro.frame import DataFrame
 from repro.minidb import Database, connect
-from repro.minidb.hash_index import BTreeIndex, HashIndex, normalize_key
+from repro.minidb.btree import BTreeIndex
+from repro.minidb.functions import normalize_key
 from repro.minidb.pager import PAGE_DATA, Pager
 from repro.minidb.stats import (
     SAMPLE_CAP, ColumnStats, TableStats, _common_values, _extrapolate_distinct,
@@ -81,12 +82,11 @@ def reference_columns(table, exact: dict) -> dict:
     return columns
 
 
-def reference_index(table, name, columns, kind, unique=False):
+def reference_index(table, name, columns, unique=False):
     """An index filled one ``add_row`` at a time (live rows, then the
     chain versions that differ from them, unchecked)."""
     positions = tuple(table.schema.position(c) for c in columns)
-    cls = BTreeIndex if kind == "btree" else HashIndex
-    index = cls(name, columns, positions, unique=unique)
+    index = BTreeIndex(name, columns, positions, unique=unique)
     index.owner = table
     for rowid, row in table.rows.items():
         index.add_row(row, rowid)
@@ -103,16 +103,12 @@ def column_state(stats: ColumnStats) -> tuple:
 
 
 def index_state(index) -> dict:
-    state = {"len": len(index), "n_keys": index.n_keys}
-    if index.kind == "btree":
-        tree = index._tree
-        tree.check_invariants()
-        state["scan"] = list(tree.range_scan())
-        state["desc"] = list(tree.range_scan_desc())
-        state["nulls"] = set(index.null_rowids)
-    else:
-        state["buckets"] = list(index._buckets.items())
-    return state
+    tree = index._tree
+    tree.check_invariants()
+    return {"len": len(index), "n_keys": index.n_keys,
+            "scan": list(tree.range_scan()),
+            "desc": list(tree.range_scan_desc()),
+            "nulls": set(index.null_rowids)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ _KEYED = st.one_of(st.none(), st.integers(-20, 20), st.sampled_from(
 
 
 class TestBulkIndexBuild:
-    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    @pytest.mark.parametrize("kind", ["btree"])
     @pytest.mark.parametrize("heap", ["memory", "file"])
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -231,8 +227,8 @@ class TestBulkIndexBuild:
             db.insert_rows("t", rows)
             table = db.table("t")
             with db.txn.lock:
-                reference = reference_index(table, "ref", columns, kind)
-                table.create_index("ix", columns, kind=kind)
+                reference = reference_index(table, "ref", columns)
+                table.create_index("ix", columns)
                 assert index_state(table.indexes["ix"]) == index_state(reference)
                 # later writes maintain both through the same row paths
                 table.indexes["ref"] = reference
@@ -242,7 +238,7 @@ class TestBulkIndexBuild:
             assert index_state(table.indexes["ix"]) == index_state(reference)
             db.close()
 
-    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    @pytest.mark.parametrize("kind", ["btree"])
     def test_chain_versions_are_indexed_unchecked(self, kind):
         db = Database()
         db.execute("CREATE TABLE t (a INT, b TEXT)")
@@ -257,8 +253,8 @@ class TestBulkIndexBuild:
         assert table.versions
         for columns in (("a",), ("b",), ("a", "b")):
             with db.txn.lock:
-                reference = reference_index(table, "ref", columns, kind)
-                table.create_index("ix", columns, kind=kind)
+                reference = reference_index(table, "ref", columns)
+                table.create_index("ix", columns)
                 assert index_state(table.indexes["ix"]) == index_state(reference)
                 table.drop_index("ix")
         # UNIQUE ignores chain versions: b was unique before and after
@@ -268,7 +264,7 @@ class TestBulkIndexBuild:
         reader.commit()
         reader.close()
 
-    @pytest.mark.parametrize("kind", ["btree", "hash"])
+    @pytest.mark.parametrize("kind", ["btree"])
     @pytest.mark.parametrize("columns", [("a",), ("a", "b")])
     def test_unique_violation_matches_incremental(self, kind, columns):
         db = Database()
@@ -278,9 +274,9 @@ class TestBulkIndexBuild:
         table = db.table("t")
         with db.txn.lock:
             with pytest.raises(IntegrityError) as incremental:
-                reference_index(table, "u", columns, kind, unique=True)
+                reference_index(table, "u", columns, unique=True)
             with pytest.raises(IntegrityError) as bulk:
-                table.create_index("u", columns, kind=kind, unique=True)
+                table.create_index("u", columns, unique=True)
         assert str(bulk.value) == str(incremental.value)
         assert "u" not in table.indexes
         # NULLs never collide: a column unique apart from its NULLs builds
@@ -298,7 +294,7 @@ class TestBulkIndexBuild:
                        + [(None, None)] * 5)
         db.execute("CREATE INDEX ia ON t (a)")
         db.execute("CREATE INDEX ib ON t (b, a)")
-        db.execute("CREATE INDEX ih ON t (b) USING hash")
+        db.execute("CREATE INDEX ih ON t (b)")
         before = {name: index_state(ix)
                   for name, ix in db.table("t").indexes.items()}
         db.close()
@@ -402,7 +398,7 @@ class TestInsertRowsAtomic:
         db = connect(path) if heap == "file" else Database()
         db.execute("CREATE TABLE t (a INT, b TEXT)")
         db.execute("CREATE UNIQUE INDEX ua ON t (a)")
-        db.execute("CREATE INDEX ib ON t (b) USING hash")
+        db.execute("CREATE INDEX ib ON t (b)")
         db.insert_rows("t", [(0, "w")])
         events = []
         db.table("t").observers.append(events.append)

@@ -64,7 +64,7 @@ def _assert_equivalent(indexed: Database, plain: Database) -> None:
             assert sorted(map(repr, fast)) == sorted(map(repr, slow)), sql
     # structural: the composite tree still covers every row
     table = indexed.table("t")
-    for index in table.btree_indexes():
+    for index in table.indexes.values():
         assert index.covers(table.n_rows)
         index._tree.check_invariants()
 
@@ -250,7 +250,7 @@ class TestUndoRedoReplay:
         assert_index_consistent()
 
 
-@pytest.mark.parametrize("kind", ["btree", "hash"])
+@pytest.mark.parametrize("kind", ["btree"])
 def test_composite_unique_enforced_through_sql(kind):
     db = Database()
     db.execute("CREATE TABLE t (a TEXT, b INT)")

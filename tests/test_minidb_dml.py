@@ -208,7 +208,7 @@ class TestWal:
 
 
 class TestPlanner:
-    def test_prefers_hash_for_equality(self, dirty_db):
+    def test_equality_uses_index(self, dirty_db):
         table = dirty_db.table("salary")
         stmt = parse("SELECT * FROM salary WHERE country = 'Bhutan'")
         plan = plan_scan(table, stmt.where)

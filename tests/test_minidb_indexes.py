@@ -1,9 +1,10 @@
-"""Unit tests for hash and B+tree index wrappers."""
+"""Unit tests for the B+tree index wrapper."""
 
 import pytest
 
 from repro.errors import IntegrityError
-from repro.minidb.hash_index import BTreeIndex, HashIndex, normalize_key
+from repro.minidb.btree import BTreeIndex
+from repro.minidb.functions import normalize_key
 
 
 def walk(index: BTreeIndex, bounds, reverse: bool = False) -> list:
@@ -23,41 +24,6 @@ class TestNormalizeKey:
 
     def test_text_untouched(self):
         assert normalize_key("x") == "x"
-
-
-class TestHashIndex:
-    def test_insert_lookup_remove(self):
-        index = HashIndex("i", "c", 0)
-        index.insert("a", 1)
-        index.insert("a", 2)
-        index.insert("b", 3)
-        assert index.lookup("a") == {1, 2}
-        index.remove("a", 1)
-        assert index.lookup("a") == {2}
-        index.remove("a", 2)
-        assert index.lookup("a") == set()
-        assert index.n_keys == 1
-
-    def test_nulls_not_indexed(self):
-        index = HashIndex("i", "c", 0)
-        index.insert(None, 1)
-        assert len(index) == 0
-        assert index.lookup(None) == set()
-
-    def test_numeric_equivalence(self):
-        index = HashIndex("i", "c", 0)
-        index.insert(1, 10)
-        assert index.lookup(1.0) == {10}
-
-    def test_unique_violation(self):
-        index = HashIndex("i", "c", 0, unique=True)
-        index.insert("a", 1)
-        with pytest.raises(IntegrityError):
-            index.insert("a", 2)
-
-    def test_remove_absent_is_noop(self):
-        index = HashIndex("i", "c", 0)
-        index.remove("zzz", 1)  # no error
 
 
 class TestBTreeIndex:
@@ -178,16 +144,3 @@ class TestCompositeBTreeIndex:
         with pytest.raises(ValueError):
             index.numeric_min()
 
-
-class TestCompositeHashIndex:
-    def test_tuple_keys(self):
-        index = HashIndex("i", ("a", "b"), (0, 1))
-        index.add_row(["x", 1], 1)
-        index.add_row(["x", 2], 2)
-        index.add_row(["x", None], 3)  # NULL component skipped entirely
-        assert index.lookup_values(("x", 1)) == {1}
-        assert index.lookup_values(("x", 1.0)) == {1}
-        assert index.lookup_values(("x", None)) == set()
-        assert len(index) == 2
-        index.remove_row(["x", 1], 1)
-        assert index.lookup_values(("x", 1)) == set()

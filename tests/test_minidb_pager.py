@@ -1,6 +1,8 @@
 """Unit tests for the paged storage layer: binary records, slotted
 pages, the buffer pool, chunk chains, and the dict-protocol PagedHeap."""
 
+import threading
+
 import pytest
 
 from repro.errors import DatabaseError
@@ -205,6 +207,32 @@ class TestPagedHeap:
         with pytest.raises(KeyError):
             heap.pop(17)
         assert list(heap.items()) == [(1, [1, "one"])]
+
+    def test_read_never_sees_a_slot_a_racing_write_emptied(self, pager):
+        """A read looks the rowid up and decodes its slot in one pager-lock
+        hold, so a writer relocating the row cannot run in between and
+        leave the reader holding an emptied slot."""
+        heap = PagedHeap(pager)
+        for i in range(400):  # rowid 1 sits on the first page, far from the tail
+            heap[i] = [i, f"row-{i}"]
+        writer = None
+
+        class RacingDirectory(dict):
+            def get(self, rowid, default=None):
+                nonlocal writer
+                loc = super().get(rowid, default)
+                if writer is None:
+                    writer = threading.Thread(
+                        target=heap.__setitem__, args=(1, [1, "moved"]))
+                    writer.start()
+                    writer.join(timeout=0.2)  # finishes only if unblocked
+                return loc
+
+        heap.directory = RacingDirectory(heap.directory)
+        assert heap.get(1) == [1, "row-1"]
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert heap[1] == [1, "moved"]
 
     def test_update_preserves_insertion_order(self, pager):
         heap = PagedHeap(pager)

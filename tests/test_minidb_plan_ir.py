@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ExecutionError, PlanningError
 from repro.minidb import Database
+from repro.minidb.planner import VECTOR_MIN_ROWS
 
 
 def _indent_of(plan: str, marker: str) -> int:
@@ -316,6 +317,62 @@ class TestStreamAggregate:
             "SELECT val, COUNT(*) FROM t WHERE val = 5 GROUP BY val"
         )
         assert "IndexEqScan" in plan or "IndexRangeScan" in plan
+
+
+class TestFullWalkStreamRule:
+    """A full index walk feeds a StreamAggregate only when streaming saves
+    work the hash plan must do: group order elides the ORDER BY's sort,
+    or a LIMIT sits directly on the aggregate.  Otherwise the hash
+    aggregate over a batch scan is cheaper."""
+
+    ROWS = [(f"c{i % 37}", float(i % 11)) for i in range(2000)] + [(None, 1.0)] * 3
+
+    @pytest.fixture
+    def pair(self):
+        assert len(self.ROWS) >= VECTOR_MIN_ROWS
+        indexed, plain = Database(), Database()
+        for db in (indexed, plain):
+            db.execute("CREATE TABLE t (cat TEXT, val REAL)")
+            db.insert_rows("t", self.ROWS)
+        indexed.execute("CREATE INDEX icat ON t (cat)")
+        return indexed, plain
+
+    def test_ranked_counts_hash_a_batch_scan(self, pair):
+        indexed, _ = pair
+        plan = indexed.explain(
+            "SELECT cat, COUNT(*) FROM t GROUP BY cat ORDER BY 2 DESC")
+        assert "HashAggregate(keys=1) [batch]" in plan
+        assert "SeqScan(t) [batch]" in plan
+        assert "StreamAggregate" not in plan and "IndexOrderScan" not in plan
+
+    def test_unordered_unlimited_group_by_hashes(self, pair):
+        indexed, _ = pair
+        plan = indexed.explain("SELECT cat, COUNT(*) FROM t GROUP BY cat")
+        assert "HashAggregate(keys=1) [batch]" in plan
+        assert "IndexOrderScan" not in plan
+
+    def test_elided_sort_and_limit_still_stream(self, pair):
+        indexed, _ = pair
+        for sql in ("SELECT cat, COUNT(*) FROM t GROUP BY cat ORDER BY cat",
+                    "SELECT cat, COUNT(*) FROM t GROUP BY cat LIMIT 1"):
+            plan = indexed.explain(sql)
+            assert "StreamAggregate(keys=1)" in plan, sql
+            assert "IndexOrderScan(t.cat via icat)" in plan, sql
+            assert "Sort" not in plan and "HashAggregate" not in plan, sql
+
+    def test_rows_match_unindexed_twin(self, pair):
+        indexed, plain = pair
+        for sql in (
+            "SELECT cat, COUNT(*) FROM t GROUP BY cat ORDER BY 2 DESC",
+            "SELECT cat, COUNT(*), SUM(val) FROM t GROUP BY cat ORDER BY cat",
+        ):
+            assert indexed.execute(sql).rows == plain.execute(sql).rows, sql
+        sql = "SELECT cat, COUNT(*), SUM(val) FROM t GROUP BY cat"
+        everything = plain.execute(sql).rows
+        assert sorted(map(repr, indexed.execute(sql).rows)) == sorted(
+            map(repr, everything))
+        first = indexed.execute(sql + " LIMIT 1").rows
+        assert len(first) == 1 and first[0] in everything
 
 
 # ---------------------------------------------------------------------------

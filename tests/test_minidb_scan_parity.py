@@ -35,8 +35,8 @@ SCHEMA = [
 INDEXES = [
     "CREATE INDEX t_k ON t (k)",
     "CREATE INDEX t_kv ON t (k, v)",
-    "CREATE INDEX t_s ON t (s) USING hash",
-    "CREATE INDEX t_sk ON t (s, k) USING hash",
+    "CREATE INDEX t_s ON t (s)",
+    "CREATE INDEX t_sk ON t (s, k)",
     "CREATE INDEX t_m ON t (m)",
     "CREATE INDEX u_k ON u (k)",
 ]

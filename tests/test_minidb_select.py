@@ -263,6 +263,6 @@ class TestExplain:
 
     def test_aggregate_and_sort_steps(self, dirty_db):
         plan = dirty_db.explain(
-            "SELECT country, COUNT(*) FROM salary GROUP BY country ORDER BY 1 LIMIT 2"
+            "SELECT age, COUNT(*) FROM salary GROUP BY age ORDER BY 1 LIMIT 2"
         )
         assert "HashAggregate" in plan and "Sort" in plan and "Limit" in plan

@@ -116,7 +116,7 @@ class TestIndexMaintenance:
     def test_index_backfilled_on_create(self):
         table = make_table()
         rowid = table.insert(["a", 1, 1.0])
-        table.create_index("ix", "name", kind="hash")
+        table.create_index("ix", "name")
         assert table.indexes["ix"].lookup("a") == {rowid}
 
     def test_index_tracks_insert_update_delete(self):

@@ -94,25 +94,6 @@ def test_targeted_gc_respects_snapshot_horizon(db):
     assert set(old.materialize()) == {("x", 1)}
 
 
-def test_unique_hash_index_targeted_gc(db):
-    """Same story through the hash-index unique path."""
-    db.execute("CREATE UNIQUE INDEX u_k ON t(k) USING HASH")
-    db.execute("INSERT INTO t VALUES ('x', 1)")
-    table = db.table("t")
-    index = table.indexes["u_k"]
-
-    blocker = db.stream("SELECT * FROM t")
-    db.execute("DELETE FROM t WHERE n = 1")
-    late = db.stream("SELECT * FROM t")
-    blocker.close()
-    assert 1 in table.versions
-
-    db.execute("INSERT INTO t VALUES ('x', 2)")
-    assert 1 not in table.versions
-    assert len(index.lookup("x")) == 1
-    late.close()
-
-
 def test_unique_still_blocks_genuine_duplicates_after_gc_path(db):
     db.execute("CREATE UNIQUE INDEX u_k ON t(k)")
     db.execute("INSERT INTO t VALUES ('x', 1)")

@@ -116,8 +116,6 @@ def _check(session: BuckarooSession, plan: RepairPlan) -> None:
     executed = session._execute_ops(plan)
     session.backend.apply_delta(executed.inverse())
     assert _content(planned) == _content(executed)
-    # undoing a multi-row delete on the frame re-infers the re-inserted rows'
-    # dtype (0 reads back 0.0 in a mixed column), so the state is taken again
     before = _state(session)
     scored = session.speculate(plan)
     assert _state(session) == before

@@ -17,6 +17,7 @@ import os
 
 import pytest
 
+from repro.backends import SQLBackend
 from repro.config import BuckarooConfig
 from repro.core.session import BuckarooSession
 from repro.datasets import load_dataset
@@ -54,10 +55,18 @@ DATASET_SCALES = {
 
 
 def make_session(dataset: str, backend: str,
-                 config: BuckarooConfig | None = None) -> BuckarooSession:
-    """Build a detected session for one dataset/backend combination."""
+                 config: BuckarooConfig | None = None,
+                 **sql_options) -> BuckarooSession:
+    """Build a detected session for one dataset/backend combination.
+
+    ``sql_options`` (``path``, ``wal_autocheckpoint``, ...) pass through
+    to :meth:`SQLBackend.from_frame`.
+    """
     frame, _truth = load_dataset(dataset, scale=DATASET_SCALES[dataset])
-    session = BuckarooSession.from_frame(frame, backend=backend, config=config)
+    if backend == "sql":
+        session = BuckarooSession(SQLBackend.from_frame(frame, **sql_options), config)
+    else:
+        session = BuckarooSession.from_frame(frame, backend=backend, config=config)
     cats, nums = DATASET_COLUMNS[dataset]
     session.generate_groups(cat_cols=cats, num_cols=nums)
     session.detect()

@@ -14,6 +14,7 @@ from repro.core.types import Stats
 from repro.errors import BuckarooError
 from repro.frame import DataFrame, dtypes
 from repro.minidb import Database, connect
+from repro.minidb.catalog import is_boolean
 from repro.snapshots.delta import DeltaSnapshot
 
 from repro.backends.base import Backend, compose_all
@@ -22,7 +23,7 @@ from repro.backends.stats_cache import GroupStatsCache
 _SQL_TYPES = {
     dtypes.INT64: "BIGINT",
     dtypes.FLOAT64: "DOUBLE PRECISION",
-    dtypes.BOOL: "INT",
+    dtypes.BOOL: "BOOLEAN",  # integer affinity: cells store 0/1
     dtypes.STRING: "TEXT",
     dtypes.MIXED: "REAL",  # numeric affinity keeps numbers; dirty text survives
 }
@@ -40,22 +41,11 @@ class SQLBackend(Backend):
         self.table_name = table
         self._table = db.table(table)
         self.stats_cache = GroupStatsCache(self._table)
-        # the hot interactive queries (per-group, per-column shapes) run as
-        # prepared statements: parse + plan once, rebind per call.  Keyed
-        # by SQL text locally so backend statements never feel LRU pressure
-        # from unrelated queries in the database-level cache.
-        self._prepared: dict[str, object] = {}
-
-    def _prepare(self, sql: str):
-        prepared = self._prepared.get(sql)
-        if prepared is None:
-            prepared = self.db.prepare(sql)
-            self._prepared[sql] = prepared
-        return prepared
 
     def _query(self, sql: str, params: tuple = ()):
-        """Execute ``sql`` through a backend-cached prepared statement."""
-        return self._prepare(sql).execute(params)
+        """Execute ``sql`` as a prepared statement (parsed and planned
+        once, cached by the database, rebound per call)."""
+        return self.db.prepare(sql).execute(params)
 
     def register_chart_columns(self, cat_cols, num_cols) -> None:
         """Start incremental stats/error caching for the chart attributes.
@@ -68,26 +58,21 @@ class SQLBackend(Backend):
 
     @classmethod
     def from_frame(cls, frame: DataFrame, table: str = "data",
-                   wal: bool = True,
                    path: str | None = None, **options) -> "SQLBackend":
         """Load a DataFrame into a fresh database (the §2 upload step).
 
         ``path`` opens a durable file-backed database (rows on pages
-        behind a buffer pool, crash-safe WAL); the default is in-memory.
-        Extra options (``pool_pages``, ``fsync``, ...) pass through to
-        :func:`repro.minidb.connect`.
+        behind a buffer pool, crash-safe WAL); the default is in-memory,
+        with no WAL.  Extra options (``pool_pages``, ``fsync``, ...) pass
+        through to :func:`repro.minidb.connect`.
         """
-        if path is not None:
-            db = connect(path, **options)
-        else:
-            db = connect(wal=wal or None, **options)
+        db = connect(path or ":memory:", **options)
         columns_sql = ", ".join(
             f'"{col.name}" {_SQL_TYPES[col.dtype]}' for col in frame.columns
         )
         db.execute(f"CREATE TABLE {table} ({columns_sql})")
         db.insert_rows(table, frame.iter_rows())
-        if db.wal is not None:
-            db.checkpoint()  # the initial load is not an undoable operation
+        db.checkpoint()  # the initial load is not an undoable operation
         return cls(db, table)
 
     # -- schema ----------------------------------------------------------------
@@ -101,7 +86,7 @@ class SQLBackend(Backend):
     def categorical_columns(self, max_categories: int = 50) -> list[str]:
         result = []
         for coldef in self._table.schema.columns:
-            if coldef.affinity == "text":
+            if coldef.affinity == "text" or is_boolean(coldef.type_name):
                 distinct = self._distinct_count_capped(coldef.name, max_categories)
                 if distinct <= max_categories:
                     result.append(coldef.name)
@@ -120,7 +105,7 @@ class SQLBackend(Backend):
         distinct values have been seen instead of aggregating the whole
         table just to learn "too many".
         """
-        prepared = self._prepare(
+        prepared = self.db.prepare(
             f'SELECT DISTINCT "{column}" FROM {self.table_name} '
             f'WHERE "{column}" IS NOT NULL LIMIT ?'
         )
@@ -129,7 +114,8 @@ class SQLBackend(Backend):
     def numerical_columns(self) -> list[str]:
         result = []
         for coldef in self._table.schema.columns:
-            if coldef.affinity in ("integer", "real"):
+            if (coldef.affinity in ("integer", "real")
+                    and not is_boolean(coldef.type_name)):
                 counts = self._query(
                     f'SELECT COUNT("{coldef.name}"), '
                     f'SUM(CASE WHEN typeof("{coldef.name}") = \'text\' '

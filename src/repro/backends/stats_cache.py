@@ -136,35 +136,28 @@ class GroupStatsCache:
     # -- registration ------------------------------------------------------------
 
     def track(self, cat_cols: list[str], num_cols: list[str]) -> None:
-        """Start (or extend) tracking; builds the cache in one table scan."""
+        """Start (or extend) tracking; builds the cache in one table scan.
+
+        A newly tracked categorical column needs buckets in every numeric
+        cache, so it rebuilds them all in that scan.
+        """
         new_cats = [c for c in cat_cols if c not in self._cat_positions]
         new_nums = [c for c in num_cols if c not in self._numeric]
         for cat in new_cats:
             self._cat_positions[cat] = self.table.schema.position(cat)
-        for num in new_nums:
-            self._numeric[num] = _NumericCache(self.table.schema.position(num))
-        # existing numeric caches need buckets for newly tracked categories
-        rebuild_cats = new_cats if self._numeric else []
-        if not new_nums and not rebuild_cats:
+        stale = [*self._numeric, *new_nums] if new_cats else new_nums
+        if not stale:
             return
-        for num, cache in self._numeric.items():
-            targets = (
-                list(self._cat_positions) if num in new_nums else rebuild_cats
-            )
-            for cat in targets:
-                cache.per_cat.setdefault(cat, {})
+        caches = []
+        for num in stale:
+            cache = _NumericCache(self.table.schema.position(num))
+            cache.per_cat = {cat: {} for cat in self._cat_positions}
+            self._numeric[num] = cache
+            caches.append(cache)
         for rowid, row in self.table.scan():
-            for num, cache in self._numeric.items():
-                fresh_nums = num in new_nums
-                value = row[cache.position]
-                if fresh_nums:
-                    self._add_value(cache, rowid, row, value,
-                                    cats=list(self._cat_positions))
-                else:
-                    # only fill the new categorical buckets
-                    if _is_numeric(value):
-                        self._add_to_buckets(cache, row, float(value),
-                                             cats=rebuild_cats)
+            keyed = self._keyed(row)
+            for cache in caches:
+                self._add(cache, rowid, row[cache.position], keyed)
 
     def tracks_numeric(self, num_col: str) -> bool:
         return num_col in self._numeric
@@ -250,42 +243,40 @@ class GroupStatsCache:
     def _cat_key(self, category):
         return normalize_key(category) if category is not None else None
 
+    def _keyed(self, row) -> list:
+        """``(cat_col, bucket key)`` of ``row`` for every tracked category."""
+        return [(cat, self._cat_key(row[position]))
+                for cat, position in self._cat_positions.items()]
+
     def _on_change(self, event: tuple) -> None:
         kind = event[0]
         if kind == "insert":
             _, _, rowid, values = event
+            keyed = self._keyed(values)
             for cache in self._numeric.values():
-                self._add_value(cache, rowid, values, values[cache.position],
-                                cats=list(self._cat_positions))
+                self._add(cache, rowid, values[cache.position], keyed)
         elif kind == "delete":
             _, _, rowid, values = event
+            keyed = self._keyed(values)
             for cache in self._numeric.values():
-                self._remove_value(cache, rowid, values, values[cache.position],
-                                   cats=list(self._cat_positions))
+                self._remove(cache, rowid, values[cache.position], keyed)
         else:  # update
             _, _, rowid, old, new = event
             self._on_update(rowid, old, new)
 
     def _on_update(self, rowid: int, old: dict, new: dict) -> None:
         row = self.table.rows[rowid]  # post-update state
-
-        def cat_value_before(cat: str):
-            position = self._cat_positions[cat]
-            return old[position] if position in old else row[position]
-
         changed_positions = set(new)
         # numeric columns whose value changed
-        for num, cache in self._numeric.items():
-            if cache.position not in changed_positions:
-                continue
-            old_value = old[cache.position]
-            new_value = new[cache.position]
-            old_cats = {cat: cat_value_before(cat) for cat in self._cat_positions}
-            self._remove_with_cats(cache, rowid, old_value, old_cats)
-            new_cats = {
-                cat: row[self._cat_positions[cat]] for cat in self._cat_positions
-            }
-            self._add_with_cats(cache, rowid, new_value, new_cats)
+        changed = [cache for cache in self._numeric.values()
+                   if cache.position in changed_positions]
+        if changed:
+            before = [(cat, self._cat_key(old.get(position, row[position])))
+                      for cat, position in self._cat_positions.items()]
+            after = self._keyed(row)
+            for cache in changed:
+                self._remove(cache, rowid, old[cache.position], before)
+                self._add(cache, rowid, new[cache.position], after)
         # categorical columns whose value changed move every *unchanged*
         # numeric value between buckets
         for cat, position in self._cat_positions.items():
@@ -308,8 +299,10 @@ class GroupStatsCache:
                     source.remove(value)
                 buckets.setdefault(new_category, _Moments()).add(value)
 
-    def _add_value(self, cache: _NumericCache, rowid: int, row, value,
-                   cats: list[str]) -> None:
+    def _add(self, cache: _NumericCache, rowid: int, value, keyed) -> None:
+        """Count row ``rowid``'s ``value``: in the missing or text set, or
+        in the global moments, the range and the bucket of every
+        ``(cat_col, bucket key)`` in ``keyed``."""
         if value is None:
             cache.missing.add(rowid)
             return
@@ -322,16 +315,11 @@ class GroupStatsCache:
             cache.min = value
         if cache.max is None or value > cache.max:
             cache.max = value
-        self._add_to_buckets(cache, row, value, cats)
-
-    def _add_to_buckets(self, cache: _NumericCache, row, value: float,
-                        cats: list[str]) -> None:
-        for cat in cats:
-            category = self._cat_key(row[self._cat_positions[cat]])
+        for cat, category in keyed:
             cache.per_cat[cat].setdefault(category, _Moments()).add(value)
 
-    def _remove_value(self, cache: _NumericCache, rowid: int, row, value,
-                      cats: list[str]) -> None:
+    def _remove(self, cache: _NumericCache, rowid: int, value, keyed) -> None:
+        """Undo :meth:`_add` of the same arguments."""
         if value is None:
             cache.missing.discard(rowid)
             return
@@ -342,44 +330,7 @@ class GroupStatsCache:
         cache.global_moments.remove(value)
         if value == cache.min or value == cache.max:
             cache.range_dirty = True
-        for cat in cats:
-            category = self._cat_key(row[self._cat_positions[cat]])
-            bucket = cache.per_cat[cat].get(category)
-            if bucket is not None:
-                bucket.remove(value)
-
-    def _add_with_cats(self, cache: _NumericCache, rowid: int, value,
-                       cat_values: dict) -> None:
-        if value is None:
-            cache.missing.add(rowid)
-            return
-        if not _is_numeric(value):
-            cache.text.add(rowid)
-            return
-        value = float(value)
-        cache.global_moments.add(value)
-        if cache.min is None or value < cache.min:
-            cache.min = value
-        if cache.max is None or value > cache.max:
-            cache.max = value
-        for cat, raw in cat_values.items():
-            category = self._cat_key(raw)
-            cache.per_cat[cat].setdefault(category, _Moments()).add(value)
-
-    def _remove_with_cats(self, cache: _NumericCache, rowid: int, value,
-                          cat_values: dict) -> None:
-        if value is None:
-            cache.missing.discard(rowid)
-            return
-        if not _is_numeric(value):
-            cache.text.discard(rowid)
-            return
-        value = float(value)
-        cache.global_moments.remove(value)
-        if value == cache.min or value == cache.max:
-            cache.range_dirty = True
-        for cat, raw in cat_values.items():
-            category = self._cat_key(raw)
+        for cat, category in keyed:
             bucket = cache.per_cat[cat].get(category)
             if bucket is not None:
                 bucket.remove(value)

@@ -27,7 +27,8 @@ class BuckarooConfig:
             group's own statistics.
         min_group_size: groups with fewer rows are flagged as incomplete.
         flush_interval: number of applied wrangling operations between
-            write-cache flushes to the backing database.
+            write-cache flushes to the backing database (a durable
+            checkpoint on a file-backed SQL backend, a no-op in memory).
         max_render_points: per-chart render budget used by the sampling
             strategies (§4.1).
         context_sample_size: number of clean "context" rows error-first

@@ -6,9 +6,11 @@ and persistence, Buckaroo periodically flushes these changes to the Postgres
 database—by default, after every three updates, which can be configured by
 the user."
 
-In this reproduction the cache sits in front of the backend's ``flush()``
-(a WAL checkpoint on the SQL backend): every applied repair counts as one
-update; each ``flush_interval``-th update triggers a flush.
+In this reproduction the cache sits in front of the backend's ``flush()``:
+every applied repair counts as one update; each ``flush_interval``-th
+update triggers a flush.  On a file-backed SQL backend a flush is a
+durable checkpoint (dirty pages reach the heap file, the WAL empties); in
+memory, and on the frame backend, it is a no-op that retires nothing.
 """
 
 from __future__ import annotations

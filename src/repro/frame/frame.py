@@ -245,12 +245,14 @@ class DataFrame:
         """Columns holding (possibly messy) numeric data.
 
         Includes ``mixed`` columns where most present values parse as
-        numbers — exactly the dirty columns Buckaroo must handle.
+        numbers — exactly the dirty columns Buckaroo must handle.  A
+        column with no present value is not numerical (nor on SQL).
         """
         result = []
         for col in self._columns.values():
             if col.dtype in dtypes.NUMERIC_DTYPES:
-                result.append(col.name)
+                if col.n_missing < len(col):
+                    result.append(col.name)
             elif col.dtype == dtypes.MIXED:
                 _, ok, mismatch = col.to_numeric()
                 present = ok.sum() + mismatch.sum()

@@ -28,12 +28,12 @@ def connect(path: str | os.PathLike = ":memory:", **options) -> Database:
     """Open a minidb database — the one public entry point.
 
     ``connect()`` or ``connect(":memory:")`` gives a volatile in-memory
-    database; ``connect("data.db")`` opens (or creates) a durable
-    file-backed one whose committed data survives :meth:`Database.close`
-    and process restarts (crash recovery replays the WAL tail).  Options
-    — ``pool_pages``, ``fsync``, ``wal_autocheckpoint``, ``gc_interval``,
-    ``reorder_joins``, plus ``wal=True`` for an in-memory database with a
-    buffered WAL — are forwarded to :class:`Database`; tune them later
+    database with no write-ahead log; ``connect("data.db")`` opens (or
+    creates) a durable file-backed one whose committed data survives
+    :meth:`Database.close` and process restarts (crash recovery replays
+    the WAL tail).  Options — ``pool_pages``, ``fsync``,
+    ``wal_autocheckpoint``, ``gc_interval``, ``reorder_joins``,
+    ``vectorize`` — are forwarded to :class:`Database`; tune them later
     with :meth:`Database.pragma`.  Databases are context managers::
 
         with connect("data.db") as db:

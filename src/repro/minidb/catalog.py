@@ -14,8 +14,20 @@ NONE = "none"
 AFFINITIES = (INTEGER, REAL, TEXT, NONE)
 
 
+def is_boolean(type_name: str) -> bool:
+    """Whether a declared column type is a boolean (any type naming BOOL).
+
+    >>> is_boolean("BOOLEAN"), is_boolean("bool"), is_boolean("INT")
+    (True, True, False)
+    """
+    return "BOOL" in type_name.upper()
+
+
 def affinity_of(type_name: str) -> str:
-    """Derive a type affinity from a declared column type (SQLite rules).
+    """Derive a type affinity from a declared column type.
+
+    SQLite's rules, with one departure: a boolean type has integer
+    affinity (SQLite gives it NUMERIC), so its cells store 0/1.
 
     >>> affinity_of("BIGINT")
     'integer'
@@ -23,11 +35,13 @@ def affinity_of(type_name: str) -> str:
     'text'
     >>> affinity_of("double precision")
     'real'
+    >>> affinity_of("BOOLEAN")
+    'integer'
     >>> affinity_of("blob")
     'none'
     """
     upper = type_name.upper()
-    if "INT" in upper:
+    if "INT" in upper or is_boolean(upper):
         return INTEGER
     if any(tag in upper for tag in ("CHAR", "CLOB", "TEXT", "STRING")):
         return TEXT

@@ -105,12 +105,11 @@ def _vectorize_mode(value) -> str:
 class Database:
     """An in-process relational database with SQL, MVCC, indexes and a WAL.
 
-    Open it three ways (``repro.minidb.connect`` is the front door):
+    Open it two ways (``repro.minidb.connect`` is the front door):
 
-    * ``Database()`` — in-memory, no durability (``":memory:"``).
-    * ``Database(wal=WriteAheadLog(...))`` — in-memory rows with a
-      buffered WAL the caller checkpoints/replays by hand (legacy).
-    * ``Database(path="data.db")`` — file-backed: rows live on slotted
+    * ``Database()`` — in-memory (``":memory:"``): no durability and no
+      WAL (``db.wal is None``).
+    * ``Database("data.db")`` — file-backed: rows live on slotted
       4KB pages behind a buffer pool, every commit streams to
       ``data.db-wal`` (fsynced per the ``fsync`` option), and periodic
       checkpoints flush dirty pages so reopening replays only the WAL
@@ -128,15 +127,7 @@ class Database:
     GC passes; None/0 keeps GC commit-driven).
     """
 
-    def __init__(self, wal: WriteAheadLog | None = None,
-                 path: str | os.PathLike | None = None, **options):
-        # positional convenience: Database("data.db") opens a file
-        if isinstance(wal, (str, os.PathLike)):
-            if path is not None:
-                raise DatabaseError("pass either a path or a WAL, not both")
-            path, wal = wal, None
-        if wal is True:
-            wal = WriteAheadLog()
+    def __init__(self, path: str | os.PathLike | None = None, **options):
         pool_pages = int(options.pop("pool_pages", 256))
         fsync_mode = _fsync_mode(options.pop("fsync", True))
         fsync = fsync_mode != "off"
@@ -150,7 +141,7 @@ class Database:
             )
         self.tables: dict[str, Table] = {}
         self.index_catalog: dict[str, IndexDef] = {}
-        self.wal = wal
+        self.wal: WriteAheadLog | None = None
         self.path: Path | None = None
         self.pager: Pager | None = None
         self._closed = False
@@ -183,11 +174,6 @@ class Database:
         self._gc_thread: threading.Thread | None = None
         self._gc_stop: threading.Event | None = None
         if path is not None and str(path) != ":memory:":
-            if wal is not None:
-                raise DatabaseError(
-                    "a file-backed database manages its own WAL; "
-                    "pass either a path or a WAL, not both"
-                )
             self._open_durable(Path(path), pool_pages, fsync)
         if self._gc_interval:
             self.start_background_gc(self._gc_interval)
@@ -317,19 +303,16 @@ class Database:
 
         File-backed: flush dirty pages + catalog, stamp the heap header
         with the covered LSN, truncate the WAL — bounded-tail recovery.
-        Buffered-WAL: append pending records (plus a checkpoint marker)
-        to the log file and truncate memory.  No-op without a WAL.
+        No-op (returns 0) in memory, which has nowhere to flush to.
 
         A durable checkpoint needs a quiescent transaction manager (no
         active transaction may leak uncommitted rows into the heap file);
         when writers are in flight it returns 0 and the caller retries
         later — the WAL still guarantees durability in the meantime.
         """
-        if self.pager is not None:
-            return self._checkpoint_durable()
-        if self.wal is None:
+        if self.pager is None:
             return 0
-        return self.wal.checkpoint()
+        return self._checkpoint_durable()
 
     # -- durable lifecycle -------------------------------------------------------
 
@@ -365,7 +348,6 @@ class Database:
                 self._fsync = self._fsync_policy != "off"
                 if self.pager is not None:
                     self.pager.fsync_enabled = self._fsync
-                if self.wal is not None:
                     self.wal.set_fsync(self._fsync)
                     self.wal.set_group_commit(self._fsync_policy == "group")
             return self._fsync_policy
@@ -451,7 +433,7 @@ class Database:
         self.pager = Pager(path, pool_pages=pool_pages, fsync=fsync)
         # the WAL sidecar lives next to the heap file, SQLite-style
         wal_path = path.with_name(path.name + "-wal")
-        self.wal = WriteAheadLog.open_durable(wal_path, fsync=fsync)
+        self.wal = WriteAheadLog(wal_path, fsync=fsync)
         self.wal.set_group_commit(self._fsync_policy == "group")
         # LSNs must stay monotonic across opens: the header's durable_lsn
         # is the recovery replay bound, so a fresh (truncated) WAL that
@@ -459,8 +441,6 @@ class Database:
         # replay would silently skip them after the next crash
         if self.wal.next_lsn <= self.pager.durable_lsn:
             self.wal.next_lsn = self.pager.durable_lsn + 1
-        self.wal.checkpointed_lsn = max(
-            self.wal.checkpointed_lsn, self.pager.durable_lsn)
         try:
             self._recover()
         except BaseException:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.frame import DataFrame
-from repro.minidb import Database
+from repro.minidb import Database, connect
 
 DIRTY_ROWS = [
     # (country, degree, income, age)
@@ -39,6 +39,30 @@ def pytest_configure(config):
 def dirty_frame() -> DataFrame:
     """The motivating-example dataset as a DataFrame."""
     return DataFrame.from_rows(DIRTY_ROWS, DIRTY_COLUMNS)
+
+
+def wal_path(path):
+    """The ``<path>-wal`` sidecar of the database file at ``path``."""
+    return path.with_name(path.name + "-wal")
+
+
+def crash(db):
+    """Drop the process handles without checkpoint or close — everything
+    not already fsynced by a commit barrier is lost, like a power cut."""
+    if db.pager is not None:
+        db.pager._fh.close()
+    if db.wal is not None and db.wal._handle is not None:
+        db.wal._handle.close()
+    db._closed = True
+
+
+@pytest.fixture
+def logged_db(tmp_path):
+    """A file-backed database whose WAL keeps every record: automatic
+    checkpoints are off, so ``db.wal.records`` is the whole history."""
+    db = connect(tmp_path / "t.db", wal_autocheckpoint=0)
+    yield db
+    db.close()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import pytest
 
 from repro.backends import FrameBackend, SQLBackend, make_backend
 from repro.frame import DataFrame
+from repro.minidb import Database
 
 ROWS = [
     ("Bhutan", "BS", 50000.0, 34),
@@ -49,6 +50,23 @@ class TestSchema:
     def test_numerical_columns(self, backend):
         nums = backend.numerical_columns()
         assert "income" in nums and "age" in nums
+
+    @pytest.mark.parametrize("kind", ["sql", "frame"])
+    def test_bool_and_all_missing_column_roles(self, kind):
+        """A bool column is categorical and not numerical; a column with
+        no present value is not numerical.  SQL stores the bools as 0/1."""
+        frame = DataFrame.from_dict({
+            "flag": [True, False, True, None],
+            "empty": [None, None, None, None],
+            "n": [1.5, 2.5, 3.5, 4.5],
+        })
+        backend = make_backend(frame, kind)
+        assert backend.categorical_columns() == ["flag"]
+        assert backend.numerical_columns() == ["n"]
+        if kind == "sql":
+            stored = backend.values("flag", [1, 2, 3, 4])
+            assert stored == [1, 0, 1, None]
+            assert all(type(v) is int for v in stored[:3])
 
 
 class TestReads:
@@ -260,7 +278,9 @@ class TestInfrastructure:
     def test_flush(self, backend):
         backend.set_cells("age", [1], 99)
         flushed = backend.flush()
-        assert flushed >= 0  # sql counts wal records, frame is a no-op
+        # a file-backed SQL flush is a checkpoint counting the WAL records
+        # it retires; in memory, and on the frame, it is a no-op (0)
+        assert flushed >= 0
 
 
 class TestSQLSpecific:
@@ -293,6 +313,18 @@ class TestSQLSpecific:
         backend.ensure_index("country")
         plan = backend.db.explain('SELECT rowid FROM data WHERE "country" = ?')
         assert "IndexEqScan" in plan
+
+    @pytest.mark.parametrize("declared", ["BOOLEAN", "bool", "Bool"])
+    def test_any_boolean_declaration_is_categorical(self, declared):
+        """A table declared by hand with any spelling of a boolean type
+        gets the same roles as an uploaded bool column."""
+        db = Database()
+        db.execute(f"CREATE TABLE t (flag {declared}, n INT)")
+        db.executemany("INSERT INTO t VALUES (?, ?)",
+                       [(k % 2 == 0, k) for k in range(30)])
+        backend = SQLBackend(db, "t")
+        assert backend.categorical_columns() == ["flag"]
+        assert backend.numerical_columns() == ["n"]
 
     def test_nan_is_stored_as_null(self):
         """A NaN written through SQL is NULL in every affinity (SQLite's

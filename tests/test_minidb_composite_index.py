@@ -15,7 +15,6 @@ import pytest
 from repro.backends.sql_backend import SQLBackend
 from repro.frame import DataFrame
 from repro.minidb import Database
-from repro.minidb.wal import WriteAheadLog
 
 ROWS = [
     ("a", 3.0, 1),
@@ -190,9 +189,8 @@ class TestUndoRedoReplay:
         assert _probe_fingerprint(indexed) == before
         _assert_equivalent(indexed, plain)
 
-    def test_wal_redo_rebuilds_composite_indexes(self):
-        wal = WriteAheadLog()
-        source = Database(wal=wal)
+    def test_wal_redo_rebuilds_composite_indexes(self, logged_db):
+        source, wal = logged_db, logged_db.wal
         source.execute("CREATE TABLE t (cat TEXT, val REAL, x INT)")
         source.execute("CREATE INDEX idx_cv ON t (cat, val)")
         source.executemany("INSERT INTO t VALUES (?, ?, ?)", ROWS)

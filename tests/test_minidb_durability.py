@@ -9,23 +9,11 @@ import random
 import pytest
 
 from repro.errors import CatalogError, DatabaseError, SQLSyntaxError
-from repro.minidb import Database, WriteAheadLog, connect
+from repro.minidb import Database, connect
 from repro.minidb.catalog import TableSchema
 from repro.minidb.pager import PAGE_SIZE
 
-
-def wal_path(path):
-    return path.with_name(path.name + "-wal")
-
-
-def crash(db):
-    """Drop the process handles without checkpoint or close — everything
-    not already fsynced by a commit barrier is lost, like a power cut."""
-    if db.pager is not None:
-        db.pager._fh.close()
-    if db.wal is not None and db.wal._handle is not None:
-        db.wal._handle.close()
-    db._closed = True
+from tests.conftest import crash, wal_path
 
 
 class TestLifecycleAPI:
@@ -60,10 +48,6 @@ class TestLifecycleAPI:
             db.connect()
         with pytest.raises(DatabaseError, match="closed"):
             conn.execute("SELECT 1")
-
-    def test_path_and_wal_are_exclusive(self, tmp_path):
-        with pytest.raises(DatabaseError, match="path or a WAL"):
-            Database(wal=WriteAheadLog(), path=tmp_path / "x.db")
 
     def test_unknown_option_rejected(self, tmp_path):
         with pytest.raises(DatabaseError, match="unknown open option"):
@@ -135,6 +119,22 @@ class TestReopenRecovers:
         with connect(path) as db:
             assert db.has_table("a") and not db.has_table("b")
             assert db.execute("SELECT x, note FROM a").rows == [(1, "kept")]
+
+    def test_boolean_column_round_trip(self, tmp_path):
+        """A boolean column keeps integer affinity and 0/1 cells, both from
+        checkpointed pages and from a WAL tail replayed after a crash."""
+        path = tmp_path / "bool.db"
+        with connect(path) as db:
+            db.execute("CREATE TABLE t (flag BOOLEAN)")
+            db.executemany("INSERT INTO t VALUES (?)", [(True,), (False,), (None,)])
+        db = connect(path)
+        db.execute("INSERT INTO t VALUES (?)", (True,))
+        crash(db)
+        with connect(path) as db:
+            assert db.table("t").schema.columns[0].affinity == "integer"
+            flags = db.execute("SELECT flag FROM t ORDER BY rowid").scalars()
+            assert flags == [1, 0, None, 1]
+            assert [type(v) for v in flags] == [int, int, type(None), int]
 
     def test_partitioned_table_is_refused_by_name(self, tmp_path, monkeypatch):
         """Older files may hold a partitioned table (a ``partition`` schema
@@ -232,59 +232,6 @@ class TestReopenRecovers:
             db.execute("INSERT INTO t VALUES (42)")
         with connect(path) as db:
             assert db.execute("SELECT x FROM t").scalar() == 42
-
-
-class TestCheckpointBoundsReplay:
-    """Regression tests for the WAL checkpoint bug: checkpoint() used to
-    leave load()-ed logs indistinguishable from never-checkpointed ones,
-    so recovery replayed the full history every time."""
-
-    def test_marker_bounds_legacy_replay(self, tmp_path):
-        log_file = tmp_path / "legacy.wal"
-        db = Database(wal=WriteAheadLog(log_file))
-        db.execute("CREATE TABLE t (x INT)")
-        db.execute("INSERT INTO t VALUES (1)")
-        db.checkpoint()
-        db.execute("INSERT INTO t VALUES (2)")
-        db.checkpoint()
-
-        reloaded = WriteAheadLog.load(log_file)
-        assert reloaded.checkpointed_lsn > 0
-        # the full history still replays for from-scratch reconstruction
-        full = Database()
-        assert reloaded.replay_into(full) > 0
-        assert full.execute("SELECT COUNT(*) FROM t").scalar() == 2
-        # ...but a reader that already holds the checkpointed state skips
-        # everything at or below the marker: nothing left to apply
-        bounded = Database()
-        assert reloaded.replay_into(
-            bounded, after_lsn=reloaded.checkpointed_lsn) == 0
-
-    def test_partial_tail_replays_after_marker(self, tmp_path):
-        log_file = tmp_path / "tail.wal"
-        db = Database(wal=WriteAheadLog(log_file))
-        db.execute("CREATE TABLE t (x INT)")
-        db.execute("INSERT INTO t VALUES (1)")
-        db.checkpoint()
-        db.execute("INSERT INTO t VALUES (2)")  # post-checkpoint tail
-        db.checkpoint()  # flush the tail record to the file
-        reloaded = WriteAheadLog.load(log_file)
-        markers = reloaded.checkpoint_count
-        assert markers == 2
-        # replay from the FIRST marker: only the tail insert applies
-        first_marker_lsn = min(
-            r["lsn"] for r in _marker_lsns(log_file))
-        fresh = Database()
-        fresh.execute("CREATE TABLE t (x INT)")
-        fresh.execute("INSERT INTO t VALUES (1)")
-        assert reloaded.replay_into(fresh, after_lsn=first_marker_lsn) == 1
-        assert fresh.execute("SELECT COUNT(*) FROM t").scalar() == 2
-
-
-def _marker_lsns(log_file):
-    with open(log_file, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh
-                if json.loads(line).get("op") == "checkpoint"]
 
 
 class TestCrashRecovery:

@@ -16,7 +16,9 @@ from repro.errors import (
     SerializationError,
     TransactionError,
 )
-from repro.minidb import Connection, Database, WriteAheadLog
+from repro.minidb import Connection, Database, connect
+
+from tests.conftest import crash
 
 
 @pytest.fixture
@@ -354,11 +356,10 @@ class TestDDLGuard:
         db.execute("CREATE TABLE yep (x INT)")
         assert db.has_table("yep")
 
-    def test_rolled_back_transaction_leaves_no_phantom_ddl_in_wal(self):
+    def test_rolled_back_transaction_leaves_no_phantom_ddl_in_wal(self, logged_db):
         """The regression ISSUE 5 names: a ROLLBACK must not leave the WAL
         claiming a table that never survived."""
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE real_table (a INT)")
         db.execute("BEGIN")
         with pytest.raises(TransactionError):
@@ -382,9 +383,8 @@ class TestDDLGuard:
 
 
 class TestWalRecovery:
-    def test_commit_record_wraps_transaction_events(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_commit_record_wraps_transaction_events(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         conn = db.connect()
         conn.execute("BEGIN")
@@ -399,9 +399,8 @@ class TestWalRecovery:
             "insert", "insert", "update",
         ]
 
-    def test_replay_reconstructs_only_committed_transactions(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_replay_reconstructs_only_committed_transactions(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         committed, crashed = db.connect(), db.connect()
         committed.execute("BEGIN")
@@ -414,9 +413,8 @@ class TestWalRecovery:
         wal.replay_into(fresh)
         assert fresh.execute("SELECT a FROM t").scalars() == [1]
 
-    def test_rolled_back_transaction_never_reaches_wal(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
+    def test_rolled_back_transaction_never_reaches_wal(self, logged_db):
+        db, wal = logged_db, logged_db.wal
         db.execute("CREATE TABLE t (a INT)")
         conn = db.connect()
         before = len(wal)
@@ -426,31 +424,27 @@ class TestWalRecovery:
         conn.close()
         assert len(wal) == before
 
-    def test_abort_records_are_skipped_on_replay(self):
-        wal = WriteAheadLog()
-        db = Database(wal=wal)
-        db.execute("CREATE TABLE t (a INT)")
-        db.execute("INSERT INTO t VALUES (1)")
-        wal.log_abort(77)
-        fresh = Database()
-        wal.replay_into(fresh)
-        assert fresh.execute("SELECT a FROM t").scalars() == [1]
-
     def test_checkpoint_roundtrip_with_commit_records(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "db.wal")
-        db = Database(wal=wal)
+        path = tmp_path / "t.db"
+        db = connect(path, wal_autocheckpoint=0)
         db.execute("CREATE TABLE t (a INT)")
         conn = db.connect()
-        conn.execute("BEGIN")
-        conn.execute("INSERT INTO t VALUES (41)")
-        conn.execute("INSERT INTO t VALUES (42)")
-        conn.commit()
+
+        def commit(*values):
+            conn.execute("BEGIN")
+            for value in values:
+                conn.execute("INSERT INTO t VALUES (?)", (value,))
+            conn.commit()
+
+        commit(41, 42)
+        db.checkpoint()  # the first transaction moves into the heap
+        commit(43, 44)
         conn.close()
-        db.checkpoint()
-        reloaded = WriteAheadLog.load(tmp_path / "db.wal")
-        fresh = Database()
-        reloaded.replay_into(fresh)
-        assert sorted(fresh.execute("SELECT a FROM t").scalars()) == [41, 42]
+        assert [r["op"] for r in db.wal.records] == ["commit"]
+        crash(db)  # the second transaction survives only as its commit record
+        with connect(path) as reopened:
+            assert sorted(reopened.execute("SELECT a FROM t").scalars()) == [
+                41, 42, 43, 44]
 
 
 class TestGarbageCollection:

@@ -59,7 +59,7 @@ def _ops():
 
 def record_writes(backend) -> list:
     """Every storage write ``backend`` makes from now on: the write methods,
-    and on SQL also WAL appends and table change events."""
+    and on SQL also table change events and DDL statements."""
     calls: list = []
 
     def spy(name, method):
@@ -71,8 +71,11 @@ def record_writes(backend) -> list:
     for name in ("delete_rows", "set_cells", "apply_delta"):
         setattr(backend, name, spy(name, getattr(backend, name)))
     if backend.kind == "sql":
-        backend.db.wal._append = spy("wal", backend.db.wal._append)
         backend._table.observers.append(lambda event: calls.append(event[0]))
+        db = backend.db
+        for name in ("_create_table", "_create_index", "_drop_table",
+                     "_drop_index", "_alter_add_column"):
+            setattr(db, name, spy(name, getattr(db, name)))
     return calls
 
 

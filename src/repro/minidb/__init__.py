@@ -4,7 +4,9 @@ This package is the reproduction's substitute for PostgreSQL, which an
 offline, dependency-free reproduction cannot run: a SQL engine with a
 tokenizer, recursive-descent parser, expression compiler, B+tree
 indexes, an index-selecting planner, a volcano-style executor, transactions
-with rollback, and a write-ahead log.
+with rollback, and a write-ahead log.  ``Database.prepare`` caches
+statements by SQL text in a :class:`PlanCache`; each
+:class:`PreparedStatement` holds its own compiled plan.
 
 Buckaroo uses it through :class:`~repro.backends.sql_backend.SQLBackend`:
 built-in detectors run as SQL, group membership is an index lookup, and the

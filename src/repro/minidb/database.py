@@ -19,13 +19,13 @@ Usage::
 The execution surface is prepared-statement shaped (PEP 249-flavored):
 ``prepare()`` returns a :class:`~repro.minidb.prepared.PreparedStatement`
 holding the parsed AST and a cached physical plan whose parameter slots
-bind at execution time; ``execute``/``stream``/``executemany`` are thin
-wrappers over it, and ``cursor()`` opens a DB-API-shaped
-:class:`~repro.minidb.prepared.Cursor`.  Prepared statements are cached
-by SQL text and compiled plans by statement AST (both LRU, behind locks —
-they are shared across connections), keyed by the ``(schema_epoch,
-stats_version)`` pair so DDL, ``analyze()`` and mutation-driven
-statistics rebuilds transparently re-plan.
+bind at execution time; ``execute``/``stream``/``executemany``/``explain``
+are thin wrappers over it, and ``cursor()`` opens a DB-API-shaped
+:class:`~repro.minidb.prepared.Cursor`.  ``db.plan_cache`` caches
+prepared statements by SQL text (LRU, behind a lock — they are shared
+across connections); each statement's plan is revalidated against the
+``(schema_epoch, stats_version)`` pair so DDL, ``analyze()`` and
+mutation-driven statistics rebuilds transparently re-plan.
 
 Concurrency: :meth:`connect` opens an isolated
 :class:`~repro.minidb.session.Connection` with snapshot-isolation reads
@@ -43,12 +43,10 @@ import json
 import os
 import threading
 import weakref
-from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import CatalogError, DatabaseError, TransactionError
 from repro.minidb import ast_nodes as ast
-from repro.minidb import executor
 from repro.minidb.catalog import ColumnDef, IndexDef, TableSchema
 from repro.minidb.invariants import holds_write_lock, wal_exempt
 from repro.minidb.pager import PAGE_CATALOG, PAGE_SIZE, PagedHeap, Pager
@@ -61,8 +59,6 @@ from repro.minidb.stats import StatsManager
 from repro.minidb.storage import Table
 from repro.minidb.transactions import TransactionManager
 from repro.minidb.wal import WriteAheadLog
-
-_STMT_CACHE_LIMIT = 512
 
 _DDL_STMTS = (
     ast.CreateTableStmt,
@@ -169,8 +165,6 @@ class Database:
         # advances on every DDL statement; one half of the plan-cache key
         self.schema_epoch = 0
         self.plan_cache = PlanCache()
-        self._stmt_cache: OrderedDict[str, PreparedStatement] = OrderedDict()
-        self._stmt_lock = threading.Lock()
         self._gc_thread: threading.Thread | None = None
         self._gc_stop: threading.Event | None = None
         if path is not None and str(path) != ":memory:":
@@ -191,25 +185,17 @@ class Database:
     def prepare(self, sql: str) -> PreparedStatement:
         """Parse ``sql`` once and return its prepared statement.
 
-        Statements are cached by SQL text with LRU eviction, so repeated
-        ``prepare`` (and therefore ``execute``) calls with the same shape
-        return the same object — plan included.  The cache is shared by
-        every connection and guarded by a lock.
+        Statements are cached by SQL text in :attr:`plan_cache` (LRU,
+        shared by every connection), so repeated ``prepare`` (and
+        therefore ``execute``) calls with the same text return the same
+        object — plan included.
         """
         self._require_open()
-        with self._stmt_lock:
-            prepared = self._stmt_cache.get(sql)
-            if prepared is not None:
-                self._stmt_cache.move_to_end(sql)
-                return prepared
-        prepared = PreparedStatement(self, sql, parse(sql))
-        with self._stmt_lock:
-            existing = self._stmt_cache.get(sql)
-            if existing is not None:
-                return existing
-            while len(self._stmt_cache) >= _STMT_CACHE_LIMIT:
-                self._stmt_cache.popitem(last=False)
-            self._stmt_cache[sql] = prepared
+        prepared = self.plan_cache.get(sql)
+        if prepared is None:
+            prepared = self.plan_cache.add(
+                sql, PreparedStatement(self, sql, parse(sql))
+            )
         return prepared
 
     def cursor(self) -> Cursor:
@@ -286,12 +272,13 @@ class Database:
                 analyze: bool = False) -> str:
         """The query plan for ``sql`` as newline-joined text.
 
+        Explains ``prepare(sql)`` — the same cached statement and plan
+        slot that ``execute(sql)`` runs — so the first line reads
+        ``cache: hit`` once the statement has been planned.
         ``analyze=True`` executes the statement (SELECT only) and shows
         estimated vs. actual rows for every operator.
         """
-        prefix = "EXPLAIN ANALYZE" if analyze else "EXPLAIN"
-        result = self.execute(f"{prefix} {sql}", params)
-        return "\n".join(row[0] for row in result.rows)
+        return self.prepare(sql).explain(params, analyze=analyze)
 
     def analyze(self) -> None:
         """Force an immediate statistics rebuild for every table."""
@@ -655,25 +642,12 @@ class Database:
         mutations made without an explicit ``txn=`` join it)."""
         return self.default_session.txn
 
-    def _dispatch(self, statement: ast.Statement, params: tuple, sql: str,
+    def _dispatch(self, statement: ast.Statement, sql: str,
                   session: Session | None = None) -> ResultSet:
+        """Run a DDL or transaction-control statement (everything with
+        no plan to cache)."""
         if session is None:
             session = self.default_session
-        if isinstance(statement, ast.SelectStmt):
-            return executor.execute_select(self, statement, params,
-                                           session=session)
-        if isinstance(statement, ast.InsertStmt):
-            result = executor.execute_insert(self, statement, params, session)
-            self._wal_barrier()
-            return result
-        if isinstance(statement, ast.UpdateStmt):
-            result = executor.execute_update(self, statement, params, session)
-            self._wal_barrier()
-            return result
-        if isinstance(statement, ast.DeleteStmt):
-            result = executor.execute_delete(self, statement, params, session)
-            self._wal_barrier()
-            return result
         if isinstance(statement, _DDL_STMTS):
             if session.in_transaction:
                 # DDL is not transactional: logging it from inside a
@@ -705,9 +679,6 @@ class Database:
         if isinstance(statement, ast.RollbackStmt):
             session.rollback()
             return ResultSet([], [], rowcount=0)
-        if isinstance(statement, ast.ExplainStmt):
-            return executor.explain(self, statement.statement, params,
-                                    analyze=statement.analyze, session=session)
         raise DatabaseError(f"cannot execute {type(statement).__name__}")
 
     def _on_change(self, event: tuple) -> None:

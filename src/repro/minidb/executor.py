@@ -67,7 +67,6 @@ from repro.minidb.expressions import (
 )
 from repro.minidb.functions import make_aggregate, normalize_key
 from repro.minidb.invariants import holds_write_lock
-from repro.minidb.plan_cache import select_plan
 from repro.minidb.planner import (
     INDEX_EQ,
     INDEX_IN,
@@ -224,25 +223,6 @@ def _resolve(table: Table, groups, snapshot, keyfn):
 # ---------------------------------------------------------------------------
 # SELECT execution: the node dispatcher
 # ---------------------------------------------------------------------------
-
-
-def execute_select(db, stmt: ast.SelectStmt, params: tuple,
-                   stream: bool = False, session=None):
-    """Run a SELECT.
-
-    Returns a materialized :class:`ResultSet`, or — with ``stream=True`` — a
-    lazy :class:`StreamingResult` whose rows are produced on demand under
-    the session's snapshot (consistent regardless of interleaved DML).
-    """
-    if stmt.table is None:
-        result = _select_without_table(stmt, params)
-        if stream:
-            return StreamingResult(result.columns, iter(result.rows))
-        return result
-    plan, _hit = select_plan(db, stmt)
-    snapshot, release = _read_context(db, session, stream)
-    return run_select_plan(plan, params, stream=stream,
-                           snapshot=snapshot, release=release)
 
 
 def _read_context(db, session, stream: bool):
@@ -956,23 +936,6 @@ def compile_dml(db, stmt) -> CompiledInsert | CompiledUpdate | CompiledDelete:
     return CompiledDelete(stmt.table, plan, residual_fn)
 
 
-def cached_dml(db, stmt):
-    """``(compiled, cache_hit)`` for a DML statement via the plan cache.
-
-    DML access paths never consult statistics, so entries validate on the
-    schema epoch alone (``check_stats=False``).
-    """
-    cache = getattr(db, "plan_cache", None)
-    if cache is None:
-        return compile_dml(db, stmt), False
-    compiled = cache.lookup(db, stmt)
-    if compiled is not None:
-        return compiled, True
-    compiled = compile_dml(db, stmt)
-    cache.store(db, stmt, compiled, (compiled.table_name,), check_stats=False)
-    return compiled, False
-
-
 def run_dml(db, compiled, params: tuple, session=None) -> ResultSet:
     """Execute a compiled DML plan under one params binding.
 
@@ -1048,75 +1011,44 @@ def _apply_dml(db, compiled, params: tuple, txn) -> ResultSet:
     return ResultSet([], [], rowcount=len(doomed))
 
 
-def execute_insert(db, stmt: ast.InsertStmt, params: tuple,
-                   session=None) -> ResultSet:
-    """Run an INSERT; result carries rowcount and lastrowid."""
-    compiled, _hit = cached_dml(db, stmt)
-    return run_dml(db, compiled, params, session)
-
-
-def execute_update(db, stmt: ast.UpdateStmt, params: tuple,
-                   session=None) -> ResultSet:
-    """Run an UPDATE; rowcount is the number of rows modified."""
-    compiled, _hit = cached_dml(db, stmt)
-    return run_dml(db, compiled, params, session)
-
-
-def execute_delete(db, stmt: ast.DeleteStmt, params: tuple,
-                   session=None) -> ResultSet:
-    """Run a DELETE; rowcount is the number of rows removed."""
-    compiled, _hit = cached_dml(db, stmt)
-    return run_dml(db, compiled, params, session)
-
-
 # ---------------------------------------------------------------------------
 # EXPLAIN
 # ---------------------------------------------------------------------------
 
 
-def explain(db, stmt, params: tuple = (), analyze: bool = False,
-            session=None) -> ResultSet:
-    """Render the plan for SELECT/UPDATE/DELETE, one tree line per row.
+def explain(db, stmt, plan, hit: bool, params: tuple = (),
+            analyze: bool = False, session=None) -> ResultSet:
+    """Render ``plan`` — the compiled plan of a SELECT, UPDATE or DELETE
+    ``stmt`` — one tree line per row.
 
-    The first line reports whether the plan came from the shared plan
-    cache (``cache: hit`` / ``cache: miss``) — EXPLAIN resolves its plan
-    through the same cache as execution, so explaining a statement that
-    just ran (or preparing, then explaining) shows a hit.  ``analyze=True``
-    (``EXPLAIN ANALYZE``, SELECT only) runs the query — under the
-    session's snapshot — and annotates every operator with the rows it
-    actually produced and the inclusive wall-clock time spent producing
-    them.
+    The first line reports whether the plan was replayed from the
+    statement's cached slot (``cache: hit`` / ``cache: miss``).  A
+    table-less SELECT has no plan (``plan`` is None) and renders as
+    ``ConstantScan``.  ``analyze=True`` (``EXPLAIN ANALYZE``, SELECT
+    only) runs the query — under the session's snapshot — and annotates
+    every operator with the rows it actually produced and the inclusive
+    wall-clock time spent producing them.
     """
-    lines: list[str] = []
-    if isinstance(stmt, ast.SelectStmt):
-        if stmt.table is None:
-            # constant selects are never cached, but the first-line
-            # contract (cache status, then the tree) holds regardless
-            lines.append("cache: miss")
-            lines.append("ConstantScan")
-        else:
-            plan, hit = select_plan(db, stmt)
-            lines.append(f"cache: {'hit' if hit else 'miss'}")
-            counters = None
-            if analyze:
-                counters = AnalyzeCounters()
-                snapshot, release = _read_context(db, session, stream=False)
-                try:
-                    for _row in _run_node(plan.root, tuple(params), snapshot,
-                                          counters):
-                        pass
-                finally:
-                    if release is not None:
-                        release()
-            lines.extend(nodes.render_tree(
-                plan.root, counters,
-                counters.times if counters is not None else None,
-            ))
-    elif isinstance(stmt, (ast.UpdateStmt, ast.DeleteStmt)):
+    lines = [f"cache: {'hit' if hit else 'miss'}"]
+    if plan is None:
+        lines.append("ConstantScan")
+    elif isinstance(stmt, ast.SelectStmt):
+        counters = None
         if analyze:
-            raise PlanningError("EXPLAIN ANALYZE supports SELECT statements only")
-        compiled, hit = cached_dml(db, stmt)
+            counters = AnalyzeCounters()
+            snapshot, release = _read_context(db, session, stream=False)
+            try:
+                for _row in _run_node(plan.root, tuple(params), snapshot,
+                                      counters):
+                    pass
+            finally:
+                if release is not None:
+                    release()
+        lines.extend(nodes.render_tree(
+            plan.root, counters,
+            counters.times if counters is not None else None,
+        ))
+    else:
         verb = "Update" if isinstance(stmt, ast.UpdateStmt) else "Delete"
-        lines.append(f"cache: {'hit' if hit else 'miss'}")
-        lines.append(f"{verb} <- {compiled.plan.describe()}")
+        lines.append(f"{verb} <- {plan.plan.describe()}")
     return ResultSet(["plan"], [(line,) for line in lines])

@@ -1,37 +1,14 @@
-"""The parameterized plan cache behind minidb's prepared-statement API.
+"""minidb's one plan cache: prepared statements keyed by SQL text.
 
-Physical plans compile every embedded expression into closures of shape
-``fn(row, params)`` — parameter slots bind at *execution* time, never at
-plan time — so one compiled tree answers every binding of the same SQL
-shape.  This module caches those trees and decides when they are still
-trustworthy.
-
-Cache key and invalidation
---------------------------
-
-Entries are keyed by the **statement AST** (frozen dataclasses, so
-structural equality comes for free: ``EXPLAIN SELECT ...`` and the bare
-``SELECT ...`` share one entry).  Each entry records the
-``(schema_epoch, stats_version)`` pair it was planned under:
-
-* ``Database.schema_epoch`` advances on every DDL statement — CREATE /
-  DROP TABLE or INDEX, ALTER ADD COLUMN — since any of these can change
-  the best access path or the row layout a plan compiled against;
-* ``StatsManager.version`` advances whenever any table's statistics are
-  rebuilt (lazily after enough mutations, or forced by ``analyze()``),
-  since join order, merge steering, and stream-aggregation choices all
-  hang off those estimates.
-
-Before reusing a SELECT entry the cache *pokes* the lazy statistics of
-every table the plan reads (``refresh()`` is a cheap staleness check
-when nothing drifted).  A pending rebuild therefore fires first, bumps
-the version, and invalidates the entry — mutation-driven re-plans happen
-exactly when the planner would have seen different numbers.  Compiled
-DML plans skip the stats check (``plan_scan`` never consults statistics)
-and invalidate on schema epoch alone.
-
-Eviction is LRU over an ordered dict; lookups move entries to the tail,
-overflow pops the head.
+Plans compile every embedded expression into ``fn(row, params)``
+closures, so one compiled tree answers every binding of the same SQL
+text.  :class:`PlanCache` keeps parsed statements in an LRU; each
+:class:`~repro.minidb.prepared.PreparedStatement` keeps its plan in a
+private slot stamped with the :func:`validation_key` it was planned
+under, and re-plans when DDL, a statistics rebuild or a planner knob
+moves that key.  ``EXPLAIN SELECT x`` and ``SELECT x`` are two texts,
+so two entries with two slots (see ``ARCHITECTURE.md``, "Cache key and
+invalidation").
 """
 
 from __future__ import annotations
@@ -39,11 +16,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from repro.minidb.planner import SelectPlan, plan_select
+_STMT_CACHE_LIMIT = 512
 
-DEFAULT_PLAN_CACHE_LIMIT = 256
-
-#: stats_version placeholder for entries that do not depend on statistics
+#: stats_version placeholder for plans that do not depend on statistics
 NO_STATS = -1
 
 
@@ -67,124 +42,64 @@ def validation_key(db, tables=(), check_stats: bool = True) -> tuple:
     return (db.schema_epoch, stats.version, db.reorder_joins, db.vectorize)
 
 
-class _Entry:
-    __slots__ = ("payload", "tables", "key", "check_stats")
-
-    def __init__(self, payload, tables, key, check_stats):
-        self.payload = payload
-        self.tables = tables
-        self.key = key
-        self.check_stats = check_stats
-
-
 class PlanCache:
-    """LRU cache of compiled plans keyed by statement AST.
+    """LRU of prepared statements by SQL text, plus plan-reuse counters.
 
-    ``enabled=False`` turns every lookup into a miss and every store into
-    a no-op — the re-planning baseline the prepared-statement benchmark
-    measures against.  ``enabled`` is effective only while ``limit`` is
-    positive, so setting either ``limit = 0`` or ``enabled = False`` at
-    runtime switches caching off (and back on again symmetrically).
+    A *hit* is a statement replaying its still-valid plan slot; a *miss*
+    is a plan built (an *invalidation* is a miss whose slot had gone
+    stale); an *eviction* drops the least recently prepared statement.
+    Shared by every connection, so the LRU sits behind a lock.
     """
 
-    __slots__ = ("limit", "_enabled", "hits", "misses", "invalidations",
-                 "_entries", "_lock")
+    __slots__ = ("hits", "misses", "invalidations", "evictions",
+                 "_statements", "_lock")
 
-    def __init__(self, limit: int = DEFAULT_PLAN_CACHE_LIMIT):
-        self.limit = max(0, int(limit))
-        self._enabled = True
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        self._entries: OrderedDict = OrderedDict()
-        # plans are shared across connections; lookups/stores must not
-        # tear the LRU dict under concurrent sessions
-        self._lock = threading.RLock()
-
-    @property
-    def enabled(self) -> bool:
-        return self._enabled and self.limit > 0
-
-    @enabled.setter
-    def enabled(self, value: bool) -> None:
-        self._enabled = bool(value)
+        self.evictions = 0
+        self._statements: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
+        return len(self._statements)
 
     def info(self) -> dict:
         """Counters for introspection and tests."""
         return {
-            "size": len(self._entries), "limit": self.limit,
+            "size": len(self._statements), "limit": _STMT_CACHE_LIMIT,
             "hits": self.hits, "misses": self.misses,
-            "invalidations": self.invalidations,
+            "invalidations": self.invalidations, "evictions": self.evictions,
         }
 
-    def lookup(self, db, stmt):
-        """The cached payload for ``stmt``, or None (miss / stale / off)."""
-        if not self.enabled:
-            return None
+    def get(self, sql: str):
+        """The cached statement for ``sql`` (refreshed), or None."""
         with self._lock:
-            try:
-                entry = self._entries.get(stmt)
-            except TypeError:  # unhashable statement: never cached
-                return None
-            if entry is None:
+            prepared = self._statements.get(sql)
+            if prepared is not None:
+                self._statements.move_to_end(sql)
+            return prepared
+
+    def add(self, sql: str, prepared):
+        """Cache ``prepared`` unless a racing thread got there first;
+        returns whichever statement the cache now holds for ``sql``."""
+        with self._lock:
+            existing = self._statements.get(sql)
+            if existing is not None:
+                return existing
+            while len(self._statements) >= _STMT_CACHE_LIMIT:
+                self._statements.popitem(last=False)
+                self.evictions += 1
+            self._statements[sql] = prepared
+            return prepared
+
+    def count(self, hit: bool, stale: bool = False) -> None:
+        """Tally one plan lookup: a slot replay, or a plan built."""
+        with self._lock:
+            if hit:
+                self.hits += 1
+            else:
                 self.misses += 1
-                return None
-            if entry.key != validation_key(db, entry.tables, entry.check_stats):
-                del self._entries[stmt]
-                self.invalidations += 1
-                self.misses += 1
-                return None
-            self._entries.move_to_end(stmt)
-            self.hits += 1
-            return entry.payload
-
-    def record_hit(self) -> None:
-        """Count a reuse served outside :meth:`lookup` (a prepared
-        statement replaying its still-valid private slot)."""
-        with self._lock:
-            self.hits += 1
-
-    def store(self, db, stmt, payload, tables, check_stats: bool) -> None:
-        """Insert ``payload``, evicting the least recently used overflow.
-
-        The validation key is captured *now* — after planning — so stats
-        rebuilds triggered during planning are part of the recorded
-        version, not a pending invalidation.
-        """
-        if not self.enabled:
-            return
-        with self._lock:
-            key = validation_key(db, tables, check_stats)
-            entry = _Entry(payload, tuple(tables), key, check_stats)
-            try:
-                self._entries[stmt] = entry
-            except TypeError:
-                return
-            self._entries.move_to_end(stmt)
-            while len(self._entries) > self.limit:
-                self._entries.popitem(last=False)
-
-
-def select_plan(db, stmt) -> tuple[SelectPlan, bool]:
-    """``(plan, cache_hit)`` for a SELECT — the shared cached entry point.
-
-    Every SELECT path (``execute``, ``stream``, prepared statements,
-    EXPLAIN) resolves its plan here, so they all share one cache and one
-    invalidation story.
-    """
-    cache = getattr(db, "plan_cache", None)
-    if cache is None:
-        return plan_select(db, stmt), False
-    plan = cache.lookup(db, stmt)
-    if plan is not None:
-        return plan, True
-    plan = plan_select(db, stmt)
-    cache.store(db, stmt, plan, plan.tables, check_stats=True)
-    return plan, False
+                if stale:
+                    self.invalidations += 1

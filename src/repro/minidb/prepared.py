@@ -1,14 +1,18 @@
 """The PEP 249-flavored execution surface: prepared statements and cursors.
 
 ``Database.prepare(sql)`` returns a :class:`PreparedStatement` — the
-parsed AST plus a slot for the compiled physical plan.  Parameter slots
-(``?``) live inside the plan as compiled ``fn(row, params)`` closures, so
-the same tree re-executes under any binding; the statement revalidates
-its plan against the database's ``(schema_epoch, stats_version)`` pair on
-every execution and transparently re-plans after DDL, ``analyze()``, or a
+parsed AST plus a slot for the compiled physical plan.  That slot is the
+only place minidb keeps a plan: the database's
+:class:`~repro.minidb.plan_cache.PlanCache` caches statements by SQL text,
+and each statement caches its own plan.  Parameter slots (``?``) live
+inside the plan as compiled ``fn(row, params)`` closures, so the same
+tree re-executes under any binding; the statement revalidates its plan
+against the database's ``(schema_epoch, stats_version)`` pair on every
+execution and transparently re-plans after DDL, ``analyze()``, or a
 mutation-driven statistics rebuild.  ``Database.execute`` / ``stream`` /
-``executemany`` are thin wrappers over prepared statements, so every
-caller shares one plan cache and one invalidation story.
+``executemany`` / ``explain`` are thin wrappers over prepared statements,
+so every caller shares one plan cache and one invalidation story.  An
+``EXPLAIN <stmt>`` statement plans its inner statement in its own slot.
 
 Prepared statements are **shared across connections** (one statement
 cache per database): session state never lives on the statement.  Every
@@ -26,13 +30,15 @@ iteration) for code written against that idiom — open it from a
 
 from __future__ import annotations
 
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, PlanningError, SQLSyntaxError
 from repro.minidb import ast_nodes as ast
 from repro.minidb import executor
-from repro.minidb.plan_cache import select_plan, validation_key
+from repro.minidb.plan_cache import validation_key
+from repro.minidb.planner import plan_select
 from repro.minidb.results import ResultSet, StreamingResult
 
 _DML_TYPES = (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)
+_EXPLAINABLE = (ast.SelectStmt, ast.UpdateStmt, ast.DeleteStmt)
 
 
 class PreparedStatement:
@@ -44,17 +50,21 @@ class PreparedStatement:
     of executing a stale tree.
     """
 
-    __slots__ = ("db", "sql", "statement", "n_params", "_slot", "_check_stats")
+    __slots__ = ("db", "sql", "statement", "n_params", "_planned", "_slot",
+                 "_check_stats")
 
     def __init__(self, db, sql: str, statement: ast.Statement):
         self.db = db
         self.sql = sql
         self.statement = statement
         self.n_params = ast.n_params(statement)
+        # the statement the slot holds a plan for: EXPLAIN plans its inner one
+        self._planned = (statement.statement
+                         if isinstance(statement, ast.ExplainStmt) else statement)
         # (payload, tables, validation_key) — swapped atomically
         self._slot: tuple | None = None
         # SELECT plans are costed from statistics; DML scans are not
-        self._check_stats = isinstance(statement, ast.SelectStmt)
+        self._check_stats = isinstance(self._planned, ast.SelectStmt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreparedStatement({self.sql!r})"
@@ -63,48 +73,39 @@ class PreparedStatement:
     def is_select(self) -> bool:
         return isinstance(self.statement, ast.SelectStmt)
 
-    def _bind(self, params) -> tuple:
+    def _bind(self, params, evaluated: bool = True) -> tuple:
         bound = tuple(params)
-        statement = self.statement
-        if isinstance(statement, ast.ExplainStmt) and not statement.analyze:
-            return bound  # plan-only EXPLAIN never evaluates the slots
-        if len(bound) < self.n_params:
+        if evaluated and len(bound) < self.n_params:
             raise DatabaseError(
                 f"statement expects {self.n_params} parameter(s), "
                 f"got {len(bound)}: {self.sql!r}"
             )
         return bound
 
-    def _plan(self):
-        """The cached payload, re-planned when its epoch key is stale.
-
-        Honors ``db.plan_cache.enabled``: with the cache switched off the
-        statement re-plans on every execution (the benchmark baseline)
-        instead of replaying its private slot.  A replay counts as a
-        plan-cache hit, so ``plan_cache.info()`` covers prepared reuse.
-        """
-        cache = self.db.plan_cache
-        caching = cache.enabled
-        if caching:
-            slot = self._slot
-            if slot is not None and slot[2] == validation_key(
-                self.db, slot[1], self._check_stats
-            ):
-                cache.record_hit()
-                return slot[0]
-        statement = self.statement
+    def _plan(self) -> tuple:
+        """``(payload, hit)``: the slot's plan, re-planned when its
+        validation key is stale.  Every call counts in
+        ``db.plan_cache.info()`` — a replay as a hit, a plan built as a
+        miss."""
+        db = self.db
+        slot = self._slot
+        if slot is not None and slot[2] == validation_key(
+            db, slot[1], self._check_stats
+        ):
+            db.plan_cache.count(hit=True)
+            return slot[0], True
+        statement = self._planned
         if isinstance(statement, ast.SelectStmt):
-            payload, _hit = select_plan(self.db, statement)
+            payload = plan_select(db, statement)
             tables = payload.tables
         else:
-            payload, _hit = executor.cached_dml(self.db, statement)
+            payload = executor.compile_dml(db, statement)
             tables = (payload.table_name,)
-        if caching:
-            self._slot = (
-                payload, tables,
-                validation_key(self.db, tables, self._check_stats),
-            )
-        return payload
+        self._slot = (
+            payload, tables, validation_key(db, tables, self._check_stats),
+        )
+        db.plan_cache.count(hit=False, stale=slot is not None)
+        return payload, False
 
     def execute(self, params: tuple | list = (), session=None) -> ResultSet:
         """Run the statement under one parameter binding.
@@ -112,11 +113,15 @@ class PreparedStatement:
         ``session`` carries the caller's transaction/snapshot context
         (a connection's session); None means the default session.
         """
-        bound = self._bind(params)
         statement = self.statement
-        if isinstance(statement, ast.SelectStmt) and statement.table is not None:
-            plan = self._plan()  # plan BEFORE acquiring the snapshot: a
-            # planning error must not leak a registered snapshot (which
+        # EXPLAIN checks its binding in _explain: only ANALYZE evaluates it
+        bound = self._bind(params,
+                           evaluated=not isinstance(statement, ast.ExplainStmt))
+        if isinstance(statement, ast.SelectStmt):
+            if statement.table is None:
+                return executor._select_without_table(statement, bound)
+            plan, _hit = self._plan()  # plan BEFORE acquiring the snapshot:
+            # a planning error must not leak a registered snapshot (which
             # would pin the GC horizon forever)
             snapshot, release = executor._read_context(
                 self.db, session, stream=False
@@ -125,9 +130,12 @@ class PreparedStatement:
                 plan, bound, snapshot=snapshot, release=release
             )
         if isinstance(statement, _DML_TYPES):
-            return executor.run_dml(self.db, self._plan(), bound, session)
-        # DDL, transactions, EXPLAIN, constant SELECTs: dispatch directly
-        return self.db._dispatch(statement, bound, self.sql, session)
+            compiled, _hit = self._plan()
+            return executor.run_dml(self.db, compiled, bound, session)
+        if isinstance(statement, ast.ExplainStmt):
+            return self._explain(bound, statement.analyze, session)
+        # DDL and transaction control
+        return self.db._dispatch(statement, self.sql, session)
 
     def stream(self, params: tuple | list = (), session=None) -> StreamingResult:
         """Run a SELECT lazily, returning a streaming cursor.
@@ -141,9 +149,9 @@ class PreparedStatement:
             raise DatabaseError("stream() supports SELECT statements only")
         bound = self._bind(params)
         if statement.table is None:
-            return executor.execute_select(self.db, statement, bound,
-                                           stream=True, session=session)
-        plan = self._plan()  # before the snapshot — see execute()
+            result = executor._select_without_table(statement, bound)
+            return StreamingResult(result.columns, iter(result.rows))
+        plan, _hit = self._plan()  # before the snapshot — see execute()
         snapshot, release = executor._read_context(self.db, session, stream=True)
         return executor.run_select_plan(
             plan, bound, stream=True, snapshot=snapshot, release=release
@@ -162,12 +170,27 @@ class PreparedStatement:
 
     def explain(self, params: tuple | list = (), analyze: bool = False,
                 session=None) -> str:
-        """The plan as newline-joined text (first line: cache hit/miss)."""
-        result = executor.explain(
-            self.db, self.statement, tuple(params), analyze=analyze,
-            session=session,
-        )
+        """The plan as newline-joined text (first line: ``cache: hit``
+        when this statement's slot was valid, else ``cache: miss``)."""
+        result = self._explain(tuple(params), analyze, session)
         return "\n".join(row[0] for row in result.rows)
+
+    def _explain(self, params: tuple, analyze: bool, session) -> ResultSet:
+        statement = self._planned
+        if not isinstance(statement, _EXPLAINABLE):
+            raise SQLSyntaxError("EXPLAIN supports SELECT/UPDATE/DELETE only")
+        if analyze:
+            params = self._bind(params)
+            if not isinstance(statement, ast.SelectStmt):
+                raise PlanningError(
+                    "EXPLAIN ANALYZE supports SELECT statements only"
+                )
+        if isinstance(statement, ast.SelectStmt) and statement.table is None:
+            plan, hit = None, False  # constant selects have no plan to cache
+        else:
+            plan, hit = self._plan()
+        return executor.explain(self.db, statement, plan, hit, params,
+                                analyze=analyze, session=session)
 
 
 class Cursor:

@@ -323,9 +323,9 @@ class TestDDLAndCatalog:
         db = Database()
         db.execute("CREATE TABLE t (a INT)")
         db.execute("INSERT INTO t VALUES (?)", (1,))
-        cached = db._stmt_cache["INSERT INTO t VALUES (?)"]
+        cached = db.plan_cache.get("INSERT INTO t VALUES (?)")
         db.execute("INSERT INTO t VALUES (?)", (2,))
-        assert db._stmt_cache["INSERT INTO t VALUES (?)"] is cached
+        assert db.plan_cache.get("INSERT INTO t VALUES (?)") is cached
 
     def test_result_to_frame(self, dirty_db):
         frame = dirty_db.execute(

@@ -6,7 +6,7 @@ must all force a re-plan, and cached plans must rebind cleanly
 
 import pytest
 
-from repro.errors import DatabaseError
+from repro.errors import DatabaseError, SQLSyntaxError
 from repro.minidb import Cursor, Database, PreparedStatement
 from repro.minidb import executor
 from repro.minidb.stats import REBUILD_FLOOR
@@ -96,30 +96,12 @@ class TestPlanCache:
         stmt.execute(("c0",))
         assert _cache_line(db.explain("SELECT val FROM t WHERE cat = ?")) == "cache: hit"
 
-    def test_disabled_cache_always_misses(self, db):
-        db.plan_cache.enabled = False
-        sql = "SELECT val FROM t WHERE cat = ?"
-        db.execute(sql, ("c0",))
-        assert _cache_line(db.explain(sql)) == "cache: miss"
-        assert _cache_line(db.explain(sql)) == "cache: miss"
-
-    def test_zero_limit_disables_and_reenables(self, db):
-        sql = "SELECT val FROM t WHERE cat = ?"
-        db.plan_cache.limit = 0
-        assert not db.plan_cache.enabled
-        db.execute(sql, ("c0",))
-        assert _cache_line(db.explain(sql)) == "cache: miss"
-        db.plan_cache.limit = 16
-        assert db.plan_cache.enabled
-        db.execute(sql, ("c0",))
-        assert _cache_line(db.explain(sql)) == "cache: hit"
-
     def test_constant_select_explains_with_cache_line(self, db):
         lines = db.explain("SELECT 1 + 1").splitlines()
         assert lines == ["cache: miss", "ConstantScan"]
 
-    def test_lru_evicts_oldest_plan(self, db):
-        db.plan_cache.limit = 2
+    def test_lru_evicts_oldest_plan(self, db, monkeypatch):
+        monkeypatch.setattr("repro.minidb.plan_cache._STMT_CACHE_LIMIT", 2)
         queries = [f"SELECT val FROM t WHERE val > {i}" for i in range(3)]
         for sql in queries:
             db.execute(sql)
@@ -129,8 +111,8 @@ class TestPlanCache:
         assert _cache_line(db.explain(queries[1])) == "cache: hit"
         assert _cache_line(db.explain(queries[0])) == "cache: miss"
 
-    def test_lookup_moves_entry_to_tail(self, db):
-        db.plan_cache.limit = 2
+    def test_lookup_moves_entry_to_tail(self, db, monkeypatch):
+        monkeypatch.setattr("repro.minidb.plan_cache._STMT_CACHE_LIMIT", 2)
         first = "SELECT val FROM t WHERE val > 1"
         second = "SELECT val FROM t WHERE val > 2"
         third = "SELECT val FROM t WHERE val > 3"
@@ -142,13 +124,23 @@ class TestPlanCache:
         assert _cache_line(db.explain(second)) == "cache: miss"
 
     def test_statement_cache_lru(self, db, monkeypatch):
-        monkeypatch.setattr("repro.minidb.database._STMT_CACHE_LIMIT", 2)
+        monkeypatch.setattr("repro.minidb.plan_cache._STMT_CACHE_LIMIT", 2)
         a = db.prepare("SELECT val FROM t WHERE val > 1")
         db.prepare("SELECT val FROM t WHERE val > 2")
         assert db.prepare("SELECT val FROM t WHERE val > 1") is a  # refreshed
         db.prepare("SELECT val FROM t WHERE val > 3")  # evicts query 2
         assert db.prepare("SELECT val FROM t WHERE val > 1") is a
-        assert len(db._stmt_cache) <= 2
+        assert len(db.plan_cache) <= 2
+
+    def test_overflow_counts_evictions(self, db, monkeypatch):
+        monkeypatch.setattr("repro.minidb.plan_cache._STMT_CACHE_LIMIT", 2)
+        for i in range(5):
+            db.execute(f"SELECT val FROM t WHERE val > {i}")
+        info = db.plan_cache.info()
+        assert info["size"] == info["limit"] == 2
+        # the fixture's CREATE TABLE and the three oldest SELECTs
+        assert info["evictions"] == 4
+        assert info["misses"] == 5 and info["hits"] == 0
 
     def test_counters(self, db):
         sql = "SELECT val FROM t WHERE cat = ?"
@@ -184,6 +176,38 @@ class TestPlanCache:
         db.execute("INSERT INTO b VALUES (1.0)")  # cross-table: value memo
         assert sorted(db.execute("SELECT x FROM a").scalars()) == ["1", "1.0"]
         assert db.execute("SELECT x FROM b").scalar() == "1.0"
+
+
+# ---------------------------------------------------------------------------
+# EXPLAIN: what it accepts and which cache line it prints
+# ---------------------------------------------------------------------------
+
+
+class TestExplainContract:
+    @pytest.mark.parametrize("sql", [
+        "INSERT INTO t VALUES ('x', 1.0)",
+        "CREATE TABLE u (x INT)",
+    ])
+    def test_explain_rejects_unexplainable_statements(self, db, sql):
+        with pytest.raises(SQLSyntaxError,
+                           match="EXPLAIN supports SELECT/UPDATE/DELETE only"):
+            db.explain(sql)
+
+    def test_explain_analyze_checks_parameter_count(self, db):
+        with pytest.raises(DatabaseError, match=r"expects 1 parameter\(s\)"):
+            db.explain("SELECT val FROM t WHERE cat = ?", analyze=True)
+
+    def test_sql_explain_reports_miss_then_hit(self, db):
+        sql = "EXPLAIN SELECT val FROM t WHERE cat = ?"
+        assert db.execute(sql).rows[0] == ("cache: miss",)
+        assert db.execute(sql).rows[0] == ("cache: hit",)
+
+    def test_prepared_explain_after_analyze_replans_once(self, db):
+        stmt = db.prepare("SELECT val FROM t WHERE cat = ?")
+        stmt.execute(("c0",))
+        db.analyze()
+        assert _cache_line(stmt.explain()) == "cache: miss"
+        assert _cache_line(stmt.explain()) == "cache: hit"
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.minidb import Database
 from repro.minidb.executor import run_select_plan
 from repro.minidb.expressions import sort_key
 from repro.minidb.parser import parse
-from repro.minidb.plan_cache import select_plan
+from repro.minidb.planner import plan_select
 
 SCHEMA = [
     "CREATE TABLE t (k INTEGER, v REAL, s TEXT, m)",
@@ -159,7 +159,7 @@ def test_scan_paths_agree(t_rows, dml, data):
         assert not db.mvcc_engaged()
         expected = twin.execute(sql, params).rows
         _assert_same(db.execute(sql, params).rows, expected, order_pos)
-        plans.append(select_plan(db, parse(sql))[0])
+        plans.append(plan_select(db, parse(sql)))
     before = [twin.execute(sql, params).rows for sql, params, _, _ in queries]
 
     # snapshot path: autocommit reads on a connection

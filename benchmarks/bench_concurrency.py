@@ -6,10 +6,10 @@ benchmark pins down what the MVCC layer costs and buys:
 
 * one shape per index walk — ``point`` (composite prefix walk, LIMIT 5),
   ``scan`` (range aggregate), ``range`` (B+tree range scan returning its
-  rows), ``order_limit`` (``ORDER BY ... DESC LIMIT`` leaf walk) and
-  ``merge_join`` — each timed on the quiescent fast path (no snapshot,
-  live row reads) versus through a connection's registered snapshot
-  (version-chain resolution, key re-checks, batched index walks).  These
+  rows) and ``order_limit`` (``ORDER BY ... DESC LIMIT`` leaf walk) —
+  each timed on the quiescent fast path (no snapshot, live row reads)
+  versus through a connection's registered snapshot (version-chain
+  resolution, key re-checks, batched index walks).  These
   are the tracked ``*_seconds`` hot paths the regression gate guards: the
   fast path must not regress, and the snapshot path bounds the
   per-statement MVCC tax of every walk.
@@ -40,8 +40,6 @@ SHAPES = {
               (100000.0, 150000.0), "IndexRangeScan(t.val", 50),
     "order_limit": ("SELECT val FROM t ORDER BY val DESC LIMIT 20", (),
                     "IndexOrderScan(t.val via idx_val, DESC)", 200),
-    "merge_join": ("SELECT COUNT(*) FROM t JOIN d ON t.val = d.val", (),
-                   "MergeJoin(d, key=val)", 10),
 }
 DURATION = float(os.environ.get("REPRO_CONC_SECONDS", "0.6"))
 N_READER_THREADS = 4
@@ -56,18 +54,8 @@ def _populate(db: Database) -> None:
             for i in range(N_ROWS)
         ],
     )
-    # a quarter-size build side sharing t's values: the merge join's input
-    db.execute("CREATE TABLE d (val REAL, label TEXT)")
-    db.insert_rows(
-        "d",
-        [
-            (float((i * 7919) % 999983), f"l{i}")
-            for i in range(0, N_ROWS, 4)
-        ],
-    )
     db.execute("CREATE INDEX idx_cat_val ON t (cat, val)")
     db.execute("CREATE INDEX idx_val ON t (val)")
-    db.execute("CREATE INDEX idx_d_val ON d (val)")
     db.analyze()
 
 

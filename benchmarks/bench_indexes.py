@@ -188,23 +188,3 @@ def test_plans_confirm_access_paths(indexed_db, seq_db):
         f"SELECT rowid FROM t ORDER BY val LIMIT {TOP_K}")
     assert "IndexOrderScan" in indexed_db.explain(
         f"SELECT rowid FROM t ORDER BY val DESC LIMIT {TOP_K}")
-
-
-def test_join_uses_hash_strategy(indexed_db):
-    """Group dimension joins hash-build even with extra ON conjuncts."""
-    db = indexed_db
-    if not db.has_table("dims"):
-        db.execute("CREATE TABLE dims (cat TEXT, weight REAL)")
-        db.insert_rows(
-            "dims", [(f"c{i}", float(i)) for i in range(N_CATEGORIES)]
-        )
-    plan = db.explain(
-        "SELECT t.rowid FROM t JOIN dims ON t.cat = dims.cat "
-        "AND dims.weight > 5"
-    )
-    assert "HashJoin" in plan and "NestedLoopJoin" not in plan
-    n = db.execute(
-        "SELECT COUNT(*) FROM t JOIN dims ON t.cat = dims.cat "
-        "AND dims.weight > ?", (N_CATEGORIES - 3.0,)
-    ).scalar()
-    assert n == 2 * (N_ROWS // N_CATEGORIES)

@@ -16,7 +16,9 @@ Usage::
     python scripts/check_bench_regression.py   # then diff the smoke run
 
 Exits non-zero when any benchmark file fails or any artifact is missing
-or malformed.  Artifacts land in ``benchmarks/artifacts/smoke/`` by
+or malformed, and before running anything when ``EXPECTED_ARTIFACTS``
+names a bench file that does not exist or a committed baseline has no
+producer in it.  Artifacts land in ``benchmarks/artifacts/smoke/`` by
 default (git-ignored) — the same scale and location the committed
 baselines in ``benchmarks/baselines/`` were recorded from, and the
 default input of ``check_bench_regression.py`` — keeping the committed
@@ -36,6 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 DEFAULT_ARTIFACT_DIR = BENCH_DIR / "artifacts" / "smoke"
+BASELINE_DIR = BENCH_DIR / "baselines"
 
 # small-scale knobs: every bench honors one of these (or needs none)
 SMOKE_ENV = {
@@ -59,7 +62,6 @@ EXPECTED_ARTIFACTS = {
     "bench_durability.py": "durability",
     "bench_hopara.py": "hopara",
     "bench_indexes.py": "indexes",
-    "bench_joins.py": "joins",
     "bench_localized.py": "localized",
     "bench_pipeline.py": "pipeline",
     "bench_prepared.py": "prepared",
@@ -80,6 +82,30 @@ PYTEST_ARGS = [
     "--benchmark-warmup=off", "--benchmark-min-rounds=1",
     "--benchmark-max-time=0.25", "--benchmark-disable-gc",
 ]
+
+
+def bench_list_mismatches(bench_dir: Path = BENCH_DIR,
+                          baseline_dir: Path = BASELINE_DIR,
+                          expected: dict = EXPECTED_ARTIFACTS) -> list[str]:
+    """Disagreements between the three hand-kept bench lists.
+
+    Every ``expected`` key must be a bench file in ``bench_dir``, and
+    every baseline in ``baseline_dir`` must be produced by one of them.
+    Checked before any bench runs, so a stale entry fails by name rather
+    than as a missing artifact after the whole smoke run.
+    """
+    problems = [
+        f"EXPECTED_ARTIFACTS names {bench_name}, which does not exist"
+        for bench_name in expected
+        if not (bench_dir / bench_name).is_file()
+    ]
+    produced = set(expected.values())
+    problems.extend(
+        f"baseline {path.name} has no producer in EXPECTED_ARTIFACTS"
+        for path in sorted(baseline_dir.glob("*.json"))
+        if path.stem not in produced
+    )
+    return problems
 
 
 def run_bench(path: Path, artifact_dir: str) -> bool:
@@ -128,6 +154,12 @@ def main(argv: list[str] | None = None) -> int:
         help="run every bench file even after one fails",
     )
     args = parser.parse_args(argv)
+
+    mismatches = bench_list_mismatches()
+    for line in mismatches:
+        print(f"FAIL: {line}", file=sys.stderr)
+    if mismatches:
+        return 1
 
     artifact_dir = args.artifact_dir
     os.makedirs(artifact_dir, exist_ok=True)

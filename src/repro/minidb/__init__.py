@@ -34,9 +34,9 @@ def connect(path: str | os.PathLike = ":memory:", **options) -> Database:
     creates) a durable file-backed one whose committed data survives
     :meth:`Database.close` and process restarts (crash recovery replays
     the WAL tail).  Options — ``pool_pages``, ``fsync``,
-    ``wal_autocheckpoint``, ``gc_interval``, ``reorder_joins``,
-    ``vectorize`` — are forwarded to :class:`Database`; tune them later
-    with :meth:`Database.pragma`.  Databases are context managers::
+    ``wal_autocheckpoint``, ``gc_interval``, ``vectorize`` — are
+    forwarded to :class:`Database`; tune them later with
+    :meth:`Database.pragma`.  Databases are context managers::
 
         with connect("data.db") as db:
             db.execute("CREATE TABLE t (x INT)")

@@ -6,7 +6,7 @@ aggregate rewriter to match GROUP BY expressions) comes for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -177,15 +177,6 @@ class TableRef:
 
 
 @dataclass(frozen=True)
-class Join:
-    """``[INNER|LEFT] JOIN table ON condition``."""
-
-    table: TableRef
-    on: Expr
-    kind: str = "INNER"
-
-
-@dataclass(frozen=True)
 class OrderItem:
     """One ORDER BY key with direction."""
 
@@ -199,7 +190,6 @@ class SelectStmt:
 
     items: tuple  # of SelectItem
     table: Optional[TableRef]
-    joins: tuple = ()
     where: Optional[Expr] = None
     group_by: tuple = ()
     having: Optional[Expr] = None
@@ -337,8 +327,6 @@ def statement_exprs(stmt: Statement):
         for item in stmt.items:
             if item.expr is not None:
                 yield item.expr
-        for join in stmt.joins:
-            yield join.on
         if stmt.where is not None:
             yield stmt.where
         yield from stmt.group_by

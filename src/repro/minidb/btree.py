@@ -690,12 +690,6 @@ class BTreeIndex:
         ascending, last descending — the executor's sort-key semantics."""
         return (None, None, True, True)
 
-    def merge_bounds(self) -> tuple:
-        """Tree-key bounds of the ascending walk a merge join consumes:
-        every key except the NULL group (NULL join keys never match)."""
-        self._require_single("merge_bounds")
-        return (sort_key(None), None, False, True)
-
     def range_bounds(self, low=None, high=None, include_low: bool = True,
                      include_high: bool = True) -> tuple:
         """Tree-key bounds of the keys between ``low`` and ``high``.

@@ -117,7 +117,7 @@ class Database:
     ``fsync`` (``True``/``"commit"``, ``False``/``"off"``, or
     ``"group"`` to coalesce concurrent commit fsyncs behind one
     barrier), ``wal_autocheckpoint`` (records between automatic
-    checkpoints; 0 disables), ``reorder_joins``, ``vectorize``
+    checkpoints; 0 disables), ``vectorize``
     (``"auto"``/``"on"``/``"off"`` — batch execution mode, see
     ``ARCHITECTURE.md``), ``gc_interval`` (seconds between background
     GC passes; None/0 keeps GC commit-driven).
@@ -128,7 +128,6 @@ class Database:
         fsync_mode = _fsync_mode(options.pop("fsync", True))
         fsync = fsync_mode != "off"
         autocheckpoint = int(options.pop("wal_autocheckpoint", 1000) or 0)
-        reorder_joins = bool(options.pop("reorder_joins", True))
         vectorize = _vectorize_mode(options.pop("vectorize", "auto"))
         gc_interval = options.pop("gc_interval", None)
         if options:
@@ -153,11 +152,9 @@ class Database:
         # them down (releasing their cursors' snapshots) even when a
         # caller leaked one, without keeping dead ones alive
         self._connections: weakref.WeakSet = weakref.WeakSet()
-        # cost-based planning knobs: per-table statistics (lazily rebuilt;
-        # see repro.minidb.stats) and the join-reordering switch — flip it
-        # off to force syntactic join order (benchmarks, debugging)
+        # cost-based planning: per-table statistics (lazily rebuilt; see
+        # repro.minidb.stats)
         self.stats = StatsManager()
-        self.reorder_joins = reorder_joins
         # execution-mode knob: "auto" lets the planner pick batch
         # (vectorized) operators for analytic shapes, "on" forces them
         # wherever legal, "off" keeps the row-at-a-time pipeline
@@ -310,7 +307,7 @@ class Database:
         Config pragmas: ``pool_pages`` (buffer-pool budget),
         ``fsync`` (``"commit"``/``"group"``/``"off"``),
         ``wal_autocheckpoint`` (records between automatic checkpoints,
-        0 disables), ``reorder_joins``, ``vectorize``
+        0 disables), ``vectorize``
         (``"auto"``/``"on"``/``"off"``), ``gc_interval`` (background GC
         period in seconds, 0 stops the thread), ``page_size``
         (read-only).
@@ -346,10 +343,6 @@ class Database:
             if setting:
                 raise DatabaseError("pragma page_size is read-only")
             return PAGE_SIZE if self.pager is not None else None
-        if name == "reorder_joins":
-            if setting:
-                self.reorder_joins = bool(value)
-            return self.reorder_joins
         if name == "vectorize":
             if setting:
                 self.vectorize = _vectorize_mode(value)

@@ -4,23 +4,17 @@ The planner (:func:`repro.minidb.planner.plan_select`) compiles every
 SELECT into a tree of typed operators (:mod:`repro.minidb.plan_nodes`);
 this module walks that tree, mapping each node type to a streaming
 handler.  Rows flow through the pipeline as Python lists laid out as
-``[rowid, col0, col1, ...]`` — for joins, the segments of the joined
-tables are concatenated in *execution* order (the planner resolves all
-column references against that layout, so reordered joins need no row
-shuffling).
+``[rowid, col0, col1, ...]`` for the one table a SELECT reads.
 
-Every stage except hash builds, hash aggregation, and full sorts is a
-generator pulling rows one at a time, which is what the Table 1 benchmark
-relies on:
+Every stage except hash aggregation and full sorts is a generator
+pulling rows one at a time, which is what the Table 1 benchmark relies
+on:
 
-* ``LIMIT``/``OFFSET`` short-circuit the scan — through filters, joins
-  (including the nested-loop fallback) and streaming aggregation;
+* ``LIMIT``/``OFFSET`` short-circuit the scan — through filters and
+  streaming aggregation;
 * ``ORDER BY col LIMIT k`` keeps a bounded heap (top-k) instead of
   sorting the whole input, and skips even that when the planner answers
   with an index-ordered scan;
-* a :class:`~repro.minidb.plan_nodes.MergeJoin` consumes pre-grouped
-  B+tree keys on the build side instead of materializing a hash table,
-  preserving the probe stream's order;
 * a :class:`~repro.minidb.plan_nodes.StreamAggregate` holds one group at
   a time, emitting each as soon as the grouping key changes.
 
@@ -36,8 +30,7 @@ row's visible key against its entry; point probes pull their rowid sets
 under the write lock and ordered walks re-seek in short batches under
 it, while heap scans capture their rowid set up front — so a streaming
 SELECT reads its snapshot to completion regardless of interleaved DML,
-and ``IndexOrderScan``/``MergeJoin`` stay correct under concurrent
-writers.
+and ``IndexOrderScan`` stays correct under concurrent writers.
 
 UPDATE/DELETE plan their scans with the same access-path planner, so
 indexed predicates touch only matching rows; under a transaction they
@@ -370,125 +363,6 @@ def _exec_filter(node: nodes.Filter, params, snapshot, counters):
     )
 
 
-def _exec_hash_join(node: nodes.HashJoin, params, snapshot, counters):
-    def run():
-        build_filter_fn = node.build_filter_fn
-        residual_fn = node.residual_fn
-        pad = [None] * node.offset
-        buckets: dict = {}
-        for right in _run_node(node.right, params, snapshot, counters):
-            if build_filter_fn is not None and not truthy(
-                build_filter_fn(pad + right, params)
-            ):
-                continue
-            key_values = [right[p] for p in node.right_positions]
-            if any(v is None for v in key_values):
-                continue  # NULL join keys never match
-            key = tuple(normalize_key(v) for v in key_values)
-            buckets.setdefault(key, []).append(right)
-        left_positions = node.left_positions
-        pad_width = node.pad_width
-        is_left = node.kind == "LEFT"
-        for left in _run_node(node.left, params, snapshot, counters):
-            key_values = [left[p] for p in left_positions]
-            if any(v is None for v in key_values):
-                matches = ()
-            else:
-                key = tuple(normalize_key(v) for v in key_values)
-                matches = buckets.get(key, ())
-            matched = False
-            for right in matches:
-                candidate = left + right
-                if residual_fn is not None and not truthy(
-                    residual_fn(candidate, params)
-                ):
-                    continue
-                matched = True
-                yield candidate
-            if not matched and is_left:
-                yield left + [None] * pad_width
-    return run()
-
-
-def _exec_merge_join(node: nodes.MergeJoin, params, snapshot, counters):
-    def run():
-        right_filter = node.right_filter_fn
-        residual_fn = node.residual_fn
-        table = node.table
-        index = node.index
-        # the build side: B+tree groups in key order, NULL group skipped
-        groups = index.group_walk(
-            index.merge_bounds(),
-            lock=snapshot.lock if snapshot is not None else None,
-        )
-        left_pos = node.left_pos
-        if counters is not None:
-            # the build subtree is walked here, not via _run_node; attribute
-            # the rows actually materialized to its display nodes
-            filter_node = (
-                node.right if isinstance(node.right, nodes.Filter) else None
-            )
-            scan_node = filter_node.child if filter_node is not None else node.right
-            counters.setdefault(id(scan_node), 0)
-            if filter_node is not None:
-                counters.setdefault(id(filter_node), 0)
-        cur_key = None
-        cur_rowids = ()
-        cur_rows: list | None = None
-        exhausted = False
-        for left in _run_node(node.left, params, snapshot, counters):
-            value = left[left_pos]
-            if value is None:
-                continue  # NULL join keys never match
-            key = sort_key(value)
-            while not exhausted and (cur_key is None or cur_key < key):
-                try:
-                    cur_key, cur_rowids = next(groups)
-                    cur_rows = None
-                except StopIteration:
-                    exhausted = True
-            if exhausted and (cur_key is None or cur_key < key):
-                break  # INNER: left keys only grow, nothing more matches
-            if cur_key != key:
-                continue
-            if cur_rows is None:  # materialize the group once per key
-                cur_rows = []
-                for right in _resolve(table, ((cur_key, cur_rowids),),
-                                      snapshot, index.entry_key):
-                    if counters is not None:
-                        counters[id(scan_node)] += 1
-                    if right_filter is None or truthy(right_filter(right, params)):
-                        cur_rows.append(right)
-                if counters is not None and filter_node is not None:
-                    counters[id(filter_node)] += len(cur_rows)
-            for right in cur_rows:
-                candidate = left + right
-                if residual_fn is not None and not truthy(
-                    residual_fn(candidate, params)
-                ):
-                    continue
-                yield candidate
-    return run()
-
-
-def _exec_nested_loop(node: nodes.NestedLoopJoin, params, snapshot, counters):
-    def run():
-        right_rows = list(_run_node(node.right, params, snapshot, counters))
-        predicate = node.predicate_fn
-        is_left = node.kind == "LEFT"
-        pad_width = node.pad_width
-        for left in _run_node(node.left, params, snapshot, counters):
-            matched = False
-            for right in right_rows:
-                candidate = left + right
-                if predicate is None or truthy(predicate(candidate, params)):
-                    matched = True
-                    yield candidate
-            if not matched and is_left:
-                yield left + [None] * pad_width
-    return run()
-
-
 # -- aggregation -------------------------------------------------------------
 
 
@@ -589,10 +463,10 @@ def _exec_aggregate(node, params, snapshot, counters):
 # -- batch (vectorized) operators --------------------------------------------
 #
 # These handlers exchange ``vector.Batch`` objects instead of rows.  The
-# planner's ``_vectorize`` pass guarantees every batch node's child (except
-# a BatchHashJoin's build side) is itself a batch node, and every batch
-# chain is capped by a row-mode consumer (``BatchToRows``, a batch
-# aggregate, or the executor's projection machinery above them).
+# planner's ``_vectorize`` pass guarantees every batch node's child is
+# itself a batch node, and every batch chain is capped by a row-mode
+# consumer (``BatchToRows``, a batch aggregate, or the executor's
+# projection machinery above them).
 
 
 def _batch_scan(node: nodes.BatchScan, params, snapshot, counters):
@@ -615,50 +489,6 @@ def _batch_filter(node: nodes.BatchFilter, params, snapshot, counters):
         filtered = filter_batch(batch, kernels, params)
         if filtered is not None:
             yield filtered
-
-
-def _batch_hash_join(node: nodes.BatchHashJoin, params, snapshot, counters):
-    buckets: dict = {}
-    right_positions = node.right_positions
-    for right in _run_node(node.right, params, snapshot, counters):
-        key_values = [right[p] for p in right_positions]
-        if any(v is None for v in key_values):
-            continue  # NULL join keys never match
-        key = tuple(normalize_key(v) for v in key_values)
-        buckets.setdefault(key, []).append(right)
-    left_positions = node.left_positions
-    get = buckets.get
-    for batch in _run_node(node.left, params, snapshot, counters):
-        cols = batch.cols
-        key_cols = [cols[p] for p in left_positions]
-        probe_hits: list = []    # probe-side index, one entry per match
-        build_rows: list = []    # matched build row, aligned with probe_hits
-        if len(key_cols) == 1:
-            key_col = key_cols[0]
-            for i in batch.indices():
-                v = key_col[i]
-                if v is None:
-                    continue
-                matches = get((normalize_key(v),))
-                if matches:
-                    for right in matches:
-                        probe_hits.append(i)
-                        build_rows.append(right)
-        else:
-            for i in batch.indices():
-                key_values = [c[i] for c in key_cols]
-                if any(v is None for v in key_values):
-                    continue
-                matches = get(tuple(normalize_key(v) for v in key_values))
-                if matches:
-                    for right in matches:
-                        probe_hits.append(i)
-                        build_rows.append(right)
-        if not probe_hits:
-            continue
-        out_cols = [[col[i] for i in probe_hits] for col in cols]
-        out_cols.extend(zip(*build_rows))
-        yield Batch(out_cols)
 
 
 def _batch_agg_groups(node: nodes.BatchAggregate, params, snapshot, counters):
@@ -837,9 +667,6 @@ def _limit_stream(rows, limit, offset: int):
 _NODE_HANDLERS = {
     nodes.Scan: _exec_scan,
     nodes.Filter: _exec_filter,
-    nodes.HashJoin: _exec_hash_join,
-    nodes.MergeJoin: _exec_merge_join,
-    nodes.NestedLoopJoin: _exec_nested_loop,
     nodes.HashAggregate: _exec_aggregate,
     nodes.StreamAggregate: _exec_aggregate,
     nodes.Project: _exec_project,
@@ -849,7 +676,6 @@ _NODE_HANDLERS = {
     nodes.Limit: _exec_limit,
     nodes.BatchScan: _batch_scan,
     nodes.BatchFilter: _batch_filter,
-    nodes.BatchHashJoin: _batch_hash_join,
     nodes.BatchAggregate: _exec_aggregate,
     nodes.BatchToRows: _batch_to_rows,
 }

@@ -344,7 +344,7 @@ def _as_number(value) -> float | None:
 
 def normalize_key(value):
     """Normalize a value for hash equality (1 == 1.0, bool as int): the key
-    of GROUP BY, DISTINCT, hash joins and planner statistics tallies.
+    of GROUP BY, DISTINCT and planner statistics tallies.
 
     An integer beyond float range keeps its exact value as its key."""
     if isinstance(value, bool):

@@ -360,9 +360,6 @@ class Pager:
             self._dirty[page.pid] = page
             self._pool.pop(page.pid, None)
 
-    def is_dirty(self, pid: int) -> bool:
-        return pid in self._dirty
-
     @property
     def dirty_pages(self) -> int:
         return len(self._dirty)

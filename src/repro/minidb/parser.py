@@ -4,7 +4,7 @@ Grammar (informal)::
 
     statement   := select | insert | update | delete | create | drop
                  | alter | begin | commit | rollback | explain
-    select      := SELECT [DISTINCT] items FROM table [joins] [WHERE expr]
+    select      := SELECT [DISTINCT] items FROM table [WHERE expr]
                    [GROUP BY exprs] [HAVING expr] [ORDER BY keys]
                    [LIMIT n [OFFSET m]]
     expr        := or-expr with the usual precedence:
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.errors import SQLSyntaxError
 from repro.minidb import ast_nodes as ast
-from repro.minidb.functions import is_aggregate
 from repro.minidb.tokens import EOF, IDENT, NUMBER, OP, PARAM, STRING, Token, tokenize
 
 _COMPARISON_OPS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
@@ -165,23 +164,13 @@ class _Parser:
             items.append(self._select_item())
 
         table = None
-        joins: list[ast.Join] = []
         if self._accept_keyword("FROM"):
             table = self._table_ref()
-            while True:
-                kind = None
-                if self._accept_keyword("JOIN"):
-                    kind = "INNER"
-                elif self._at_keyword("INNER") or self._at_keyword("LEFT"):
-                    kind = self._next().upper()
-                    self._accept_keyword("OUTER")
-                    self._expect_keyword("JOIN")
-                else:
-                    break
-                joined = self._table_ref()
-                self._expect_keyword("ON")
-                condition = self._expr()
-                joins.append(ast.Join(joined, condition, kind))
+            if self._at_keyword("JOIN", "INNER", "LEFT"):
+                raise SQLSyntaxError(
+                    "a SELECT reads one table; JOIN is not supported",
+                    self._peek().position,
+                )
 
         where = self._expr() if self._accept_keyword("WHERE") else None
 
@@ -210,7 +199,6 @@ class _Parser:
         return ast.SelectStmt(
             items=tuple(items),
             table=table,
-            joins=tuple(joins),
             where=where,
             group_by=tuple(group_by),
             having=having,

@@ -23,23 +23,23 @@ NO_STATS = -1
 
 
 def validation_key(db, tables=(), check_stats: bool = True) -> tuple:
-    """The current ``(schema_epoch, stats_version, knobs)`` for ``db``.
+    """The current ``(schema_epoch, stats_version, vectorize)`` for ``db``.
 
     With ``check_stats`` the lazy statistics of every table in ``tables``
     are refreshed first, so a drift past the rebuild threshold bumps the
     version *before* the comparison — a cached plan never outlives the
-    estimates it was costed against.  Planner knobs that change the
-    chosen tree (``reorder_joins``, ``vectorize``) ride along in the key
-    so flipping them re-plans instead of replaying the old choice.
+    estimates it was costed against.  The ``vectorize`` knob changes the
+    chosen tree, so it rides along in the key and flipping it re-plans
+    instead of replaying the old choice.
     """
     if not check_stats:
-        return (db.schema_epoch, NO_STATS, True, "auto")
+        return (db.schema_epoch, NO_STATS, "auto")
     stats = db.stats
     for name in tables:
         table = db.tables.get(name)
         if table is not None:
             stats.for_table(table).refresh()
-    return (db.schema_epoch, stats.version, db.reorder_joins, db.vectorize)
+    return (db.schema_epoch, stats.version, db.vectorize)
 
 
 class PlanCache:

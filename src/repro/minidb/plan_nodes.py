@@ -8,11 +8,9 @@ from the statistics layer (:mod:`repro.minidb.stats`), and
 returns — ``EXPLAIN ANALYZE`` additionally records the *actual* row
 count each operator produced.
 
-The tree is left-deep: each join node's ``left`` is the streaming
-(probe/outer) pipeline, and its ``right`` is the access path of the
-table being joined (a :class:`Scan`, possibly under a :class:`Filter`),
-which hash joins build from, merge joins walk in key order, and nested
-loops materialize.
+The tree is a single chain: one table's access path (a :class:`Scan`,
+possibly under a :class:`Filter`) at the bottom, then aggregation or
+projection, ordering, DISTINCT and LIMIT above it.
 """
 
 from __future__ import annotations
@@ -75,122 +73,6 @@ class Filter(PlanNode):
 
     def label(self) -> str:
         return f"Filter({render_expr(self.expr)})"
-
-
-class HashJoin(PlanNode):
-    """Equi join: build a hash table from ``right``, probe with ``left``.
-
-    ``left_positions`` index the streaming row, ``right_positions`` the
-    build side's local ``[rowid, *values]`` rows.  ``offset`` is where the
-    joined table's segment starts in the combined row (= width of the
-    stream coming in), ``pad_width`` the segment width for LEFT padding.
-    """
-
-    __slots__ = ("left", "right", "binding", "kind", "left_positions",
-                 "right_positions", "offset", "pad_width", "build_filter_fn",
-                 "residual_fn", "has_build_filter", "has_residual",
-                 "estimated_rows")
-
-    def __init__(self, left, right, binding, kind, left_positions,
-                 right_positions, offset, pad_width, build_filter_fn=None,
-                 residual_fn=None, has_build_filter=False, has_residual=False,
-                 estimated_rows=None):
-        self.left = left
-        self.right = right
-        self.binding = binding
-        self.kind = kind
-        self.left_positions = left_positions
-        self.right_positions = right_positions
-        self.offset = offset
-        self.pad_width = pad_width
-        self.build_filter_fn = build_filter_fn
-        self.residual_fn = residual_fn
-        self.has_build_filter = has_build_filter
-        self.has_residual = has_residual
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        text = f"HashJoin({self.binding}, keys={len(self.left_positions)}"
-        if self.kind != "INNER":
-            text += f", {self.kind}"
-        text += ")"
-        if self.has_build_filter:
-            text += " + BuildFilter"
-        if self.has_residual:
-            text += " + Filter"
-        return text
-
-
-class MergeJoin(PlanNode):
-    """Ordered equi join: the streaming side arrives sorted on the join
-    key and the joined table is walked through a B+tree in the same order,
-    so no hash table is built and the stream's order is preserved.
-
-    INNER only; ``right`` is the display subtree (an index-ordered
-    :class:`Scan`, possibly under a :class:`Filter` whose compiled
-    predicate the merge applies per right row)."""
-
-    __slots__ = ("left", "right", "binding", "table", "index", "left_pos",
-                 "key_column", "offset", "pad_width", "right_filter_fn",
-                 "residual_fn", "has_residual", "estimated_rows")
-
-    def __init__(self, left, right, binding, table, index, left_pos,
-                 key_column, offset, pad_width, right_filter_fn=None,
-                 residual_fn=None, has_residual=False, estimated_rows=None):
-        self.left = left
-        self.right = right
-        self.binding = binding
-        self.table = table
-        self.index = index
-        self.left_pos = left_pos
-        self.key_column = key_column
-        self.offset = offset
-        self.pad_width = pad_width
-        self.right_filter_fn = right_filter_fn
-        self.residual_fn = residual_fn
-        self.has_residual = has_residual
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        text = f"MergeJoin({self.binding}, key={self.key_column})"
-        if self.has_residual:
-            text += " + Filter"
-        return text
-
-
-class NestedLoopJoin(PlanNode):
-    """Fallback join: materialize ``right``, test every pair.
-
-    ``predicate_fn`` is None for a pure cross product (all conjuncts
-    already placed elsewhere)."""
-
-    __slots__ = ("left", "right", "binding", "kind", "predicate_expr",
-                 "predicate_fn", "pad_width", "estimated_rows")
-
-    def __init__(self, left, right, binding, kind, predicate_expr,
-                 predicate_fn, pad_width, estimated_rows=None):
-        self.left = left
-        self.right = right
-        self.binding = binding
-        self.kind = kind
-        self.predicate_expr = predicate_expr
-        self.predicate_fn = predicate_fn
-        self.pad_width = pad_width
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        if self.kind != "INNER":
-            return f"NestedLoopJoin({self.binding}, {self.kind})"
-        return f"NestedLoopJoin({self.binding})"
 
 
 class AggregateSpec:
@@ -391,33 +273,6 @@ class BatchFilter(PlanNode):
 
     def label(self) -> str:
         return f"Filter({render_expr(self.expr)}) [batch]"
-
-
-class BatchHashJoin(PlanNode):
-    """INNER equi join probing with column batches.
-
-    The build side (``right``) runs in row mode and is materialized into
-    hash buckets once; probe batches gather matched left columns and
-    transpose matched right rows into combined-layout output batches.
-    Only joins without build filters or residuals vectorize."""
-
-    __slots__ = ("left", "right", "binding", "left_positions",
-                 "right_positions", "estimated_rows")
-
-    def __init__(self, left, right, binding, left_positions,
-                 right_positions, estimated_rows=None):
-        self.left = left
-        self.right = right
-        self.binding = binding
-        self.left_positions = left_positions
-        self.right_positions = right_positions
-        self.estimated_rows = estimated_rows
-
-    def children(self) -> tuple:
-        return (self.left, self.right)
-
-    def label(self) -> str:
-        return f"HashJoin({self.binding}, keys={len(self.left_positions)}) [batch]"
 
 
 class BatchAggregate(PlanNode):

@@ -34,29 +34,24 @@ and the zoom engine's viewport queries (``WHERE x BETWEEN ? AND ?``) all
 resolve to index scans touching only the relevant rows.
 
 The second half of the module is the **cost-based SELECT planner**
-(:func:`plan_select`): a two-stage pipeline that first analyzes the
-statement logically (bindings, conjunct classification, aggregate
-rewriting) and then builds a physical plan tree
+(:func:`plan_select`).  A SELECT reads exactly one table; the planner
+binds it, picks its access path, and builds a physical plan tree
 (:mod:`repro.minidb.plan_nodes`) using the statistics layer
 (:mod:`repro.minidb.stats`) to
 
-* greedily reorder all-INNER equi-joins (smallest estimated input joins
-  first, smaller side becomes the hash build side),
-* push single-table WHERE/ON conjuncts into each table's scan,
-* choose a :class:`~repro.minidb.plan_nodes.MergeJoin` when both inputs
-  arrive index-ordered on the join key (preserving key order through to
-  ORDER BY elision), and
+* demote a broad index walk or probe back to a sequential scan,
 * choose a :class:`~repro.minidb.plan_nodes.StreamAggregate` when the
   GROUP BY input is already ordered on the grouping columns — over a
   full index walk only when group order elides the sort or a LIMIT stops
-  the walk early.
+  the walk early, and
+* convert analytic shapes to batch operators.
 
 The executor is a dispatcher over the resulting tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PlanningError
 from repro.minidb import ast_nodes as ast
@@ -69,12 +64,7 @@ from repro.minidb.expressions import (
     render_expr,
 )
 from repro.minidb.functions import is_aggregate
-from repro.minidb.stats import (
-    StatsManager,
-    conjunct_selectivity,
-    estimate_filtered_rows,
-    estimate_join_rows,
-)
+from repro.minidb.stats import conjunct_selectivity
 from repro.minidb.storage import Table
 from repro.minidb.vector import BATCH_AGGREGATES
 
@@ -547,104 +537,15 @@ def _best_index(table: Table, column: str):
 
 
 # ---------------------------------------------------------------------------
-# join planning
-# ---------------------------------------------------------------------------
-
-
-def _resolved_positions(expr: ast.Expr, resolver) -> list[int] | None:
-    """Row positions of every column reference, or None when any fails.
-
-    A failed resolution (unknown or ambiguous column) is not an error here:
-    the conjunct simply stays in the residual, where compiling it surfaces
-    the same :class:`PlanningError` the executor has always raised.
-    """
-    positions = []
-    for node in ast.walk(expr):
-        if isinstance(node, ast.ColumnRef):
-            try:
-                positions.append(resolver.resolve(node))
-            except PlanningError:
-                return None
-    return positions
-
-
-def split_join_condition(on: ast.Expr, resolver, join_offset: int,
-                         width: int):
-    """Decompose an ``ON`` clause for a hash join against the table at
-    ``join_offset`` (occupying ``width`` row slots).
-
-    Returns ``(pairs, right_only, residual)``:
-
-    * ``pairs`` — ``(left_pos, right_pos)`` equi-join key positions, with
-      ``right_pos`` absolute in the combined row (the executor rebases it);
-    * ``right_only`` — conjuncts referencing only the newly joined table,
-      applicable while building the hash table (INNER joins only);
-    * ``residual`` — everything else, evaluated per candidate pair.
-
-    An empty ``pairs`` means no hash join is possible and the caller must
-    fall back to a nested loop over the full ``ON`` expression.
-    """
-    pairs: list[tuple[int, int]] = []
-    right_only: list[ast.Expr] = []
-    residual: list[ast.Expr] = []
-    end = join_offset + width
-    for conjunct in split_conjuncts(on):
-        positions = _resolved_positions(conjunct, resolver)
-        if (
-            positions is not None
-            and isinstance(conjunct, ast.Binary) and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-        ):
-            left_pos, right_pos = positions
-            if left_pos >= join_offset:
-                left_pos, right_pos = right_pos, left_pos
-            if left_pos < join_offset <= right_pos < end:
-                pairs.append((left_pos, right_pos))
-                continue
-        if positions and all(join_offset <= p < end for p in positions):
-            right_only.append(conjunct)
-        else:
-            residual.append(conjunct)
-    return pairs, right_only, residual
-
-
-def partition_conjuncts(where: ast.Expr | None, resolver, boundary: int):
-    """Split ``where`` into (pushable, remainder) around a join boundary.
-
-    Conjuncts whose column references all land below ``boundary`` (i.e. on
-    the base table) are safe to evaluate before the join — for INNER joins
-    trivially, and for LEFT joins because the left side is the preserved
-    side.  Both halves come back re-conjoined (None when empty).
-    """
-    pushable: list[ast.Expr] = []
-    remainder: list[ast.Expr] = []
-    for conjunct in split_conjuncts(where):
-        positions = _resolved_positions(conjunct, resolver)
-        if positions is not None and all(p < boundary for p in positions):
-            pushable.append(conjunct)
-        else:
-            remainder.append(conjunct)
-    return conjoin(pushable), conjoin(remainder)
-
-
-# ---------------------------------------------------------------------------
 # cost-based SELECT planning: logical analysis -> physical plan tree
 # ---------------------------------------------------------------------------
-
-#: steer the driver scan into join-key order (enabling a merge join) only
-#: when the hash build it avoids is at least this many estimated rows...
-MERGE_MIN_BUILD_ROWS = 256
-#: ...and at least this fraction of the estimated probe stream
-MERGE_STEER_RATIO = 0.25
-
 
 class SelectPlan:
     """A compiled physical plan for one SELECT statement.
 
-    ``tables`` names every base table the plan reads — the plan cache
-    pokes their lazy statistics before reuse so a pending rebuild
-    invalidates the plan rather than executing against drifted estimates.
+    ``tables`` names the table the plan reads — the plan cache pokes its
+    lazy statistics before reuse so a pending rebuild invalidates the plan
+    rather than executing against drifted estimates.
     """
 
     __slots__ = ("stmt", "root", "names", "resolver", "items", "tables")
@@ -658,77 +559,18 @@ class SelectPlan:
         self.tables = tables
 
 
-class _TableSlot:
-    """One FROM-list entry: binding, storage, and per-table planning state."""
-
-    __slots__ = ("binding", "table", "join", "stats", "pushed", "offset",
-                 "width", "est_out")
-
-    def __init__(self, binding: str, table: Table, join):
-        self.binding = binding
-        self.table = table
-        self.join = join  # the ast.Join that introduced it (None for base)
-        self.stats = None
-        self.pushed: list[ast.Expr] = []  # single-table conjuncts for the scan
-        self.offset = 0
-        self.width = 1 + len(table.schema.columns)
-        self.est_out = 0.0
-
-
-class _ConjunctPool:
-    """WHERE + ON conjuncts of an all-INNER join query, classified."""
-
-    __slots__ = ("edges", "multi", "post")
-
-    def __init__(self):
-        # (binding_a, col_a, binding_b, col_b, conjunct) equi-join edges
-        self.edges: list[tuple] = []
-        # (frozenset of bindings, conjunct) placed at the earliest join step
-        self.multi: list[tuple] = []
-        # conjuncts that failed to resolve; compiling them at the end
-        # surfaces the same PlanningError the executor always raised
-        self.post: list[ast.Expr] = []
-
-
-class _JoinStepSpec:
-    """One join step in execution order (reordered all-INNER planning)."""
-
-    __slots__ = ("slot", "pairs", "residuals", "right_plan", "right_ests")
-
-    def __init__(self, slot, pairs, residuals):
-        self.slot = slot
-        self.pairs = pairs  # (left_binding, left_col, right_col)
-        self.residuals = residuals
-        # the build side's (plan, (path_est, out_est)) once computed, so
-        # merge steering and node construction plan the scan exactly once
-        self.right_plan = None
-        self.right_ests = None
-
-
-def _layout(table: Table, offset: int) -> dict[str, int]:
-    mapping = {
-        name: offset + 1 + i for i, name in enumerate(table.schema.column_names)
-    }
-    mapping.setdefault("rowid", offset)
-    return mapping
-
-
-def _expand_stars(items, bindings) -> list[ast.SelectItem]:
+def _expand_stars(items, binding: str, table: Table) -> list[ast.SelectItem]:
     expanded: list[ast.SelectItem] = []
     for item in items:
         if not item.is_star:
             expanded.append(item)
             continue
-        targets = [item.star_table] if item.star_table else list(bindings)
-        for binding in targets:
-            if binding not in bindings:
-                raise PlanningError(f"unknown table {binding!r} in select list")
-            for column, position in bindings[binding].items():
-                if column == "rowid":
-                    continue
-                expanded.append(
-                    ast.SelectItem(expr=ast.ColumnRef(binding, column), alias=column)
-                )
+        if item.star_table not in (None, binding):
+            raise PlanningError(f"unknown table {item.star_table!r} in select list")
+        expanded.extend(
+            ast.SelectItem(expr=ast.ColumnRef(binding, column), alias=column)
+            for column in table.schema.column_names if column != "rowid"
+        )
     return expanded
 
 
@@ -753,168 +595,29 @@ def _limit_literal(expr) -> int | None:
     return None
 
 
-# -- conjunct classification and greedy join ordering -----------------------
-
-
-def _classify_conjuncts(stmt: ast.SelectStmt, slots, by_binding) -> _ConjunctPool:
-    """Split WHERE + all ON clauses of an all-INNER query into per-table
-    pushdowns (stored on the slots), equi-join edges, multi-table
-    residuals, and unresolvable leftovers."""
-    pool = _ConjunctPool()
-    owners: dict[str, list[str]] = {}
-    for slot in slots:
-        for name in slot.table.schema.column_names:
-            owners.setdefault(name, []).append(slot.binding)
-
-    def binding_of(ref: ast.ColumnRef) -> str | None:
-        if ref.table is not None:
-            slot = by_binding.get(ref.table)
-            if slot is None:
-                return None
-            if slot.table.schema.has_column(ref.name):
-                return slot.binding
-            if ref.name == "rowid":
-                return slot.binding
-            return None
-        found = owners.get(ref.name)
-        if found is not None and len(found) == 1:
-            return found[0]
-        return None  # unknown or ambiguous: defer to compile-time error
-
-    conjuncts = split_conjuncts(stmt.where)
-    for join in stmt.joins:
-        conjuncts.extend(split_conjuncts(join.on))
-    for conjunct in conjuncts:
-        used: set[str] = set()
-        resolvable = True
-        for node in ast.walk(conjunct):
-            if isinstance(node, ast.ColumnRef):
-                binding = binding_of(node)
-                if binding is None:
-                    resolvable = False
-                    break
-                used.add(binding)
-        if not resolvable:
-            pool.post.append(conjunct)
-            continue
-        if (
-            isinstance(conjunct, ast.Binary) and conjunct.op == "="
-            and isinstance(conjunct.left, ast.ColumnRef)
-            and isinstance(conjunct.right, ast.ColumnRef)
-            and len(used) == 2
-        ):
-            pool.edges.append((
-                binding_of(conjunct.left), conjunct.left.name,
-                binding_of(conjunct.right), conjunct.right.name, conjunct,
-            ))
-            continue
-        if len(used) == 1:
-            by_binding[next(iter(used))].pushed.append(conjunct)
-        else:  # constant predicates (empty set) ride along to the first step
-            pool.multi.append((frozenset(used), conjunct))
-    return pool
-
-
-def _greedy_join_order(slots, by_binding, pool: _ConjunctPool):
-    """System-R-flavoured greedy left-deep ordering.
-
-    Start with the connected pair whose estimated join output is smallest
-    (the larger input streams, the smaller becomes the first build side),
-    then repeatedly add the connected table minimizing the next estimated
-    intermediate size.  Disconnected tables come last as cross products.
-    """
-    syn_index = {slot.binding: i for i, slot in enumerate(slots)}
-    est: dict[str, float] = {}
-    for slot in slots:
-        slot.est_out = estimate_filtered_rows(slot.stats, slot.pushed, slot.binding)
-        est[slot.binding] = slot.est_out
-
-    edges_between: dict[frozenset, list] = {}
-    for lb, lc, rb, rc, _conjunct in pool.edges:
-        edges_between.setdefault(frozenset((lb, rb)), []).append((lb, lc, rb, rc))
-
-    def pair_distincts(pairs):
-        return [
-            (by_binding[lb].stats.distinct(lc), by_binding[rb].stats.distinct(rc))
-            for lb, lc, rb, rc in pairs
-        ]
-
-    best = None
-    for key, pairs in edges_between.items():
-        a, b = sorted(key, key=lambda binding: syn_index[binding])
-        out = estimate_join_rows(est[a], est[b], pair_distincts(pairs))
-        rank = (out, min(est[a], est[b]), syn_index[a], syn_index[b])
-        if best is None or rank < best[0]:
-            # larger input streams, smaller becomes the build side; a tie
-            # keeps the syntactic orientation (a precedes b)
-            driver, build = (a, b) if est[a] >= est[b] else (b, a)
-            best = (rank, driver, build, out)
-    _rank, driver, build, current = best
-    order = [driver, build]
-    placed = {driver, build}
-    remaining = [slot.binding for slot in slots if slot.binding not in placed]
-    while remaining:
-        choice = None
-        for cand in remaining:
-            pairs = []
-            for other in placed:
-                pairs.extend(edges_between.get(frozenset((cand, other)), ()))
-            if not pairs:
-                continue
-            out = estimate_join_rows(current, est[cand], pair_distincts(pairs))
-            rank = (out, est[cand], syn_index[cand])
-            if choice is None or rank < choice[0]:
-                choice = (rank, cand, out)
-        if choice is None:  # disconnected component: cheapest cross product
-            cand = min(remaining, key=lambda b: (est[b], syn_index[b]))
-            choice = (None, cand, current * max(est[cand], 1.0))
-        _r, cand, current = choice
-        order.append(cand)
-        placed.add(cand)
-        remaining.remove(cand)
-    return [by_binding[binding] for binding in order]
-
-
-def _reordered_steps(exec_slots, pool: _ConjunctPool):
-    """Assign equi edges and residual conjuncts to execution-order steps."""
-    placed = {exec_slots[0].binding}
-    edges = list(pool.edges)
-    multi = list(pool.multi)
-    steps: list[_JoinStepSpec] = []
-    for slot in exec_slots[1:]:
-        pairs = []
-        rest = []
-        for lb, lc, rb, rc, conjunct in edges:
-            if rb == slot.binding and lb in placed:
-                pairs.append((lb, lc, rc))
-            elif lb == slot.binding and rb in placed:
-                pairs.append((rb, rc, lc))
-            else:
-                rest.append((lb, lc, rb, rc, conjunct))
-        edges = rest
-        placed.add(slot.binding)
-        residuals = [c for tabs, c in multi if tabs <= placed]
-        multi = [(tabs, c) for tabs, c in multi if not tabs <= placed]
-        steps.append(_JoinStepSpec(slot, pairs, residuals))
-    return steps
-
-
 # -- ORDER BY / GROUP BY shape analysis -------------------------------------
 
 
-def _order_spec_info(stmt: ast.SelectStmt, alias_map: dict, slots):
-    """The ORDER BY as ``(binding, [(column, ascending), ...])`` when every
-    key is a plain column of one single table (after alias substitution).
+def _is_own_column(expr: ast.Expr, binding: str, table: Table) -> bool:
+    """True when ``expr`` is a plain reference to a column of ``table``."""
+    return (
+        isinstance(expr, ast.ColumnRef)
+        and table.schema.has_column(expr.name)
+        and expr.table in (None, binding)
+    )
+
+
+def _order_spec(stmt: ast.SelectStmt, alias_map: dict, binding: str,
+                table: Table):
+    """The ORDER BY as ``[(column, ascending), ...]`` when every key is a
+    plain column of the table (after alias substitution).
 
     None when any order item is something a scan cannot produce directly —
-    an expression, a positional reference, an ambiguous name, or columns
-    spread across tables.  Directions may be mixed; the access-path planner
-    decides what it can serve.
+    an expression, a positional reference or an unknown name.  Directions
+    may be mixed; the access-path planner decides what it can serve.
     """
     if not stmt.order_by:
         return None
-    unique_slots = list({slot.binding: slot for slot in slots}.values())
-    binding = None
     spec: list = []
     for order in stmt.order_by:
         expr = order.expr
@@ -923,36 +626,22 @@ def _order_spec_info(stmt: ast.SelectStmt, alias_map: dict, slots):
             and expr.name in alias_map
         ):
             expr = alias_map[expr.name]
-        if not isinstance(expr, ast.ColumnRef):
-            return None
-        owners = [
-            slot for slot in unique_slots
-            if slot.table.schema.has_column(expr.name)
-            and (expr.table is None or expr.table == slot.binding)
-        ]
-        if len(owners) != 1:
-            return None  # unknown or ambiguous; the sort path reports it
-        if binding is None:
-            binding = owners[0].binding
-        elif binding != owners[0].binding:
-            return None
+        if not _is_own_column(expr, binding, table):
+            return None  # unknown or an expression; the sort path handles it
         spec.append((expr.name, order.ascending))
-    return binding, spec
+    return spec
 
 
-def _group_order_spec(stmt: ast.SelectStmt, alias_map: dict, driver):
-    """GROUP BY columns as a driver-table order spec, or None when any
-    grouping expression is not a plain driver column."""
+def _group_order_spec(stmt: ast.SelectStmt, alias_map: dict, binding: str,
+                      table: Table):
+    """GROUP BY columns as a table order spec, or None when any grouping
+    expression is not a plain column of the table."""
     if not stmt.group_by:
         return None
     spec: list = []
     for expr in stmt.group_by:
         expr = _substitute_aliases(expr, alias_map)
-        if not isinstance(expr, ast.ColumnRef):
-            return None
-        if expr.table is not None and expr.table != driver.binding:
-            return None
-        if not driver.table.schema.has_column(expr.name):
+        if not _is_own_column(expr, binding, table):
             return None
         spec.append((expr.name, True))
     return spec
@@ -975,7 +664,7 @@ def _compile_order_specs(order_by, alias_map: dict, resolver: Resolver):
     return specs
 
 
-# -- scan / join / group cardinality estimates ------------------------------
+# -- scan / group cardinality estimates -------------------------------------
 
 
 def _estimate_scan(stats, plan: ScanPlan, conjuncts, binding):
@@ -994,24 +683,17 @@ def _estimate_scan(stats, plan: ScanPlan, conjuncts, binding):
     return path, rows
 
 
-def _estimate_groups(stmt: ast.SelectStmt, alias_map: dict, slots,
-                     input_est: float) -> float:
+def _estimate_groups(stmt: ast.SelectStmt, alias_map: dict, binding: str,
+                     table: Table, table_stats, input_est: float) -> float:
     """Estimated group count: product of grouping-column distincts."""
     if not stmt.group_by:
         return 1.0
-    unique_slots = list({slot.binding: slot for slot in slots}.values())
     groups = 1.0
     for expr in stmt.group_by:
         expr = _substitute_aliases(expr, alias_map)
         distinct = 10.0
-        if isinstance(expr, ast.ColumnRef):
-            owners = [
-                slot for slot in unique_slots
-                if slot.table.schema.has_column(expr.name)
-                and (expr.table is None or expr.table == slot.binding)
-            ]
-            if len(owners) == 1:
-                distinct = owners[0].stats.distinct(expr.name)
+        if _is_own_column(expr, binding, table):
+            distinct = table_stats.distinct(expr.name)
         groups *= distinct
     return max(1.0, min(groups, max(input_est, 1.0)))
 
@@ -1210,417 +892,80 @@ def _prepare_aggregate(stmt: ast.SelectStmt, items, resolver: Resolver):
     return spec, elide_sort
 
 
-# -- merge-join eligibility --------------------------------------------------
-
-
-def _provided_order(plan: ScanPlan) -> list:
-    """The ``(column, ascending)`` order a chosen scan streams rows in."""
-    if plan.kind == INDEX_ORDER:
-        return [(c, not plan.descending) for c in plan.columns]
-    if plan.kind == INDEX_PREFIX and plan.columns:
-        k = len(plan.prefix_exprs)
-        return [(c, not plan.descending) for c in plan.columns[k:]]
-    if plan.kind == INDEX_RANGE:
-        return [(plan.column, not plan.descending)]
-    return []
-
-
-def _covering_single_btree(table: Table, column: str):
-    """An index over exactly ``column`` that indexes every row, or None."""
-    for index in table.indexes_on(column):
-        if index.covers(table.n_rows):
-            return index
-    return None
-
-
-def _merge_eligible(step: _JoinStepSpec, driver, driver_plan: ScanPlan,
-                    right_plan: ScanPlan):
-    """``(left_col, right_col, right_index)`` when this step can merge:
-    single equi pair on a driver column the stream arrives ordered on, and
-    a covering single-column B+tree on the build column (whose best scan
-    found no better access path than a full walk)."""
-    if len(step.pairs) != 1:
-        return None
-    left_binding, left_col, right_col = step.pairs[0]
-    if left_binding != driver.binding or left_col == "rowid" or right_col == "rowid":
-        return None
-    provided = _provided_order(driver_plan)
-    if not provided or provided[0] != (left_col, True):
-        return None
-    if right_plan.kind != SEQ:
-        return None
-    index = _covering_single_btree(step.slot.table, right_col)
-    if index is None:
-        return None
-    return left_col, right_col, index
-
-
-def _maybe_steer_merge(driver, driver_plan: ScanPlan, pushed_where,
-                       driver_conjuncts, first_step: _JoinStepSpec,
-                       stream_group: bool) -> ScanPlan:
-    """Re-plan the driver scan in join-key order when that unlocks a merge
-    join worth having (cost gate: the hash build it avoids is large)."""
-    if stream_group or driver_plan.kind != SEQ or driver_plan.order_satisfied:
-        return driver_plan
-    if len(first_step.pairs) != 1:
-        return driver_plan
-    left_binding, left_col, right_col = first_step.pairs[0]
-    if left_binding != driver.binding or left_col == "rowid" or right_col == "rowid":
-        return driver_plan
-    slot = first_step.slot
-    if _covering_single_btree(slot.table, right_col) is None:
-        return driver_plan
-    right_plan = _plan_step_right(first_step)
-    if right_plan.kind != SEQ:
-        return driver_plan
-    steered = plan_scan(driver.table, pushed_where, binding=driver.binding,
-                        order_spec=[(left_col, True)])
-    provided = _provided_order(steered)
-    if not provided or provided[0] != (left_col, True):
-        return driver_plan
-    _path, right_out = first_step.right_ests
-    _path2, left_out = _estimate_scan(driver.stats, driver_plan,
-                                      driver_conjuncts, driver.binding)
-    if right_out < MERGE_MIN_BUILD_ROWS or right_out < MERGE_STEER_RATIO * max(left_out, 1.0):
-        return driver_plan
-    return steered
-
-
-# -- join-step node construction ---------------------------------------------
-
-
-def _local_pos(table: Table, column: str) -> int:
-    """Position of ``column`` in a local ``[rowid, *values]`` row."""
-    if column == "rowid" and not table.schema.has_column("rowid"):
-        return 0
-    return 1 + table.schema.position(column)
-
-
-def _table_access_nodes(slot: _TableSlot, plan: ScanPlan, path_est: float,
-                        out_est: float):
-    """Scan (+ local Filter) subtree producing a table's local rows."""
-    node = nodes.Scan(slot.table, plan, path_est)
-    if plan.residual is not None:
-        local = Resolver({slot.binding: _layout(slot.table, 0)})
-        node = nodes.Filter(node, plan.residual,
-                            compile_expr(plan.residual, local), out_est)
-    return node
-
-
-def _plan_step_right(step: _JoinStepSpec) -> ScanPlan:
-    """The build side's access path, planned exactly once per step."""
-    if step.right_plan is None:
-        slot = step.slot
-        step.right_plan = plan_scan(slot.table, conjoin(slot.pushed),
-                                    binding=slot.binding)
-        step.right_ests = _estimate_scan(slot.stats, step.right_plan,
-                                         slot.pushed, slot.binding)
-    return step.right_plan
-
-
-def _reorder_join_node(left_node, left_est: float, step: _JoinStepSpec,
-                       bindings: dict, resolver: Resolver, by_binding: dict,
-                       driver, driver_plan: ScanPlan):
-    """Physical node for one reordered (all-INNER) join step."""
-    slot = step.slot
-    right_plan = _plan_step_right(step)
-    path_est, out_est = step.right_ests
-    residual_expr = conjoin(step.residuals)
-    residual_fn = (
-        compile_expr(residual_expr, resolver) if residual_expr is not None else None
-    )
-    dpairs = [
-        (by_binding[lb].stats.distinct(lc), slot.stats.distinct(rc))
-        for lb, lc, rc in step.pairs
-    ]
-    est = estimate_join_rows(left_est, out_est, dpairs)
-    for conjunct in step.residuals:
-        est *= conjunct_selectivity(slot.stats, conjunct, slot.binding)
-
-    merge = (
-        _merge_eligible(step, driver, driver_plan, right_plan)
-        if left_node is not None else None
-    )
-    if merge is not None:
-        left_col, right_col, index = merge
-        order_plan = ScanPlan(
-            table=slot.table.name, kind=INDEX_ORDER, index_name=index.name,
-            column=index.columns[0], columns=index.columns,
-            residual=right_plan.residual, order_satisfied=True,
-        )
-        right_node = nodes.Scan(slot.table, order_plan, float(slot.stats.n_rows))
-        right_filter_fn = None
-        if right_plan.residual is not None:
-            local = Resolver({slot.binding: _layout(slot.table, 0)})
-            right_filter_fn = compile_expr(right_plan.residual, local)
-            right_node = nodes.Filter(right_node, right_plan.residual,
-                                      right_filter_fn, out_est)
-        join = nodes.MergeJoin(
-            left_node, right_node, slot.binding, slot.table, index,
-            bindings[step.pairs[0][0]][left_col], right_col,
-            slot.offset, slot.width,
-            right_filter_fn=right_filter_fn,
-            residual_fn=residual_fn, has_residual=residual_expr is not None,
-            estimated_rows=est,
-        )
-        return join, est
-
-    right_node = _table_access_nodes(slot, right_plan, path_est, out_est)
-    if step.pairs:
-        join = nodes.HashJoin(
-            left_node, right_node, slot.binding, "INNER",
-            [bindings[lb][lc] for lb, lc, _rc in step.pairs],
-            [_local_pos(slot.table, rc) for _lb, _lc, rc in step.pairs],
-            slot.offset, slot.width,
-            residual_fn=residual_fn, has_residual=residual_expr is not None,
-            estimated_rows=est,
-        )
-        return join, est
-    join = nodes.NestedLoopJoin(
-        left_node, right_node, slot.binding, "INNER", residual_expr,
-        residual_fn, slot.width, estimated_rows=est,
-    )
-    return join, est
-
-
-def _col_at(exec_slots, position: int):
-    """``(slot, column_name)`` owning an absolute row position."""
-    for slot in exec_slots:
-        if slot.offset <= position < slot.offset + slot.width:
-            local = position - slot.offset
-            if local == 0:
-                return slot, "rowid"
-            return slot, slot.table.schema.column_names[local - 1]
-    raise PlanningError(f"row position {position} out of range")
-
-
-def _fallback_join_node(left_node, left_est: float, slot: _TableSlot,
-                        resolver: Resolver, exec_slots):
-    """Physical node for one syntactic-order join step (LEFT joins, or
-    queries the reorderer declined)."""
-    join = slot.join
-    right_plan = ScanPlan(table=slot.table.name, kind=SEQ)
-    right_node = nodes.Scan(slot.table, right_plan, float(slot.table.n_rows))
-    pairs, right_only, residual = split_join_condition(
-        join.on, resolver, slot.offset, slot.width
-    )
-    if not pairs:
-        est = left_est * max(float(slot.table.n_rows), 1.0) * 0.5
-        if join.kind == "LEFT":
-            est = max(est, left_est)
-        node = nodes.NestedLoopJoin(
-            left_node, right_node, join.table.binding, join.kind, join.on,
-            compile_expr(join.on, resolver), slot.width, estimated_rows=est,
-        )
-        return node, est
-    if join.kind == "LEFT":
-        # prefiltering the build side of a LEFT join would turn matched
-        # rows into NULL-padded ones; keep right-only conjuncts residual
-        build_filter = None
-        residual_expr = conjoin(right_only + residual)
-    else:
-        build_filter = conjoin(right_only)
-        residual_expr = conjoin(residual)
-    dpairs = []
-    for left_pos, right_pos in pairs:
-        left_slot, left_col = _col_at(exec_slots, left_pos)
-        _right_slot, right_col = _col_at(exec_slots, right_pos)
-        dpairs.append((
-            left_slot.stats.distinct(left_col), slot.stats.distinct(right_col)
-        ))
-    est = estimate_join_rows(left_est, float(slot.table.n_rows), dpairs)
-    if join.kind == "LEFT":
-        est = max(est, left_est)
-    node = nodes.HashJoin(
-        left_node, right_node, join.table.binding, join.kind,
-        [lp for lp, _ in pairs], [rp - slot.offset for _, rp in pairs],
-        slot.offset, slot.width,
-        build_filter_fn=(
-            compile_expr(build_filter, resolver)
-            if build_filter is not None else None
-        ),
-        residual_fn=(
-            compile_expr(residual_expr, resolver)
-            if residual_expr is not None else None
-        ),
-        has_build_filter=build_filter is not None,
-        has_residual=residual_expr is not None,
-        estimated_rows=est,
-    )
-    return node, est
-
-
-# -- the two-stage entry point ----------------------------------------------
+# -- the entry point ---------------------------------------------------------
 
 
 def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
-    """Compile a SELECT into a physical plan tree.
+    """Compile a one-table SELECT into a physical plan tree.
 
-    Stage 1 (logical): bind tables, classify conjuncts, pick a join order
-    from cardinality estimates.  Stage 2 (physical): choose access paths
-    and operator implementations, annotating every node with estimated
-    rows.
+    Bind the table and choose its access path: ordered when that serves
+    the ORDER BY or lets the GROUP BY stream, and demoted to a sequential
+    scan when an index walk would touch most of the table.  Then build the
+    aggregate or projection, ordering and LIMIT above it, and vectorize
+    what qualifies.  Every node carries its estimated rows.
     """
-    base_table = db.table(stmt.table.name)
-    slots = [_TableSlot(stmt.table.binding, base_table, None)]
-    for join in stmt.joins:
-        slots.append(
-            _TableSlot(join.table.binding, db.table(join.table.name), join)
-        )
-    stats = getattr(db, "stats", None)
-    if stats is None:
-        stats = StatsManager()
-    for slot in slots:
-        slot.stats = stats.for_table(slot.table)
-    by_binding = {slot.binding: slot for slot in slots}
+    table = db.table(stmt.table.name)
+    binding = stmt.table.binding
+    table_stats = db.stats.for_table(table)
 
-    exec_slots = None
-    pool = None
-    reorderable = (
-        len(slots) > 1
-        and len(by_binding) == len(slots)
-        and all(slot.join is None or slot.join.kind == "INNER" for slot in slots)
-        and getattr(db, "reorder_joins", True)
-    )
-    if reorderable:
-        pool = _classify_conjuncts(stmt, slots, by_binding)
-        if pool.edges:
-            exec_slots = _greedy_join_order(slots, by_binding, pool)
-    fallback = exec_slots is None
-    if fallback:
-        exec_slots = slots
-        for slot in slots:
-            slot.pushed = []  # reorder-mode pushdowns do not apply
-
-    offset = 0
-    for slot in exec_slots:
-        slot.offset = offset
-        offset += slot.width
-
-    # bindings in syntactic order (star expansion, name resolution) with
-    # offsets reflecting execution order
-    bindings = {slot.binding: _layout(slot.table, slot.offset) for slot in slots}
-    resolver = Resolver(bindings)
-    items = _expand_stars(stmt.items, bindings)
+    resolver = Resolver.for_table(binding, table.schema.column_names)
+    items = _expand_stars(stmt.items, binding, table)
     alias_map = {item.alias: item.expr for item in items if item.alias is not None}
     has_aggregates = bool(stmt.group_by) or any(
         item.expr is not None and find_aggregates(item.expr) for item in items
     ) or (stmt.having is not None and find_aggregates(stmt.having))
-
-    driver = exec_slots[0]
-    order_info = None if has_aggregates else _order_spec_info(stmt, alias_map, slots)
-    driver_order_spec = (
-        order_info[1]
-        if order_info is not None and order_info[0] == driver.binding
-        else None
-    )
-    group_spec = (
-        _group_order_spec(stmt, alias_map, driver) if has_aggregates else None
-    )
     aggregate = (
         _prepare_aggregate(stmt, items, resolver) if has_aggregates else None
     )
 
-    # -- driver access path --------------------------------------------------
-    post_where = None
-    if fallback:
-        if len(slots) > 1:
-            pushed_where, post_where = partition_conjuncts(
-                stmt.where, resolver, driver.width
-            )
-        else:
-            pushed_where = stmt.where
-        driver_conjuncts = split_conjuncts(pushed_where)
-    else:
-        driver_conjuncts = driver.pushed
-        pushed_where = conjoin(driver_conjuncts)
-
+    where = stmt.where
+    conjuncts = split_conjuncts(where)
     stream_group = False
-    if group_spec is not None:
-        plain = plan_scan(driver.table, pushed_where, binding=driver.binding)
-        ordered = plan_scan(driver.table, pushed_where, binding=driver.binding,
-                            order_spec=group_spec)
-        plain_path, _out = _estimate_scan(driver.stats, plain,
-                                          driver_conjuncts, driver.binding)
-        ordered_path, _out2 = _estimate_scan(driver.stats, ordered,
-                                             driver_conjuncts, driver.binding)
-        # stream only when ordering the input costs nothing in access-path
-        # quality (no index filtering given up for the walk).  A full index
-        # walk's per-row heap reads cost more than the batch scan and hash
-        # table they replace, so it streams only when group order elides
-        # the sort or a LIMIT sits directly on the aggregate
-        walk_pays = aggregate[1] if stmt.order_by else stmt.limit is not None
-        if (ordered.order_satisfied and ordered_path <= plain_path
-                and (ordered.kind != INDEX_ORDER or walk_pays)):
-            driver_plan = ordered
-            stream_group = True
-        else:
-            driver_plan = plain
+    order_spec = None
+    if has_aggregates:
+        group_spec = _group_order_spec(stmt, alias_map, binding, table)
+        plan = plan_scan(table, where, binding=binding)
+        if group_spec is not None:
+            ordered = plan_scan(table, where, binding=binding,
+                                order_spec=group_spec)
+            plain_path, _out = _estimate_scan(table_stats, plan, conjuncts,
+                                              binding)
+            ordered_path, _out2 = _estimate_scan(table_stats, ordered,
+                                                 conjuncts, binding)
+            # stream only when ordering the input costs nothing in
+            # access-path quality (no index filtering given up for the
+            # walk).  A full index walk's per-row heap reads cost more
+            # than the batch scan and hash table they replace, so it
+            # streams only when group order elides the sort or a LIMIT
+            # sits directly on the aggregate
+            walk_pays = aggregate[1] if stmt.order_by else stmt.limit is not None
+            if (ordered.order_satisfied and ordered_path <= plain_path
+                    and (ordered.kind != INDEX_ORDER or walk_pays)):
+                plan = ordered
+                stream_group = True
     else:
-        driver_plan = plan_scan(driver.table, pushed_where, binding=driver.binding,
-                                order_spec=driver_order_spec)
-    driver_plan = _maybe_demote_index(
-        driver.table, driver.stats, driver_plan, pushed_where,
-        driver_conjuncts, driver.binding, stream_group,
+        order_spec = _order_spec(stmt, alias_map, binding, table)
+        plan = plan_scan(table, where, binding=binding, order_spec=order_spec)
+    plan = _maybe_demote_index(table, table_stats, plan, where, conjuncts,
+                               binding, stream_group)
+    order_served = order_spec is not None and plan.order_satisfied
+
+    path_est, out_est = _estimate_scan(table_stats, plan, conjuncts, binding)
+    node = nodes.Scan(table, plan, path_est)
+    if plan.residual is not None:
+        node = nodes.Filter(node, plan.residual,
+                            compile_expr(plan.residual, resolver), out_est)
+
+    group_est = (
+        _estimate_groups(stmt, alias_map, binding, table, table_stats, out_est)
+        if has_aggregates else None
     )
-
-    # whether the chosen scan serves the user's ORDER BY must be decided
-    # *before* merge steering: a steered plan is ordered on the join key,
-    # which says nothing about the query's ORDER BY columns
-    order_served = (
-        not has_aggregates
-        and driver_order_spec is not None
-        and driver_plan.order_satisfied
-    )
-
-    steps = _reordered_steps(exec_slots, pool) if not fallback else []
-    if steps and not order_served:
-        driver_plan = _maybe_steer_merge(
-            driver, driver_plan, pushed_where, driver_conjuncts, steps[0],
-            stream_group,
-        )
-
-    path_est, out_est = _estimate_scan(driver.stats, driver_plan,
-                                       driver_conjuncts, driver.binding)
-    node = nodes.Scan(driver.table, driver_plan, path_est)
-    if driver_plan.residual is not None:
-        # the driver occupies offset 0, so the global resolver compiles its
-        # residual for both the single-table and the joined layouts
-        node = nodes.Filter(node, driver_plan.residual,
-                            compile_expr(driver_plan.residual, resolver), out_est)
-    current_est = out_est
-
-    # -- join steps ----------------------------------------------------------
-    if fallback:
-        for slot in exec_slots[1:]:
-            node, current_est = _fallback_join_node(
-                node, current_est, slot, resolver, exec_slots
-            )
-        if post_where is not None:
-            post_est = current_est * 0.5
-            node = nodes.Filter(node, post_where,
-                                compile_expr(post_where, resolver), post_est)
-            current_est = post_est
-    else:
-        for step in steps:
-            node, current_est = _reorder_join_node(
-                node, current_est, step, bindings, resolver, by_binding,
-                driver, driver_plan,
-            )
-        if pool.post:
-            post_expr = conjoin(pool.post)
-            post_est = current_est * 0.5
-            node = nodes.Filter(node, post_expr,
-                                compile_expr(post_expr, resolver), post_est)
-            current_est = post_est
-
     names, root = _finish_select(
-        stmt, items, alias_map, resolver, node, current_est, aggregate,
-        stream_group, order_served, slots,
+        stmt, items, alias_map, resolver, node, out_est, aggregate,
+        group_est, stream_group, order_served,
     )
-    root = _vectorize(root, resolver, getattr(db, "vectorize", "auto"))
-    tables = tuple(dict.fromkeys(slot.table.name for slot in slots))
-    return SelectPlan(stmt, root, names, resolver, items, tables)
+    root = _vectorize(root, resolver, db.vectorize)
+    return SelectPlan(stmt, root, names, resolver, items, (table.name,))
 
 
 def _maybe_demote_index(table: Table, table_stats, plan: ScanPlan,
@@ -1726,20 +1071,6 @@ def _vectorize_node(node, resolver: Resolver, force: bool):
             ), True
         node.child = child
         return node, False
-    if isinstance(node, nodes.HashJoin):
-        left, left_batch = _vectorize_node(node.left, resolver, force)
-        # the build side stays row-mode: it is materialized into hash
-        # buckets regardless, so batching it would buy nothing
-        if (left_batch and node.kind == "INNER"
-                and not node.has_build_filter and not node.has_residual):
-            return nodes.BatchHashJoin(
-                left, node.right, node.binding, node.left_positions,
-                node.right_positions, node.estimated_rows,
-            ), True
-        if left_batch:
-            left = nodes.BatchToRows(left, left.estimated_rows)
-        node.left = left
-        return node, False
     if isinstance(node, nodes.HashAggregate):
         child, is_batch = _vectorize_node(node.child, resolver, force)
         if is_batch:
@@ -1750,10 +1081,6 @@ def _vectorize_node(node, resolver: Resolver, force: bool):
                 ), False
             child = nodes.BatchToRows(child, child.estimated_rows)
         node.child = child
-        return node, False
-    if isinstance(node, (nodes.MergeJoin, nodes.NestedLoopJoin)):
-        node.left = _row_child(node.left, resolver, force)
-        node.right = _row_child(node.right, resolver, force)
         return node, False
     if isinstance(node, (nodes.StreamAggregate, nodes.Project, nodes.Sort,
                          nodes.TopK, nodes.Distinct, nodes.Limit)):
@@ -1800,19 +1127,19 @@ def _vector_position(expr: ast.Expr, resolver: Resolver) -> int | None:
 
 def _finish_select(stmt: ast.SelectStmt, items, alias_map: dict,
                    resolver: Resolver, node, input_est: float,
-                   aggregate, stream_group: bool,
-                   order_served: bool, slots):
+                   aggregate, group_est: float | None, stream_group: bool,
+                   order_served: bool):
     """Build the top of the tree: aggregate/project, order, distinct, limit.
 
     ``aggregate`` is :func:`_prepare_aggregate`'s ``(spec, elide_sort)``
-    for an aggregate query, else None."""
+    for an aggregate query, else None; ``group_est`` is then its estimated
+    group count."""
     names = [output_name(item) for item in items]
     limit_value = _limit_literal(stmt.limit) if stmt.limit is not None else None
     offset_value = _limit_literal(stmt.offset) if stmt.offset is not None else 0
 
     if aggregate is not None:
         spec, elide_sort = aggregate
-        group_est = _estimate_groups(stmt, alias_map, slots, input_est)
         if spec.having_fn is not None:
             group_est = max(1.0, group_est * 0.5)
         agg_cls = nodes.StreamAggregate if stream_group else nodes.HashAggregate

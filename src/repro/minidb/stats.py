@@ -1,33 +1,31 @@
 """Table statistics and the selectivity model behind cost-based planning.
 
-The planner (``repro.minidb.planner``) asks two questions this module
-answers from lightweight, lazily maintained statistics:
+The planner (``repro.minidb.planner``) asks one question this module
+answers from lightweight, lazily maintained statistics: *how many rows
+will this scan produce?*  The answer decides index-vs-scan demotion,
+stream-vs-hash aggregation and the vectorize gate.
 
-* *How many rows will this scan produce?* — per-table row counts are
-  always exact (read live off the table); per-column distinct-value and
-  NULL-fraction estimates feed a classic System-R-style selectivity
-  model (``1/distinct`` for equality).  Skewed equality keys are priced
-  better than that: each column keeps a most-common-values (MCV) list —
-  up to :data:`MCV_SLOTS` heavy hitters with their sampled row
-  fractions — so ``col = literal`` returns the hitter's true fraction
-  on a hit and the residual mass spread over the remaining distincts on
-  a miss.  Range and BETWEEN predicates with literal bounds are priced
-  off per-column equi-depth histograms (min/max plus
-  :data:`HIST_BUCKETS` equal-mass buckets, rebuilt with the rest of the
-  sample); parameterized comparands keep the flat defaults so a cached
-  plan never depends on one particular binding.
-* *How large is this join?* — ``|L| * |R| / max(d_L, d_R)`` per equi
-  pair, the estimate that drives greedy join reordering and build-side
-  selection.
+Per-table row counts are always exact (read live off the table);
+per-column distinct-value and NULL-fraction estimates feed a classic
+System-R-style selectivity model (``1/distinct`` for equality).  Skewed
+equality keys are priced better than that: each column keeps a
+most-common-values (MCV) list — up to :data:`MCV_SLOTS` heavy hitters
+with their sampled row fractions — so ``col = literal`` returns the
+hitter's true fraction on a hit and the residual mass spread over the
+remaining distincts on a miss.  Range and BETWEEN predicates with
+literal bounds are priced off per-column equi-depth histograms (min/max
+plus :data:`HIST_BUCKETS` equal-mass buckets, rebuilt with the rest of
+the sample); parameterized comparands keep the flat defaults so a
+cached plan never depends on one particular binding.
 
 Maintenance contract: every table mutation bumps ``Table.version`` (one
 integer increment on INSERT/UPDATE/DELETE — nothing per-column happens
 on the write path), and column estimates are **rebuilt on demand** the
 first time the planner asks after the version has drifted past a
 staleness threshold.  Rebuilds read exact distinct counts from covering
-single-column indexes when available (hash buckets and the B+tree's O(1)
-distinct-key counter) and otherwise estimate from a bounded sample of
-rows.  ``Database.analyze()`` forces an immediate rebuild.
+single-column indexes when available (the B+tree's O(1) distinct-key
+counter) and otherwise estimate from a bounded sample of rows.
+``Database.analyze()`` forces an immediate rebuild.
 
 A rebuild is one columnar pass: the sample (the rows of the first
 :data:`SAMPLE_CAP` rowids) is transposed once, and each column is
@@ -630,17 +628,4 @@ def estimate_filtered_rows(stats: TableStats, conjuncts,
     rows = float(stats.n_rows)
     for conjunct in conjuncts:
         rows *= conjunct_selectivity(stats, conjunct, binding)
-    return rows
-
-
-def estimate_join_rows(left_rows: float, right_rows: float,
-                       key_distincts) -> float:
-    """Classic equi-join estimate: ``|L|*|R| / prod(max(d_l, d_r))``.
-
-    ``key_distincts`` is an iterable of ``(left_distinct, right_distinct)``
-    pairs, one per equi-join key; empty means a cross product.
-    """
-    rows = left_rows * right_rows
-    for d_left, d_right in key_distincts:
-        rows /= max(d_left, d_right, 1.0)
     return rows

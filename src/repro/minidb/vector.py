@@ -13,8 +13,7 @@ value semantics (``expressions.sql_equal``/``sql_compare``, the
 keys) **bit for bit** — the parity suite in
 ``tests/test_minidb_vectorized.py`` holds both pipelines to identical
 output.  Batches preserve row order end to end (scan = insertion order,
-join = probe order, aggregation = first-seen group order), so ordered
-results match too.
+aggregation = first-seen group order), so ordered results match too.
 
 The planner decides per plan whether to run batch or row operators (see
 ``planner._vectorize``); the executor's ``BatchToRows`` adapter bridges a
@@ -30,7 +29,7 @@ from repro.minidb.functions import _sort_key, normalize_key
 
 BATCH_SIZE = 1024
 """Rows per batch: large enough to amortize dispatch, small enough to
-keep a join's matched-pair working set cache-resident."""
+keep a batch's column vectors cache-resident."""
 
 
 class Batch:
@@ -38,8 +37,7 @@ class Batch:
 
     ``cols`` holds one sequence (list or tuple) per *row position* — the
     same positional layout the row pipeline uses (``cols[0]`` is the
-    rowid column for base-table scans; joins concatenate layouts in
-    execution order).  ``sel`` is a selection vector: a list of indices
+    rowid column).  ``sel`` is a selection vector: a list of indices
     into the columns that are still live, or ``None`` meaning "all".
     Filters narrow ``sel`` instead of copying column data.
     """

@@ -134,6 +134,34 @@ class TestSmokeValidation:
         assert smoke.validate_artifact(path)
 
     def test_expected_artifacts_cover_known_benches(self):
-        bench_dir = REPO_ROOT / "benchmarks"
-        for bench_name in smoke.EXPECTED_ARTIFACTS:
-            assert (bench_dir / bench_name).exists(), bench_name
+        assert smoke.bench_list_mismatches() == []
+
+
+class TestBenchLists:
+    """``EXPECTED_ARTIFACTS``, the bench files and the baselines agree."""
+
+    @staticmethod
+    def _layout(tmp_path, benches, baselines):
+        bench_dir, baseline_dir = tmp_path / "benchmarks", tmp_path / "baselines"
+        bench_dir.mkdir(), baseline_dir.mkdir()
+        for name in benches:
+            (bench_dir / name).write_text("")
+        for name in baselines:
+            _write_artifact(baseline_dir, name, {"run_seconds": 1.0})
+        return bench_dir, baseline_dir
+
+    def test_agreeing_lists_pass(self, tmp_path):
+        dirs = self._layout(tmp_path, ["bench_a.py", "bench_b.py"], ["a"])
+        expected = {"bench_a.py": "a", "bench_b.py": "b"}
+        assert smoke.bench_list_mismatches(*dirs, expected) == []
+
+    def test_missing_bench_file_is_named(self, tmp_path):
+        dirs = self._layout(tmp_path, ["bench_a.py"], ["a"])
+        expected = {"bench_a.py": "a", "bench_gone.py": "gone"}
+        problems = smoke.bench_list_mismatches(*dirs, expected)
+        assert len(problems) == 1 and "bench_gone.py" in problems[0]
+
+    def test_orphan_baseline_is_named(self, tmp_path):
+        dirs = self._layout(tmp_path, ["bench_a.py"], ["a", "orphan"])
+        problems = smoke.bench_list_mismatches(*dirs, {"bench_a.py": "a"})
+        assert len(problems) == 1 and "orphan.json" in problems[0]

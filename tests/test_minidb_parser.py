@@ -42,10 +42,13 @@ class TestSelect:
         assert len(stmt.group_by) == 1
         assert stmt.having is not None
 
-    def test_joins(self):
-        stmt = parse("SELECT * FROM a JOIN b ON a.x = b.y LEFT JOIN c ON a.x = c.z")
-        assert [j.kind for j in stmt.joins] == ["INNER", "LEFT"]
-        assert stmt.joins[0].table.name == "b"
+    def test_join_is_refused(self):
+        """A SELECT reads one table; the error points at the JOIN clause."""
+        for join in ("JOIN", "INNER JOIN", "LEFT OUTER JOIN"):
+            sql = f"SELECT * FROM a {join} b ON a.x = b.y"
+            with pytest.raises(SQLSyntaxError, match="one table") as info:
+                parse(sql)
+            assert info.value.position == sql.index(join)
 
     def test_limit_offset(self):
         stmt = parse("SELECT a FROM t LIMIT 10 OFFSET 5")

@@ -1,11 +1,10 @@
-"""The cost-based plan IR: EXPLAIN tree shapes, join reordering, merge
-joins, streaming aggregation, range+order fusion, and the regressions
-fixed alongside the refactor (NULL range bounds, LIMIT short-circuiting
-through nested-loop joins)."""
+"""The cost-based plan IR: EXPLAIN tree shapes, streaming aggregation,
+range+order fusion, and the regressions fixed alongside the refactor
+(NULL range bounds, duplicate range conjuncts)."""
 
 import pytest
 
-from repro.errors import ExecutionError, PlanningError
+from repro.errors import DatabaseError, ExecutionError, PlanningError
 from repro.minidb import Database
 from repro.minidb.planner import VECTOR_MIN_ROWS
 
@@ -72,184 +71,6 @@ class TestExplainShape:
     def test_explain_analyze_rejects_dml(self, db):
         with pytest.raises(PlanningError):
             db.execute("EXPLAIN ANALYZE DELETE FROM t")
-
-
-# ---------------------------------------------------------------------------
-# join reordering (the acceptance scenario) and each join strategy's shape
-# ---------------------------------------------------------------------------
-
-
-def _three_table_db(n_big: int = 5000) -> Database:
-    db = Database()
-    db.execute("CREATE TABLE big (m INT, s INT, v REAL)")
-    db.execute("CREATE TABLE mid (id INT, w REAL)")
-    db.execute("CREATE TABLE small (id INT, flag INT)")
-    db.insert_rows("big", [(i % 500, i % 50, float(i)) for i in range(n_big)])
-    db.insert_rows("mid", [(i, float(i)) for i in range(500)])
-    # flag is selective (25 distinct values): WHERE flag = 1 keeps 2 rows
-    db.insert_rows("small", [(i, i % 25) for i in range(50)])
-    return db
-
-
-THREE_TABLE_SQL = (
-    "SELECT big.v, mid.w, small.id FROM big "
-    "JOIN mid ON big.m = mid.id "
-    "JOIN small ON big.s = small.id WHERE small.flag = 1"
-)
-
-
-class TestJoinReordering:
-    def test_small_filtered_table_becomes_first_build_side(self):
-        """The acceptance criterion: a 3-table equi-join with a small
-        filtered table written *last* in syntactic order is planned with
-        that table as the first (deepest) build side."""
-        db = _three_table_db()
-        plan = db.explain(THREE_TABLE_SQL)
-        assert "HashJoin(small" in plan and "HashJoin(mid" in plan
-        # deeper indentation = earlier join step; small must join first
-        assert _indent_of(plan, "HashJoin(small") > _indent_of(plan, "HashJoin(mid")
-        # the filter on the small table is pushed into its build-side scan
-        assert _indent_of(plan, "Filter(small.flag = 1)") > _indent_of(
-            plan, "HashJoin(small"
-        )
-
-    def test_reordered_results_match_syntactic(self):
-        db = _three_table_db(n_big=2000)
-        fast = db.execute(THREE_TABLE_SQL).rows
-        db.reorder_joins = False
-        plan = db.explain(THREE_TABLE_SQL)
-        # syntactic order: mid joins first (deepest)
-        assert _indent_of(plan, "HashJoin(mid") > _indent_of(plan, "HashJoin(small")
-        slow = db.execute(THREE_TABLE_SQL).rows
-        assert sorted(map(repr, fast)) == sorted(map(repr, slow))
-
-    def test_where_pushdown_to_any_table(self):
-        """In reorder mode, single-table WHERE conjuncts reach the scan of
-        whichever table they mention — not just the base table."""
-        db = _three_table_db(n_big=1000)
-        db.execute("CREATE INDEX idx_mid_id ON mid (id)")
-        plan = db.explain(
-            "SELECT big.v FROM big JOIN mid ON big.m = mid.id WHERE mid.id = 7"
-        )
-        assert "IndexEqScan" in plan and "idx_mid_id" in plan
-
-    def test_left_join_keeps_syntactic_order(self):
-        db = _three_table_db(n_big=500)
-        plan = db.explain(
-            "SELECT big.v FROM big LEFT JOIN mid ON big.m = mid.id "
-            "JOIN small ON big.s = small.id WHERE small.flag = 1"
-        )
-        # any LEFT join disables reordering: mid joins first, LEFT marked
-        assert _indent_of(plan, "HashJoin(mid") > _indent_of(plan, "HashJoin(small")
-        assert "LEFT" in plan
-
-    def test_cross_join_component_still_works(self):
-        db = Database()
-        db.execute("CREATE TABLE a (x INT)")
-        db.execute("CREATE TABLE b (y INT)")
-        db.execute("CREATE TABLE c (z INT)")
-        db.insert_rows("a", [(1,), (2,)])
-        db.insert_rows("b", [(10,), (20,)])
-        db.insert_rows("c", [(5,), (6,)])
-        sql = ("SELECT a.x, b.y, c.z FROM a JOIN b ON a.x < b.y "
-               "JOIN c ON c.z = a.x + 4 ORDER BY a.x, b.y, c.z")
-        rows = db.execute(sql).rows
-        assert rows == [(1, 10, 5), (1, 20, 5), (2, 10, 6), (2, 20, 6)]
-
-
-# ---------------------------------------------------------------------------
-# merge joins
-# ---------------------------------------------------------------------------
-
-
-class TestMergeJoin:
-    @pytest.fixture
-    def pair(self):
-        """An indexed db (merge-joinable) and an identical unindexed twin."""
-        indexed, plain = Database(), Database()
-        rows_a = [(float(i % 13), i) for i in range(60)] + [(None, 99)]
-        rows_b = [(float(i % 9), i * 10) for i in range(40)] + [(None, 990)]
-        for db in (indexed, plain):
-            db.execute("CREATE TABLE a (k REAL, x INT)")
-            db.execute("CREATE TABLE b (k REAL, y INT)")
-            db.insert_rows("a", rows_a)
-            db.insert_rows("b", rows_b)
-        indexed.execute("CREATE INDEX iak ON a (k)")
-        indexed.execute("CREATE INDEX ibk ON b (k)")
-        return indexed, plain
-
-    SQL = "SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY a.k"
-
-    @staticmethod
-    def _check_equivalent(fast, slow):
-        """Key order must match; full rows as multisets (ties may differ)."""
-        assert [row[0] for row in fast] == [row[0] for row in slow]
-        assert sorted(map(repr, fast)) == sorted(map(repr, slow))
-
-    def test_order_by_join_key_uses_merge_and_elides_sort(self, pair):
-        indexed, _ = pair
-        plan = indexed.explain(self.SQL)
-        assert "MergeJoin(b, key=k)" in plan
-        assert "HashJoin" not in plan
-        assert "Sort" not in plan and "TopK" not in plan
-        assert "IndexOrderScan(a.k via iak)" in plan
-        assert "IndexOrderScan(b.k via ibk)" in plan
-
-    def test_merge_results_match_hash_twin(self, pair):
-        indexed, plain = pair
-        assert "MergeJoin" in indexed.explain(self.SQL)
-        assert "HashJoin" in plain.explain(self.SQL)
-        self._check_equivalent(indexed.execute(self.SQL).rows,
-                               plain.execute(self.SQL).rows)
-
-    def test_merge_skips_null_keys(self, pair):
-        indexed, plain = pair
-        n_fast = indexed.execute("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k").scalar()
-        n_slow = plain.execute("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k").scalar()
-        assert n_fast == n_slow
-
-    def test_merge_with_limit_touches_few_keys(self, pair):
-        indexed, _ = pair
-        rows = indexed.execute(
-            "SELECT a.k FROM a JOIN b ON a.k = b.k ORDER BY a.k LIMIT 4"
-        ).scalars()
-        assert rows == sorted(rows) and len(rows) == 4
-
-    def test_merge_with_extra_residual_conjunct(self, pair):
-        indexed, plain = pair
-        sql = ("SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k AND a.x < b.y "
-               "ORDER BY a.k")
-        assert "MergeJoin" in indexed.explain(sql) and "Filter" in indexed.explain(sql)
-        self._check_equivalent(indexed.execute(sql).rows,
-                               plain.execute(sql).rows)
-
-    def test_mixed_type_keys_merge_correctly(self):
-        indexed, plain = Database(), Database()
-        rows = [(1, 1), (1.0, 2), ("x", 3), (None, 4), (2, 5)]
-        for db in (indexed, plain):
-            db.execute("CREATE TABLE a (k REAL, x INT)")
-            db.execute("CREATE TABLE b (k REAL, y INT)")
-            db.insert_rows("a", rows)
-            db.insert_rows("b", rows)
-        indexed.execute("CREATE INDEX iak ON a (k)")
-        indexed.execute("CREATE INDEX ibk ON b (k)")
-        sql = "SELECT a.k, a.x, b.y FROM a JOIN b ON a.k = b.k ORDER BY a.k"
-        assert "MergeJoin" in indexed.explain(sql)
-        self._check_equivalent(indexed.execute(sql).rows,
-                               plain.execute(sql).rows)
-
-    def test_large_build_side_steers_to_merge_without_order_by(self):
-        db = Database()
-        db.execute("CREATE TABLE a (k INT, x INT)")
-        db.execute("CREATE TABLE b (k INT, y INT)")
-        db.insert_rows("a", [(i % 400, i) for i in range(800)])
-        db.insert_rows("b", [(i % 400, i) for i in range(800)])
-        db.execute("CREATE INDEX iak ON a (k)")
-        db.execute("CREATE INDEX ibk ON b (k)")
-        plan = db.explain("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k")
-        assert "MergeJoin" in plan
-        n = db.execute("SELECT COUNT(*) FROM a JOIN b ON a.k = b.k").scalar()
-        assert n == 1600
 
 
 # ---------------------------------------------------------------------------
@@ -446,35 +267,6 @@ class TestRangeOrderFusion:
 
 
 class TestRegressions:
-    def test_limit_short_circuits_nested_loop_join(self):
-        """A poisoned row past the LIMIT cut in the probe stream of a
-        nested-loop (non-equi) join is never evaluated."""
-        db = Database()
-        db.execute("CREATE TABLE a (x REAL)")
-        db.execute("CREATE TABLE b (y REAL)")
-        db.insert_rows("a", [(1.0,), (2.0,), ("boom",)])
-        db.insert_rows("b", [(0.0,), (10.0,)])
-        # the poisoned probe row raises inside the join predicate itself
-        sql = "SELECT a.x, b.y FROM a JOIN b ON a.x + 0 < b.y LIMIT 2"
-        plan = db.explain(sql)
-        assert "NestedLoopJoin" in plan
-        rows = db.execute(sql).rows
-        assert rows == [(1.0, 10.0), (2.0, 10.0)]
-        with pytest.raises(ExecutionError):
-            db.execute("SELECT a.x, b.y FROM a JOIN b ON a.x + 0 < b.y")
-
-    def test_limit_short_circuits_cross_component_join(self):
-        db = Database()
-        db.execute("CREATE TABLE a (k INT, x REAL)")
-        db.execute("CREATE TABLE b (k INT)")
-        db.execute("CREATE TABLE c (z INT)")
-        db.insert_rows("a", [(1, 1.0), (1, "boom")])
-        db.insert_rows("b", [(1,)])
-        db.insert_rows("c", [(7,), (8,)])
-        sql = ("SELECT a.x + 0 FROM a JOIN b ON a.k = b.k "
-               "JOIN c ON 1 = 1 LIMIT 2")
-        assert db.execute(sql).rows == [(1.0,), (1.0,)]
-
     def test_null_range_bound_returns_no_rows(self):
         """WHERE col < NULL must match nothing through an index too."""
         indexed, plain = Database(), Database()
@@ -487,28 +279,6 @@ class TestRegressions:
             params = (None,)
             assert indexed.execute(sql, params).rows == []
             assert plain.execute(sql, params).rows == []
-
-    def test_reorder_toggle_is_respected(self):
-        db = _three_table_db(n_big=300)
-        db.reorder_joins = False
-        plan = db.explain(THREE_TABLE_SQL)
-        assert _indent_of(plan, "HashJoin(mid") > _indent_of(plan, "HashJoin(small")
-
-    def test_merge_steering_never_elides_unrelated_order_by(self):
-        """Steering the driver into join-key order must not drop the sort
-        for an ORDER BY on a different (unindexed) column."""
-        db = Database()
-        db.execute("CREATE TABLE t1 (x INT, y INT)")
-        db.execute("CREATE TABLE t2 (y INT, z INT)")
-        db.insert_rows("t1", [((i * 7919) % 1000, i % 500) for i in range(1000)])
-        db.insert_rows("t2", [(i % 500, i) for i in range(600)])
-        db.execute("CREATE INDEX i1y ON t1 (y)")
-        db.execute("CREATE INDEX i2y ON t2 (y)")
-        sql = "SELECT t1.x FROM t1 JOIN t2 ON t1.y = t2.y ORDER BY t1.x"
-        plan = db.explain(sql)
-        assert "Sort" in plan
-        rows = db.execute(sql).scalars()
-        assert rows == sorted(rows)
 
     def test_duplicate_range_conjuncts_both_apply(self):
         """Two range conjuncts on one column: the scan consumes one, the
@@ -529,11 +299,21 @@ class TestRegressions:
             slow = plain.execute(sql, params).scalars()
             assert fast == slow, sql
 
-    def test_ambiguous_column_still_raises(self):
+
+# ---------------------------------------------------------------------------
+# one table per SELECT: the join-order knob is gone with the joins
+# ---------------------------------------------------------------------------
+
+
+class TestJoinKnobRemoved:
+    def test_reorder_joins_is_an_unknown_open_option(self):
+        with pytest.raises(DatabaseError,
+                           match=r"unknown open option\(s\): reorder_joins"):
+            Database(reorder_joins=True)
+
+    def test_reorder_joins_is_an_unknown_pragma(self):
         db = Database()
-        db.execute("CREATE TABLE a (v INT)")
-        db.execute("CREATE TABLE b (v INT)")
-        db.insert_rows("a", [(1,)])
-        db.insert_rows("b", [(1,)])
-        with pytest.raises(PlanningError):
-            db.execute("SELECT a.v FROM a JOIN b ON a.v = b.v WHERE v = 1")
+        with pytest.raises(DatabaseError, match="unknown pragma"):
+            db.pragma("reorder_joins")
+        with pytest.raises(DatabaseError, match="unknown pragma"):
+            db.pragma("reorder_joins", False)

@@ -2,8 +2,7 @@
 
 ``scan_rows`` is one walk with two resolutions — the live rows of a
 quiescent database, or the version chains an MVCC snapshot sees.  For each
-``ScanPlan`` kind (pinned with EXPLAIN) plus a merge join, this oracle
-checks that
+``ScanPlan`` kind (pinned with EXPLAIN), this oracle checks that
 
 * the default session on a quiescent database (live path),
 * an autocommit read on a ``db.connect()`` connection (snapshot path), and
@@ -30,7 +29,6 @@ from repro.minidb.planner import plan_select
 
 SCHEMA = [
     "CREATE TABLE t (k INTEGER, v REAL, s TEXT, m)",
-    "CREATE TABLE u (k, y INTEGER)",
 ]
 INDEXES = [
     "CREATE INDEX t_k ON t (k)",
@@ -38,7 +36,6 @@ INDEXES = [
     "CREATE INDEX t_s ON t (s)",
     "CREATE INDEX t_sk ON t (s, k)",
     "CREATE INDEX t_m ON t (m)",
-    "CREATE INDEX u_k ON u (k)",
 ]
 
 K = st.sampled_from([0, 1, 2, 3, None])
@@ -47,7 +44,6 @@ V = st.one_of(st.sampled_from([0, 1, 2.5, -1.5, "12k", None]),
 S = st.sampled_from(["a", "b", "c", None])
 M = st.one_of(st.sampled_from([1, 2.5, "x", "y", None]), st.integers(-2, 2))
 T_ROW = st.tuples(K, V, S, M)
-U_ROW = st.tuples(M, st.integers(0, 9))
 
 # (sql, parameter strategies, EXPLAIN operator, output position of the
 # ordering key or None for unordered kinds)
@@ -93,8 +89,6 @@ QUERIES = [
     ("SELECT rowid, * FROM t ORDER BY m DESC", (),
      "IndexOrderScan(t.m via t_m, DESC)", 4),
     ("SELECT rowid, * FROM t", (), "SeqScan(t)", None),
-    ("SELECT t.rowid, t.m, u.rowid, u.y FROM t JOIN u ON t.m = u.k "
-     "ORDER BY t.m", (), "MergeJoin(u, key=k)", 1),
 ]
 
 # DML run while a cursor is open: every statement is versioned, so the
@@ -108,18 +102,14 @@ DML = st.one_of(
     st.tuples(st.just("DELETE FROM t WHERE rowid = ?"), st.tuples(st.integers(1, 30))),
     st.tuples(st.just("DELETE FROM t WHERE s = ?"), st.tuples(S)),
     st.tuples(st.just("INSERT INTO t (k, v, s, m) VALUES (?, ?, ?, ?)"), T_ROW),
-    st.tuples(st.just("UPDATE u SET k = ? WHERE rowid = ?"), st.tuples(M, st.integers(1, 12))),
-    st.tuples(st.just("DELETE FROM u WHERE rowid = ?"), st.tuples(st.integers(1, 12))),
-    st.tuples(st.just("INSERT INTO u (k, y) VALUES (?, ?)"), U_ROW),
 )
 
 
-def _database(t_rows, u_rows, indexed: bool) -> Database:
+def _database(t_rows, indexed: bool) -> Database:
     db = Database()
     for sql in SCHEMA:
         db.execute(sql)
     db.insert_rows("t", t_rows)
-    db.insert_rows("u", u_rows)
     if indexed:
         for sql in INDEXES:
             db.execute(sql)
@@ -142,11 +132,8 @@ def _assert_same(got, expected, order_pos) -> None:
     data=st.data(),
 )
 def test_scan_paths_agree(t_rows, dml, data):
-    # u no larger than half of t keeps t the join's streaming side and u
-    # the merge join's build side
-    u_rows = data.draw(st.lists(U_ROW, max_size=len(t_rows) // 2))
-    db = _database(t_rows, u_rows, indexed=True)
-    twin = _database(t_rows, u_rows, indexed=False)
+    db = _database(t_rows, indexed=True)
+    twin = _database(t_rows, indexed=False)
     queries = [
         (sql, tuple(data.draw(p) for p in params), op, order_pos)
         for sql, params, op, order_pos in QUERIES

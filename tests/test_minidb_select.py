@@ -206,48 +206,6 @@ class TestOrderingAndLimits:
         assert values == [None, 1, 3]  # NULL sorts first (smallest sort key)
 
 
-class TestJoins:
-    @pytest.fixture
-    def db(self, dirty_db):
-        dirty_db.execute("CREATE TABLE errors (ref INT, code TEXT)")
-        dirty_db.executemany(
-            "INSERT INTO errors VALUES (?, ?)",
-            [(3, "type_mismatch"), (4, "outlier"), (6, "missing_value")],
-        )
-        return dirty_db
-
-    def test_inner_join(self, db):
-        rows = db.execute(
-            "SELECT s.country, e.code FROM salary s JOIN errors e "
-            "ON s.rowid = e.ref ORDER BY e.ref"
-        ).rows
-        assert rows == [
-            ("Bhutan", "type_mismatch"),
-            ("Bhutan", "outlier"),
-            ("Lesotho", "missing_value"),
-        ]
-
-    def test_left_join_pads_with_null(self, db):
-        n_unmatched = db.execute(
-            "SELECT COUNT(*) FROM salary s LEFT JOIN errors e "
-            "ON s.rowid = e.ref WHERE e.code IS NULL"
-        ).scalar()
-        assert n_unmatched == 6
-
-    def test_join_with_aggregation(self, db):
-        rows = db.execute(
-            "SELECT s.country, COUNT(*) FROM salary s JOIN errors e "
-            "ON s.rowid = e.ref GROUP BY s.country ORDER BY s.country"
-        ).rows
-        assert rows == [("Bhutan", 2), ("Lesotho", 1)]
-
-    def test_non_equi_join_falls_back_to_nested_loop(self, db):
-        n = db.execute(
-            "SELECT COUNT(*) FROM salary s JOIN errors e ON s.rowid < e.ref"
-        ).scalar()
-        assert n == 2 + 3 + 5  # rowids below 3, 4, 6
-
-
 class TestExplain:
     def test_index_eq_plan(self, dirty_db):
         plan = dirty_db.explain("SELECT * FROM salary WHERE country = 'Bhutan'")

@@ -11,7 +11,6 @@ from repro.minidb.stats import (
     TableStats,
     conjunct_selectivity,
     estimate_filtered_rows,
-    estimate_join_rows,
 )
 
 
@@ -133,10 +132,6 @@ class TestSelectivityModel:
         stats = _stats(db)
         eq = ast.Binary("=", ast.ColumnRef(None, "cat"), ast.Literal("c3"))
         assert estimate_filtered_rows(stats, [eq]) == pytest.approx(40, rel=0.3)
-
-    def test_join_estimate(self):
-        assert estimate_join_rows(1000.0, 500.0, [(100.0, 50.0)]) == pytest.approx(5000)
-        assert estimate_join_rows(10.0, 10.0, []) == 100.0  # cross product
 
 
 class TestBTreeDistinctCounter:

@@ -1,6 +1,5 @@
 """Tests for the streaming SELECT pipeline: short-circuiting limits,
-top-k ordering, index-ordered scans, generalized hash joins, WHERE
-pushdown below joins, and the streaming cursor API."""
+top-k ordering, index-ordered scans, and the streaming cursor API."""
 
 import pytest
 
@@ -128,107 +127,6 @@ class TestIndexOrderScan:
             big_db.execute("SELECT val FROM t").scalars(), reverse=True
         )[:5]
         assert values == expected
-
-
-class TestHashJoinGeneralized:
-    @pytest.fixture
-    def db(self) -> Database:
-        db = Database()
-        db.execute("CREATE TABLE a (k TEXT, x INT)")
-        db.execute("CREATE TABLE b (k TEXT, y INT)")
-        db.insert_rows("a", [("p", 1), ("p", 2), ("q", 3), ("r", 4), (None, 5)])
-        db.insert_rows("b", [("p", 10), ("p", 20), ("q", 30), ("s", 40), (None, 50)])
-        return db
-
-    def test_extra_conjunct_uses_hash_join(self, db):
-        plan = db.explain(
-            "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k AND b.y > 10"
-        )
-        assert "HashJoin" in plan and "NestedLoopJoin" not in plan
-        rows = db.execute(
-            "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k AND b.y > 10 "
-            "ORDER BY a.x, b.y"
-        ).rows
-        assert rows == [(1, 20), (2, 20), (3, 30)]
-
-    def test_left_join_residual_pads(self, db):
-        rows = db.execute(
-            "SELECT a.x, b.y FROM a LEFT JOIN b ON a.k = b.k AND b.y >= 30 "
-            "ORDER BY a.x"
-        ).rows
-        assert rows == [(1, None), (2, None), (3, 30), (4, None), (5, None)]
-
-    def test_mixed_side_conjunct_is_residual(self, db):
-        rows = db.execute(
-            "SELECT a.x, b.y FROM a JOIN b ON a.k = b.k AND a.x * 10 = b.y "
-            "ORDER BY a.x"
-        ).rows
-        assert rows == [(1, 10), (2, 20), (3, 30)]
-
-    def test_composite_equi_key(self, db):
-        db.execute("CREATE TABLE c (k TEXT, y INT, tag TEXT)")
-        db.insert_rows("c", [("p", 1, "hit"), ("p", 2, "hit2"), ("q", 1, "miss")])
-        plan = db.explain(
-            "SELECT a.x, c.tag FROM a JOIN c ON a.k = c.k AND a.x = c.y"
-        )
-        assert "HashJoin" in plan and "keys=2" in plan
-        rows = db.execute(
-            "SELECT a.x, c.tag FROM a JOIN c ON a.k = c.k AND a.x = c.y "
-            "ORDER BY a.x"
-        ).rows
-        assert rows == [(1, "hit"), (2, "hit2")]
-
-    def test_null_keys_never_match(self, db):
-        n = db.execute(
-            "SELECT COUNT(*) FROM a JOIN b ON a.k = b.k"
-        ).scalar()
-        assert n == 5  # (p,p)x4 + (q,q); NULL keys excluded
-
-    def test_non_equi_still_nested_loop(self, db):
-        plan = db.explain("SELECT COUNT(*) FROM a JOIN b ON a.x < b.y")
-        assert "NestedLoopJoin" in plan
-
-
-class TestWherePushdown:
-    @pytest.fixture
-    def db(self, dirty_db) -> Database:
-        dirty_db.execute("CREATE TABLE errors (ref INT, code TEXT)")
-        dirty_db.executemany(
-            "INSERT INTO errors VALUES (?, ?)",
-            [(3, "type_mismatch"), (4, "outlier"), (6, "missing_value")],
-        )
-        return dirty_db
-
-    def test_base_predicate_reaches_the_index(self, db):
-        plan = db.explain(
-            "SELECT s.country, e.code FROM salary s JOIN errors e "
-            "ON s.rowid = e.ref WHERE s.country = 'Bhutan'"
-        )
-        assert "IndexEqScan" in plan and "idx_salary_country" in plan
-        rows = db.execute(
-            "SELECT s.country, e.code FROM salary s JOIN errors e "
-            "ON s.rowid = e.ref WHERE s.country = 'Bhutan' ORDER BY e.code"
-        ).rows
-        assert rows == [("Bhutan", "outlier"), ("Bhutan", "type_mismatch")]
-
-    def test_join_side_predicate_stays_above(self, db):
-        plan = db.explain(
-            "SELECT s.country FROM salary s JOIN errors e ON s.rowid = e.ref "
-            "WHERE e.code = 'outlier'"
-        )
-        assert "SeqScan(salary)" in plan and "Filter" in plan
-        rows = db.execute(
-            "SELECT s.country FROM salary s JOIN errors e ON s.rowid = e.ref "
-            "WHERE e.code = 'outlier'"
-        ).scalars()
-        assert rows == ["Bhutan"]
-
-    def test_pushdown_below_left_join_is_safe(self, db):
-        rows = db.execute(
-            "SELECT s.rowid, e.code FROM salary s LEFT JOIN errors e "
-            "ON s.rowid = e.ref WHERE s.country = 'Lesotho' ORDER BY s.rowid"
-        ).rows
-        assert rows == [(5, None), (6, "missing_value"), (7, None), (8, None)]
 
 
 class TestDistinctUnhashable:

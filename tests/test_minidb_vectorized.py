@@ -21,9 +21,9 @@ MODES = ("off", "on", "auto")
 
 CATEGORIES = ["a", "b", "c", "d", None]
 
-# global aggregates, grouped aggregates, filters, and a join: every
-# shape the _vectorize pass may lower, each with an ORDER BY (or a
-# single output row) so comparisons are order-exact, not just set-equal
+# global aggregates, grouped aggregates and filters: every shape the
+# _vectorize pass may lower, each with an ORDER BY (or a single output
+# row) so comparisons are order-exact, not just set-equal
 QUERIES = [
     ("SELECT COUNT(*), COUNT(val), SUM(val), AVG(val) FROM t", ()),
     ("SELECT MIN(val), MAX(val), MIN(cat), MAX(cat) FROM t", ()),
@@ -39,10 +39,6 @@ QUERIES = [
     ("SELECT cat, COUNT(*) FROM t WHERE val >= ? GROUP BY cat "
      "HAVING COUNT(*) > 1 ORDER BY cat", (-20,)),
     ("SELECT rowid, cat, val FROM t WHERE val < ? ORDER BY rowid", (30,)),
-    ("SELECT t.cat, COUNT(*) FROM t JOIN dims ON t.cat = dims.cat "
-     "GROUP BY t.cat ORDER BY t.cat", ()),
-    ("SELECT COUNT(*) FROM t JOIN dims ON t.cat = dims.cat "
-     "AND dims.weight > ?", (1.0,)),
 ]
 
 
@@ -50,9 +46,6 @@ def _make_db(rows):
     db = Database()
     db.execute("CREATE TABLE t (cat TEXT, val REAL)")
     db.executemany("INSERT INTO t VALUES (?, ?)", rows)
-    db.execute("CREATE TABLE dims (cat TEXT, weight REAL)")
-    db.executemany("INSERT INTO dims VALUES (?, ?)",
-                   [("a", 0.5), ("b", 2.0), ("c", 3.0), ("c", 4.0)])
     return db
 
 

@@ -11,7 +11,12 @@ says so: none of them branch on the transport.
 
 import pytest
 
-from repro.errors import IntegrityError, SerializationError, TransactionError
+from repro.errors import (
+    IntegrityError,
+    SerializationError,
+    SQLSyntaxError,
+    TransactionError,
+)
 from repro.minidb import connect
 from repro.minidb.net import MiniDBServer
 from repro.minidb.net import client as net_client
@@ -89,14 +94,16 @@ class TestCrudBothTransports:
             "ORDER BY n DESC, dept LIMIT 2").rows
         assert rows == [("math", 3), ("eng", 2)]
 
-    def test_join(self, conn):
+    def test_join_is_refused(self, conn):
+        """A SELECT reads one table: every JOIN form is a syntax error on
+        both transports, and the connection keeps working afterwards."""
         conn.execute("CREATE TABLE heads (dept TEXT, head TEXT)")
-        conn.executemany("INSERT INTO heads VALUES (?, ?)",
-                         [("eng", "ada"), ("math", "emmy")])
-        rows = conn.execute(
-            "SELECT p.name, h.head FROM people p JOIN heads h "
-            "ON p.dept = h.dept WHERE p.age > 44 ORDER BY p.name").rows
-        assert rows == [("emmy", "emmy"), ("grace", "ada")]
+        for join in ("JOIN", "INNER JOIN", "LEFT OUTER JOIN"):
+            with pytest.raises(SQLSyntaxError, match="one table"):
+                conn.execute(f"SELECT p.name FROM people p {join} heads h "
+                             "ON p.dept = h.dept")
+        assert conn.execute(
+            "SELECT COUNT(*) FROM people WHERE age > 44").scalar() == 2
 
     def test_null_and_unicode_round_trip(self, transport):
         conn = transport.connect()

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench import print_generic, write_json_artifact
 from repro.minidb import Database
-from repro.minidb.expressions import sort_key
+from repro.minidb.functions import sort_key
 
 N_ROWS = int(os.environ.get("REPRO_STREAM_ROWS", "100000"))
 LIMIT = 10

@@ -22,6 +22,7 @@ tracer) reaches them through ``__getattr__``, which a declaration shadows.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import nullcontext
 from functools import reduce
 from typing import Optional, Sequence
 
@@ -155,6 +156,13 @@ class Backend(ABC):
     def revert_delta(self, delta: DeltaSnapshot) -> None:
         """Undo a delta (convenience for ``apply_delta(delta.inverse())``)."""
         self.apply_delta(delta.inverse())
+
+    def tentative(self):
+        """Context for writes the caller undoes before it exits: on a
+        normal exit the backend puts what it derives from its rows
+        incrementally back exactly as it was on entry (the SQL backend's
+        group statistics)."""
+        return nullcontext()
 
     def plan_delta(self, ops: Sequence) -> DeltaSnapshot:
         """The net delta running ``ops`` in order would return, unwritten; each

@@ -282,6 +282,9 @@ class SQLBackend(Backend):
         """Stored values are what detection reads (see ``DeltaView``)."""
         return list(values)
 
+    def tentative(self):
+        return self.stats_cache.restoring()
+
     def apply_delta(self, delta: DeltaSnapshot) -> None:
         names = self._table.schema.column_names
         for row_id in delta.deleted:

@@ -19,9 +19,9 @@ measures.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 from repro.core.types import Stats
-from repro.minidb.functions import normalize_key
 from repro.minidb.storage import Table
 
 
@@ -44,24 +44,26 @@ class _Moments:
 
     No O(1)-memory accumulator survives *removing* a value that dominated
     the sums (the subtraction cancels nearly everything, leaving rounding
-    noise — e.g. a far-outlier anchor value being repaired away).
-    ``suspect`` detects that case by comparing the surviving second moment
-    against the rounding floor of the high-water mark, and the cache
-    responds by rebuilding the accumulator from the table.
+    noise — e.g. a far-outlier anchor value being repaired away).  Each
+    removal's share of the second moment is Welford's ``(x - old mean)
+    * (x - new mean)``; ``removed`` keeps the largest since the last
+    rebuild.  While it outweighs half of the second moment now held —
+    the data left is too small to drown the removal's rounding — the
+    accumulator is ``suspect`` and the cache rebuilds it from the table,
+    so the moments are the ones a fresh scan of the rows computes.
+    Re-adding the value (a rolled-back delete) restores the second
+    moment and with it the trust.
     """
 
-    __slots__ = ("n", "shift", "total", "sumsq", "peak")
-
-    #: fraction of the sum-of-squares high-water mark below which the
-    #: surviving second moment is indistinguishable from rounding noise
-    _NOISE_FLOOR = 1e-12
+    __slots__ = ("n", "shift", "total", "sumsq", "removed")
+    _STATE = __slots__
 
     def __init__(self) -> None:
         self.n = 0
         self.shift: float | None = None
         self.total = 0.0
         self.sumsq = 0.0
-        self.peak = 0.0  # high-water mark of sumsq since the last rebuild
+        self.removed = 0.0  # largest removal share since the last rebuild
 
     def add(self, value: float) -> None:
         if self.shift is None:
@@ -70,30 +72,27 @@ class _Moments:
         self.n += 1
         self.total += centered
         self.sumsq += centered * centered
-        if self.sumsq > self.peak:
-            self.peak = self.sumsq
 
     def remove(self, value: float) -> None:
         if self.n <= 1:
             # dropping the last value: reset so the next add re-anchors
-            self.n = 0
-            self.shift = None
-            self.total = 0.0
-            self.sumsq = 0.0
-            self.peak = 0.0
+            self.__init__()
             return
         centered = value - self.shift
+        before = centered - self.total / self.n
         self.n -= 1
         self.total -= centered
         self.sumsq -= centered * centered
+        share = before * (centered - self.total / self.n)
+        if share > self.removed:
+            self.removed = share
 
     @property
     def suspect(self) -> bool:
-        """True when cancellation may have eaten the second moment."""
-        if not self.n:
+        """True when a removal may have left rounding noise in the moments."""
+        if not self.removed:
             return False
-        m2 = self.sumsq - self.total * self.total / self.n
-        return m2 < self._NOISE_FLOOR * self.peak
+        return 2 * self.removed > self.sumsq - self.total * self.total / self.n
 
     @property
     def mean(self) -> float | None:
@@ -112,6 +111,8 @@ class _NumericCache:
 
     __slots__ = ("position", "missing", "text", "global_moments",
                  "per_cat", "min", "max", "range_dirty")
+    #: what a rolled-back write leaves inexact (the sets come back exactly)
+    _STATE = ("min", "max", "range_dirty")
 
     def __init__(self, position: int):
         self.position = position
@@ -131,6 +132,8 @@ class GroupStatsCache:
         self.table = table
         self._numeric: dict[str, _NumericCache] = {}
         self._cat_positions: dict[str, int] = {}
+        # {id: (accumulator, state)} while :meth:`restoring` is open
+        self._journal: dict | None = None
         table.observers.append(self._on_change)
 
     # -- registration ------------------------------------------------------------
@@ -176,38 +179,38 @@ class GroupStatsCache:
         if cat_col is None:
             moments = cache.global_moments
             if moments.suspect:
-                moments = self._rebuild_moments(cache, None, None)
-                cache.global_moments = moments
+                self._rebuild_moments(moments, cache, None, None)
             low, high = self._range_of(num_col, cache)
             return Stats(moments.n, moments.mean, moments.std, low, high)
-        key = self._cat_key(category)
-        bucket = cache.per_cat[cat_col].get(key)
+        bucket = cache.per_cat[cat_col].get(category)
         if bucket is None or not bucket.n:
             return Stats(0, None, None, None, None)
         if bucket.suspect:
-            bucket = self._rebuild_moments(cache, cat_col, key)
-            cache.per_cat[cat_col][key] = bucket
+            self._rebuild_moments(bucket, cache, cat_col, category)
         return Stats(bucket.n, bucket.mean, bucket.std, None, None)
 
-    def _rebuild_moments(self, cache: _NumericCache, cat_col: str | None,
-                         cat_key) -> _Moments:
-        """Recompute one accumulator from the table.
+    def _rebuild_moments(self, moments: _Moments, cache: _NumericCache,
+                         cat_col: str | None, category) -> None:
+        """Recompute ``moments`` in place from the table.
 
         Removing a value that dominated the sums (an extreme outlier being
         repaired away) leaves any O(1) accumulator holding rounding noise;
-        this one-scan rebuild re-anchors it on the surviving data.
+        this one-scan rebuild re-anchors it on the surviving data.  It adds
+        in rowid order — the order :meth:`track` met the rows in before a
+        rolled-back delete re-inserted one at the end — so it computes what
+        a fresh cache over the surviving rows would, bit for bit.
         """
-        moments = _Moments()
+        moments.__init__()
         cat_position = (
             self._cat_positions[cat_col] if cat_col is not None else None
         )
-        for row in self.table.rows.values():
-            if cat_position is not None and self._cat_key(row[cat_position]) != cat_key:
+        rows = self.table.rows
+        for row in map(rows.__getitem__, sorted(rows)):
+            if cat_position is not None and row[cat_position] != category:
                 continue
             value = row[cache.position]
             if _is_numeric(value):
                 moments.add(float(value))
-        return moments
 
     def missing_rows(self, num_col: str) -> set[int]:
         """Rows whose tracked column is NULL (live view — do not mutate)."""
@@ -228,7 +231,8 @@ class GroupStatsCache:
     def _recompute_range(self, num_col: str, cache: _NumericCache):
         indexes = self.table.indexes_on(num_col)
         if indexes:
-            return indexes[0].numeric_min(), indexes[0].numeric_max()
+            low, high = indexes[0].numeric_min(), indexes[0].numeric_max()
+            return (None, None) if low is None else (float(low), float(high))
         low = high = None
         for row in self.table.rows.values():
             value = row[cache.position]
@@ -238,18 +242,62 @@ class GroupStatsCache:
                 high = value if high is None else max(high, value)
         return low, high
 
-    # -- maintenance -------------------------------------------------------------
+    # -- tentative writes ------------------------------------------------------
 
-    def _cat_key(self, category):
-        return normalize_key(category) if category is not None else None
+    @contextmanager
+    def restoring(self):
+        """Restore every accumulator the writes inside touch to its state
+        on entry, for writes the caller rolls back before it exits.
+
+        Re-adding what a write removed leaves rounding residue, so without
+        this a write-and-rollback would leave the moments a bit off the
+        ones it started from, and a second identical write-and-rollback
+        could judge a value sitting on an outlier bound differently.
+        """
+        self._journal = {}
+        try:
+            yield
+            # on an exception the writes may stand: keep what they left
+            for accumulator, state in self._journal.values():
+                for name, value in zip(accumulator._STATE, state):
+                    setattr(accumulator, name, value)
+        finally:
+            self._journal = None
+
+    def _save(self, rows) -> None:
+        """Journal, once per :meth:`restoring`, every accumulator a change
+        to the rows with these values can touch — a bucket it would
+        create is created empty here, so it is journaled empty."""
+        journal = self._journal
+        keyed = [pair for row in rows for pair in self._keyed(row)]
+        for cache in self._numeric.values():
+            touched = [cache, cache.global_moments]
+            touched += [cache.per_cat[cat].setdefault(category, _Moments())
+                        for cat, category in keyed]
+            for accumulator in touched:
+                if id(accumulator) not in journal:
+                    journal[id(accumulator)] = (accumulator, [
+                        getattr(accumulator, name) for name in accumulator._STATE])
+
+    # -- maintenance -------------------------------------------------------------
 
     def _keyed(self, row) -> list:
         """``(cat_col, bucket key)`` of ``row`` for every tracked category."""
-        return [(cat, self._cat_key(row[position]))
+        return [(cat, row[position])
                 for cat, position in self._cat_positions.items()]
 
     def _on_change(self, event: tuple) -> None:
         kind = event[0]
+        if self._journal is not None:
+            if kind == "update":
+                _, _, rowid, old, new = event
+                row = self.table.rows[rowid]  # post-update state
+                before = list(row)
+                for position, value in old.items():
+                    before[position] = value
+                self._save([before, row])
+            else:
+                self._save([event[3]])
         if kind == "insert":
             _, _, rowid, values = event
             keyed = self._keyed(values)
@@ -271,7 +319,7 @@ class GroupStatsCache:
         changed = [cache for cache in self._numeric.values()
                    if cache.position in changed_positions]
         if changed:
-            before = [(cat, self._cat_key(old.get(position, row[position])))
+            before = [(cat, old.get(position, row[position]))
                       for cat, position in self._cat_positions.items()]
             after = self._keyed(row)
             for cache in changed:
@@ -282,8 +330,8 @@ class GroupStatsCache:
         for cat, position in self._cat_positions.items():
             if position not in changed_positions:
                 continue
-            old_category = self._cat_key(old[position])
-            new_category = self._cat_key(new[position])
+            old_category = old[position]
+            new_category = new[position]
             if old_category == new_category:
                 continue
             for num, cache in self._numeric.items():

@@ -422,14 +422,15 @@ class BuckarooSession:
                 pass
             finally:
                 self.group_manager.apply_delta(delta.inverse())
-        outcome = self._mutate_and_redetect(plan, commit=False)
-        if capture_pair is not None:
-            outcome.after_series = build_series(
-                self.backend, self.group_manager, *capture_pair
-            )
-        # roll back data and memberships; the error index was never written
-        undo = outcome.delta.inverse()
-        self.backend.apply_delta(undo)
+        with self.backend.tentative():
+            outcome = self._mutate_and_redetect(plan, commit=False)
+            if capture_pair is not None:
+                outcome.after_series = build_series(
+                    self.backend, self.group_manager, *capture_pair
+                )
+            # roll back data and memberships; the error index was never written
+            undo = outcome.delta.inverse()
+            self.backend.apply_delta(undo)
         self.group_manager.apply_delta(undo)
         return outcome
 

@@ -9,10 +9,10 @@ ordered index per chart attribute, and two-attribute chart lookups
 
 :class:`BTree` maps sort keys to sets of rowids:
 
-* keys are the normalized tuples produced by
-  :func:`repro.minidb.expressions.sort_key` — or, for composite indexes,
-  tuples *of* those tuples — so heterogeneous column values (numbers mixed
-  with text, NULLs included) order deterministically;
+* keys are the tuples produced by :func:`repro.minidb.functions.sort_key`
+  — or, for composite indexes, tuples *of* those tuples — so
+  heterogeneous column values (numbers mixed with text, NULLs included)
+  order exactly as SQL compares them;
 * each key maps to a *set* of rowids (columns are not unique in general);
 * leaves form a doubly linked list, so range scans run in both key orders
   (:meth:`BTree.range_scan` forward, :meth:`BTree.range_scan_desc`
@@ -40,7 +40,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.errors import IntegrityError, SerializationError
-from repro.minidb.expressions import sort_key
+from repro.minidb.functions import sort_key
 from repro.minidb.invariants import holds_write_lock
 
 #: sorts above every real key component ((rank, primitive) with rank <= 2),
@@ -383,8 +383,8 @@ class BTreeIndex:
     """Ordered index: equality, ranges, and ordered walks in both directions.
 
     Every row is indexed.  Single-column keys are ``sort_key(value)``
-    (preserving the ``(rank, primitive)`` shape older numeric helpers rely
-    on); composite keys are tuples of those.  ``sort_key(None)`` ranks below
+    (``(rank, value)``, the shape the numeric helpers read); composite
+    keys are tuples of those.  ``sort_key(None)`` ranks below
     every number and string, so NULLs occupy the front of the key space —
     exactly where ``ORDER BY`` puts them — and :attr:`null_rowids` records
     which rows carry a NULL in any indexed column.
@@ -805,14 +805,15 @@ class BTreeIndex:
             yield from rowids
 
     def numeric_min(self):
-        """The smallest numeric key, or None."""
+        """The smallest number in the index (its exact value), or None."""
         self._require_single("numeric_min")
         for key, _ in self._tree.range_scan((1, float("-inf")), (1, float("inf"))):
             return key[1]
         return None
 
     def numeric_max(self):
-        """The largest numeric key, or None (O(log n) reverse walk)."""
+        """The largest number in the index (its exact value), or None
+        (O(log n) reverse walk)."""
         self._require_single("numeric_max")
         for key, _ in self._tree.range_scan_desc((1, float("-inf")), (1, float("inf"))):
             return key[1]

@@ -51,14 +51,8 @@ from time import perf_counter
 from repro.errors import ExecutionError, PlanningError
 from repro.minidb import ast_nodes as ast
 from repro.minidb import plan_nodes as nodes
-from repro.minidb.expressions import (
-    Resolver,
-    compile_expr,
-    compile_value,
-    sort_key,
-    truthy,
-)
-from repro.minidb.functions import make_aggregate, normalize_key
+from repro.minidb.expressions import Resolver, compile_expr, compile_value, truthy
+from repro.minidb.functions import make_aggregate, sort_key
 from repro.minidb.invariants import holds_write_lock
 from repro.minidb.planner import (
     INDEX_EQ,
@@ -285,7 +279,7 @@ def run_select_plan(plan, params: tuple, stream: bool = False,
 
 
 def _select_without_table(stmt: ast.SelectStmt, params: tuple) -> ResultSet:
-    resolver = Resolver({})
+    resolver = Resolver()
     items = [item for item in stmt.items]
     if any(item.is_star for item in items):
         raise PlanningError("SELECT * requires a FROM clause")
@@ -381,10 +375,9 @@ def _step_group(spec: nodes.AggregateSpec, accumulators, seen_list, row,
         value = arg_fn(row, params)
         seen = seen_list[i]
         if seen is not None:
-            marker = normalize_key(value) if value is not None else None
-            if marker in seen:
+            if value in seen:
                 continue
-            seen.add(marker)
+            seen.add(value)
         accumulators[i].step(value)
 
 
@@ -392,25 +385,21 @@ def _agg_groups_hash(node: nodes.HashAggregate, params, snapshot, counters):
     """Consume the whole input into hash groups; yield intermediate rows."""
     spec = node.spec
     groups: dict = {}
-    group_values: dict = {}
     distinct_seen: dict = {}
     for row in _run_node(node.child, params, snapshot, counters):
-        key_values = tuple(fn(row, params) for fn in spec.group_fns)
-        key = tuple(normalize_key(v) if v is not None else None for v in key_values)
+        key = tuple(fn(row, params) for fn in spec.group_fns)
         accumulators = groups.get(key)
         if accumulators is None:
             accumulators, seen = _new_group(spec)
-            groups[key] = accumulators
-            group_values[key] = key_values
+            groups[key] = accumulators  # keeps the first-seen values
             distinct_seen[key] = seen
         _step_group(spec, accumulators, distinct_seen[key], row, params)
     if not groups and not spec.group_exprs:
         # aggregate over an empty input still yields one row
         accumulators, _seen = _new_group(spec)
         groups[()] = accumulators
-        group_values[()] = ()
     for key, accumulators in groups.items():
-        yield list(group_values[key]) + [acc.final() for acc in accumulators]
+        yield list(key) + [acc.final() for acc in accumulators]
 
 
 def _agg_groups_stream(node: nodes.StreamAggregate, params, snapshot, counters):
@@ -418,21 +407,18 @@ def _agg_groups_stream(node: nodes.StreamAggregate, params, snapshot, counters):
     holding exactly one group's state at a time."""
     spec = node.spec
     cur_key = None
-    cur_values: tuple = ()
     accumulators = None
     seen = None
     for row in _run_node(node.child, params, snapshot, counters):
-        key_values = tuple(fn(row, params) for fn in spec.group_fns)
-        key = tuple(normalize_key(v) if v is not None else None for v in key_values)
+        key = tuple(fn(row, params) for fn in spec.group_fns)
         if accumulators is None or key != cur_key:
             if accumulators is not None:
-                yield list(cur_values) + [acc.final() for acc in accumulators]
+                yield list(cur_key) + [acc.final() for acc in accumulators]
             cur_key = key
-            cur_values = key_values
             accumulators, seen = _new_group(spec)
         _step_group(spec, accumulators, seen, row, params)
     if accumulators is not None:
-        yield list(cur_values) + [acc.final() for acc in accumulators]
+        yield list(cur_key) + [acc.final() for acc in accumulators]
     elif not spec.group_exprs:  # defensive: planner only streams GROUP BY
         acc, _seen = _new_group(spec)
         yield [a.final() for a in acc]
@@ -631,9 +617,7 @@ def _stream_distinct(rows):
     seen: set = set()
     unhashable: list = []
     for row in rows:
-        marker = tuple(
-            normalize_key(v) if v is not None else None for v in row
-        )
+        marker = tuple(row)
         try:
             if marker in seen:
                 continue

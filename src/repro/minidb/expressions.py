@@ -21,7 +21,7 @@ from typing import Callable
 
 from repro.errors import ExecutionError, PlanningError
 from repro.minidb import ast_nodes as ast
-from repro.minidb.functions import call_scalar, huge_int_key, is_aggregate
+from repro.minidb.functions import call_scalar, is_aggregate
 
 RowFn = Callable[[tuple, tuple], object]
 """Compiled expression: ``fn(row, params) -> value``."""
@@ -30,13 +30,16 @@ RowFn = Callable[[tuple, tuple], object]
 class Resolver:
     """Maps column references to positions in the runtime row.
 
-    ``bindings`` maps *binding name* (alias or table name) to a dict of
-    column name -> row position.  Unqualified names resolve against every
-    binding and must be unambiguous.
+    ``columns`` maps the column names of the one table a statement
+    reads to row positions; ``binding`` is the name (table name or
+    alias) a qualified reference must use.  The empty resolver — no
+    binding, no columns — compiles constants and parameter slots.
     """
 
-    def __init__(self, bindings: dict[str, dict[str, int]]):
-        self.bindings = bindings
+    def __init__(self, binding: str | None = None,
+                 columns: dict[str, int] | None = None):
+        self.binding = binding
+        self.columns = columns or {}
 
     @classmethod
     def for_table(cls, binding: str, columns: list[str], rowid_position: int | None = 0,
@@ -45,29 +48,20 @@ class Resolver:
         mapping = {name: offset + i for i, name in enumerate(columns)}
         if rowid_position is not None:
             mapping.setdefault("rowid", rowid_position)
-        return cls({binding: mapping})
+        return cls(binding, mapping)
 
     def resolve(self, ref: ast.ColumnRef) -> int:
+        position = None
+        if ref.table is None or ref.table == self.binding:
+            position = self.columns.get(ref.name)
+        if position is not None:
+            return position
         if ref.table is not None:
-            try:
-                return self.bindings[ref.table][ref.name]
-            except KeyError:
-                raise PlanningError(
-                    f"unknown column {ref.table}.{ref.name}"
-                ) from None
-        matches = [
-            mapping[ref.name]
-            for mapping in self.bindings.values()
-            if ref.name in mapping
-        ]
-        if not matches:
-            known = sorted({c for m in self.bindings.values() for c in m})
-            raise PlanningError(
-                f"unknown column {ref.name!r} (known: {', '.join(known)})"
-            )
-        if len(matches) > 1:
-            raise PlanningError(f"ambiguous column {ref.name!r}")
-        return matches[0]
+            raise PlanningError(f"unknown column {ref.table}.{ref.name}")
+        raise PlanningError(
+            f"unknown column {ref.name!r} "
+            f"(known: {', '.join(sorted(self.columns))})"
+        )
 
 
 def compile_expr(expr: ast.Expr, resolver: Resolver) -> RowFn:
@@ -118,7 +112,7 @@ def compile_expr(expr: ast.Expr, resolver: Resolver) -> RowFn:
 
 @lru_cache(maxsize=1024)
 def _compile_value_cached(expr: ast.Expr) -> RowFn:
-    return compile_expr(expr, Resolver({}))
+    return compile_expr(expr, Resolver())
 
 
 def compile_value(expr: ast.Expr) -> RowFn:
@@ -134,7 +128,7 @@ def compile_value(expr: ast.Expr) -> RowFn:
     try:
         return _compile_value_cached(expr)
     except TypeError:  # unhashable literal payload: compile uncached
-        return compile_expr(expr, Resolver({}))
+        return compile_expr(expr, Resolver())
 
 
 def truthy(value) -> bool:
@@ -178,32 +172,14 @@ def sql_compare(a, b):
     rank_a, rank_b = _rank(a), _rank(b)
     if rank_a != rank_b:
         return -1 if rank_a < rank_b else 1
-    if rank_a == 0:
-        fa, fb = float(a), float(b)
-        return (fa > fb) - (fa < fb)
+    if rank_a == 0:  # exact, int against float included
+        return (a > b) - (a < b)
     sa, sb = str(a), str(b)
     return (sa > sb) - (sa < sb)
 
 
 def _rank(value) -> int:
     return 0 if _is_number(value) or isinstance(value, bool) else 1
-
-
-def sort_key(value):
-    """Key for ORDER BY and B+tree storage: NULL < numbers < text.
-
-    Every index insert, removal and probe computes one, so plain text
-    skips the number tests; a bool is an int, keyed as a number."""
-    if value is None:
-        return (0, 0.0)
-    if type(value) is str:
-        return (2, value)
-    if isinstance(value, (int, float)):
-        try:
-            return (1, float(value))
-        except OverflowError:
-            return huge_int_key(1, value)
-    return (2, str(value))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +568,7 @@ def _eq_kernel(pos: int, bound_fn: RowFn, negated: bool):
 def _cmp_kernel(pos: int, bound_fn: RowFn, op: str):
     check = _CMP_CHECKS[op]
     # The listcomps below inline sql_compare: numbers (bools included)
-    # compare as floats, a rank mismatch decides without looking at the
+    # compare exactly, a rank mismatch decides without looking at the
     # values (numbers < text), and the NaN-exact forms of the inclusive
     # ops are the *negated* strict comparisons — sql_compare's c-form
     # yields 0 for NaN, which passes <= and >= but not < and >.
@@ -603,18 +579,17 @@ def _cmp_kernel(pos: int, bound_fn: RowFn, op: str):
             return []
         col = cols[pos]
         if isinstance(bound, (int, float)):  # rank 0, bools included
-            fb = float(bound)
             if op == "<":
                 return [i for i in indices if (v := col[i]) is not None
-                        and isinstance(v, _NUM) and float(v) < fb]
+                        and isinstance(v, _NUM) and v < bound]
             if op == "<=":
                 return [i for i in indices if (v := col[i]) is not None
-                        and isinstance(v, _NUM) and not float(v) > fb]
+                        and isinstance(v, _NUM) and not v > bound]
             if op == ">":
                 return [i for i in indices if (v := col[i]) is not None
-                        and (not isinstance(v, _NUM) or float(v) > fb)]
+                        and (not isinstance(v, _NUM) or v > bound)]
             return [i for i in indices if (v := col[i]) is not None
-                    and (not isinstance(v, _NUM) or not float(v) < fb)]
+                    and (not isinstance(v, _NUM) or not v < bound)]
         if isinstance(bound, str):
             if op == "<":
                 return [i for i in indices if (v := col[i]) is not None
@@ -648,16 +623,13 @@ def _between_kernel(pos: int, low_fn: RowFn, high_fn: RowFn, negated: bool):
         out = []
         append = out.append
         if isinstance(low, (int, float)) and isinstance(high, (int, float)):
-            flo, fhi = float(low), float(high)
             # inside == (c_lo >= 0 and c_hi <= 0); text ranks above both
             # numeric bounds, so non-numbers are never inside
             if negated:
                 return [i for i in indices if (v := col[i]) is not None
-                        and (not isinstance(v, _NUM)
-                             or (fv := float(v)) < flo or fv > fhi)]
+                        and (not isinstance(v, _NUM) or v < low or v > high)]
             return [i for i in indices if (v := col[i]) is not None
-                    and isinstance(v, _NUM)
-                    and not (fv := float(v)) < flo and not fv > fhi]
+                    and isinstance(v, _NUM) and not v < low and not v > high]
         else:
             for i in indices:
                 v = col[i]

@@ -210,7 +210,7 @@ class MinAgg(Aggregate):
     def step(self, value) -> None:
         if value is None:
             return
-        if self.best is None or _sort_key(value) < _sort_key(self.best):
+        if self.best is None or sort_key(value) < sort_key(self.best):
             self.best = value
 
     def final(self):
@@ -226,7 +226,7 @@ class MaxAgg(Aggregate):
     def step(self, value) -> None:
         if value is None:
             return
-        if self.best is None or _sort_key(value) > _sort_key(self.best):
+        if self.best is None or sort_key(value) > sort_key(self.best):
             self.best = value
 
     def final(self):
@@ -342,39 +342,18 @@ def _as_number(value) -> float | None:
         return None
 
 
-def normalize_key(value):
-    """Normalize a value for hash equality (1 == 1.0, bool as int): the key
-    of GROUP BY, DISTINCT and planner statistics tallies.
+def sort_key(value):
+    """minidb's one value order — ORDER BY, MIN/MAX and B+tree keys:
+    NULL < numbers < text.
 
-    An integer beyond float range keeps its exact value as its key."""
-    if isinstance(value, bool):
-        return float(value)
+    A number keeps its exact value: Python compares int and float
+    exactly, integers beyond float range and ±inf included, as SQLite
+    does.  Every index insert, removal and probe computes one, so plain
+    text skips the number test; a bool is an int, keyed as a number."""
+    if value is None:
+        return (0, 0.0)
+    if type(value) is str:
+        return (2, value)
     if isinstance(value, (int, float)):
-        try:
-            return float(value)
-        except OverflowError:
-            return value
-    return value
-
-
-def _sort_key(value):
-    """Order values across storage classes: numbers < text.
-
-    An integer beyond float range sorts at ±inf among the numbers and
-    carries its exact value as a tiebreak (see :func:`huge_int_key`).
-    """
-    if isinstance(value, bool):
-        return (0, float(value))
-    if isinstance(value, (int, float)):
-        try:
-            return (0, float(value))
-        except OverflowError:
-            return huge_int_key(0, value)
-    return (1, str(value))
-
-
-def huge_int_key(rank: int, value: int) -> tuple:
-    """Sort key of an integer too large for a float: ``(rank, ±inf,
-    value)``.  It sorts with the infinities of its sign and keeps the
-    exact integer, so two different huge integers never share a key."""
-    return (rank, math.inf if value > 0 else -math.inf, value)
+        return (1, value)
+    return (2, str(value))

@@ -862,7 +862,7 @@ def _prepare_aggregate(stmt: ast.SelectStmt, items, resolver: Resolver):
                 raise PlanningError(f"{node.name}() takes exactly one argument")
             agg_specs.append((node, compile_expr(node.args[0], resolver)))
 
-    slot_resolver = Resolver({})
+    slot_resolver = Resolver()
     having_fn = (
         compile_expr(rewritten_having, slot_resolver)
         if rewritten_having is not None else None
@@ -973,17 +973,14 @@ def _maybe_demote_index(table: Table, table_stats, plan: ScanPlan,
                         stream_group: bool) -> ScanPlan:
     """Demote a broad index walk or probe back to a sequential scan.
 
-    With per-column histograms pricing range predicates honestly
-    (:mod:`repro.minidb.stats`), a broad range — ``val > constant``
-    matching most of the table — is cheaper as SeqScan + Filter than as a
-    leaf-chasing B+tree walk with a heap lookup per hit.  The same goes
-    for equality on a skewed key: MCV lists price ``col = heavy_hitter``
-    at the hitter's true row fraction, so an index probe returning most
-    of the table demotes too (rare values keep the probe — the flip the
-    MCV satellite test pins down).  Selective paths keep the index, and
-    plans whose walk order serves the query's ORDER BY (or a streaming
-    GROUP BY) are never demoted: they elide a sort, which the row-cost
-    comparison does not see.
+    An index path returning most of the table is cheaper as SeqScan +
+    Filter than as a leaf-chasing B+tree walk with a heap lookup per
+    hit.  Under the flat range defaults and ``1/distinct`` equality of
+    :mod:`repro.minidb.stats`, that happens only for equality on a
+    column with fewer than 2 distinct values.  Plans whose walk order
+    serves the query's ORDER BY (or a streaming GROUP BY) are never
+    demoted: they elide a sort, which the row-cost comparison does not
+    see.
     """
     if (plan.kind not in (INDEX_RANGE, INDEX_EQ) or plan.order_satisfied
             or stream_group):

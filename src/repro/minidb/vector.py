@@ -9,8 +9,8 @@ tight per-column loops instead of per-row closures.
 
 Semantics contract: every loop in this module replicates the row-mode
 value semantics (``expressions.sql_equal``/``sql_compare``, the
-``functions`` aggregate accumulators, ``functions.normalize_key`` group
-keys) **bit for bit** — the parity suite in
+``functions`` aggregate accumulators, plain value equality as the group
+key) **bit for bit** — the parity suite in
 ``tests/test_minidb_vectorized.py`` holds both pipelines to identical
 output.  Batches preserve row order end to end (scan = insertion order,
 aggregation = first-seen group order), so ordered results match too.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.minidb.functions import _sort_key, normalize_key
+from repro.minidb.functions import sort_key
 
 BATCH_SIZE = 1024
 """Rows per batch: large enough to amortize dispatch, small enough to
@@ -224,9 +224,6 @@ def aggregate_batches(batches, group_positions, agg_descs) -> Iterator[list]:
 _INT_ONLY = frozenset((int,))
 _NUM_KINDS = frozenset((int, float))
 _STR_ONLY = frozenset((str,))
-#: largest int magnitude float() maps exactly; below it, Python's exact
-#: int/float comparison agrees with ``_sort_key``'s float-converted one
-_EXACT_FLOAT_INT = 2 ** 53
 
 
 def _aggregate_ungrouped(batches, agg_descs, offsets, template) -> list:
@@ -238,7 +235,7 @@ def _aggregate_ungrouped(batches, agg_descs, offsets, template) -> list:
     accumulator loop can collapse to a builtin: ``sum(vals, total)``
     performs the *same sequence* of float additions the row accumulator
     does, and ``min``/``max`` perform the same strictly-less/greater
-    first-seen-wins scan ``_sort_key`` ordering implies for same-rank
+    first-seen-wins scan ``sort_key`` ordering implies for same-rank
     values.  Mixed-kind batches fall back to the exact per-value loop.
     """
     entry = list(template)
@@ -271,7 +268,7 @@ def _fold_values(name, vals, entry, o) -> None:
     the exact accumulator loop can collapse to a builtin: ``sum(vals,
     total)`` performs the *same sequence* of float additions the row
     accumulator does, and ``min``/``max`` perform the same strictly-
-    less/greater first-seen-wins scan ``_sort_key`` ordering implies for
+    less/greater first-seen-wins scan ``sort_key`` ordering implies for
     same-rank values.  Mixed-kind runs fall back to the exact per-value
     loop.  The probe is exact (``bool`` is not ``int`` under ``type``),
     so bools and numeric text always take the fallback, which skips or
@@ -296,37 +293,19 @@ def _fold_values(name, vals, entry, o) -> None:
         else:
             _avg_values(vals, entry, o)
     else:  # MIN / MAX
-        # direct comparison agrees with the float-converted ``_sort_key``
-        # one for same-kind floats or text always, and for ints only
-        # inside float's exact range (beyond it, float-equal ints tie
-        # and first-seen diverges from the exact integer order
-        # ``min``/``max`` would use)
-        champion = None
-        if kinds <= _STR_ONLY:
-            champion = min(vals) if name == "MIN" else max(vals)
-        elif kinds <= _NUM_KINDS:
-            low, high = min(vals), max(vals)
-            if -_EXACT_FLOAT_INT <= low and high <= _EXACT_FLOAT_INT:
-                champion = low if name == "MIN" else high
-        if champion is not None:
-            best = entry[o]
-            if best is None:
-                entry[o] = champion
-            elif name == "MIN":
-                if _sort_key(champion) < _sort_key(best):
-                    entry[o] = champion
-            elif _sort_key(champion) > _sort_key(best):
-                entry[o] = champion
-        elif name == "MIN":
+        # within one rank, direct comparison is ``sort_key``'s
+        if kinds <= _STR_ONLY or kinds <= _NUM_KINDS:
+            vals = [min(vals) if name == "MIN" else max(vals)]
+        best = entry[o]
+        if name == "MIN":
             for v in vals:
-                best = entry[o]
-                if best is None or _sort_key(v) < _sort_key(best):
-                    entry[o] = v
+                if best is None or sort_key(v) < sort_key(best):
+                    best = v
         else:
             for v in vals:
-                best = entry[o]
-                if best is None or _sort_key(v) > _sort_key(best):
-                    entry[o] = v
+                if best is None or sort_key(v) > sort_key(best):
+                    best = v
+        entry[o] = best
 
 
 def _sum_values(vals, entry, o):
@@ -385,7 +364,7 @@ def _group_indices(cols, indices, group_positions, groups, template):
         col = cols[group_positions[0]]
         for i in indices:
             v = col[i]
-            key = (normalize_key(v) if v is not None else None,)
+            key = (v,)
             idxs = get(key)
             if idxs is not None:
                 idxs.append(i)
@@ -399,7 +378,7 @@ def _group_indices(cols, indices, group_positions, groups, template):
     gcols = [cols[p] for p in group_positions]
     for i in indices:
         values = [c[i] for c in gcols]
-        key = tuple(normalize_key(v) if v is not None else None for v in values)
+        key = tuple(values)
         idxs = get(key)
         if idxs is not None:
             idxs.append(i)

@@ -1,5 +1,6 @@
 """Unit tests for the CI guard scripts (bench smoke validation and the
-benchmark regression checker) — the pieces the workflow relies on."""
+benchmark regression checker) — the pieces the workflow relies on — and
+for the plan census."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ def _load(module_name: str):
 
 regression = _load("check_bench_regression")
 smoke = _load("ci_bench_smoke")
+census = _load("plan_census")
 
 
 def _write_artifact(directory: Path, name: str, payload: dict) -> Path:
@@ -165,3 +167,19 @@ class TestBenchLists:
         dirs = self._layout(tmp_path, ["bench_a.py"], ["a", "orphan"])
         problems = smoke.bench_list_mismatches(*dirs, {"bench_a.py": "a"})
         assert len(problems) == 1 and "orphan.json" in problems[0]
+
+
+class TestPlanCensus:
+    def test_one_example_prints_one_line_per_plan(self, capsys):
+        assert census.main(["--only", "durable_reopen", "--shape"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        records = [json.loads(line) for line in lines]
+        assert records and len(set(lines)) == len(lines)
+        assert {r["source"] for r in records} == {"durable_reopen"}
+        assert {r["vectorize"] for r in records} == {"auto"}
+        plans = {r["statement"]: r["plan"] for r in records}
+        assert plans["SELECT COUNT(*) FROM salaries WHERE country = 'country-7'"] == [
+            "HashAggregate(keys=0)",
+            "  IndexEqScan(salaries.country via idx_country)",
+        ]
+        assert not any("est_rows" in line for plan in plans.values() for line in plan)

@@ -8,16 +8,16 @@ from repro.minidb.expressions import (
     compile_expr,
     sql_compare,
     sql_equal,
-    sort_key,
     truthy,
 )
+from repro.minidb.functions import sort_key
 from repro.minidb.parser import parse_expression
 
 
 def evaluate(sql: str, row=(), columns=(), params=()):
     """Compile a SQL expression over named columns and evaluate it."""
     mapping = {name: i for i, name in enumerate(columns)}
-    resolver = Resolver({"t": mapping})
+    resolver = Resolver("t", mapping)
     fn = compile_expr(parse_expression(sql), resolver)
     return fn(row, params)
 
@@ -134,10 +134,14 @@ class TestColumnsAndParams:
         with pytest.raises(PlanningError, match="unknown column"):
             evaluate("nope", columns=("a",))
 
-    def test_ambiguous_column(self):
-        resolver = Resolver({"t": {"a": 0}, "u": {"a": 1}})
-        with pytest.raises(PlanningError, match="ambiguous"):
-            compile_expr(parse_expression("a"), resolver)
+    def test_other_binding_is_unknown(self):
+        with pytest.raises(PlanningError, match="unknown column u.a"):
+            evaluate("u.a", row=(1,), columns=("a",))
+
+    def test_empty_resolver_compiles_constants_only(self):
+        assert compile_expr(parse_expression("? + 1"), Resolver())((), (2,)) == 3
+        with pytest.raises(PlanningError, match="unknown column"):
+            compile_expr(parse_expression("a"), Resolver())
 
     def test_params(self):
         assert evaluate("? + ?", params=(1, 2)) == 3

@@ -1,18 +1,13 @@
-"""Histogram-driven range selectivity and the index-vs-scan demotion.
+"""The index-vs-scan demotion under flat range and ``1/distinct``
+equality estimates.
 
-Before equi-depth histograms every range conjunct got the flat 0.3
-default, so ``val > 10`` over a table where that matches ~100% of rows
-still picked an IndexRangeScan — per-row index walks at twice the cost
-of a sequential read.  These tests pin the planner behavior the
-histograms buy: selective ranges keep the index, broad ranges demote to
-a scan, parameterized bounds stay binding-independent, and tiny tables
-never demote.
+No estimate reads a comparand's value, so literal and parameterized
+bounds get the same plan: ranges keep their index, and only equality on
+a column with fewer than 2 distinct values demotes to a scan.  Tiny
+tables never demote, and an index walk answers like an unindexed scan.
 """
 
-import pytest
-
 from repro.minidb import Database
-from repro.minidb.stats import HIST_BUCKETS, ColumnStats, _hist_key
 from repro.minidb.planner import DEMOTE_MIN_ROWS
 
 
@@ -32,12 +27,17 @@ class TestPlannerDemotion:
         plan = db.explain("SELECT rowid FROM t WHERE val < 20")
         assert "IndexRangeScan" in plan, plan
 
-    def test_broad_range_demotes_to_seq_scan(self):
+    def test_single_valued_equality_demotes_to_seq_scan(self):
         db = _db()
-        plan = db.explain("SELECT rowid FROM t WHERE val > 10")
-        assert "IndexRangeScan" not in plan, plan
-        assert "SeqScan" in plan, plan
-        assert "Filter" in plan  # the pushed range survives as a residual
+        db.execute("CREATE INDEX ic ON t (cat)")
+        db.execute("UPDATE t SET cat = 'c0'")
+        db.analyze()
+        for sql, params in (("SELECT rowid FROM t WHERE cat = 'c0'", ()),
+                            ("SELECT rowid FROM t WHERE cat = ?", ("c0",))):
+            plan = db.explain(sql, params)
+            assert "IndexEqScan" not in plan, plan
+            assert "SeqScan" in plan and "Filter" in plan, plan
+            assert len(db.execute(sql, params).rows) == 2000
 
     def test_broad_range_answers_match(self):
         db = _db()
@@ -51,8 +51,8 @@ class TestPlannerDemotion:
         assert sorted(demoted) == sorted(expected)
 
     def test_parameterized_bound_keeps_index(self):
-        """Plans must stay binding-independent: a ``?`` bound cannot
-        consult the histogram, so the flat default (and the index) hold."""
+        """Plans stay binding-independent: a ``?`` bound gets the flat
+        default, and the index holds."""
         db = _db()
         plan = db.explain("SELECT rowid FROM t WHERE val > ?", (10.0,))
         assert "IndexRangeScan" in plan, plan
@@ -61,52 +61,8 @@ class TestPlannerDemotion:
         db = _db(n=DEMOTE_MIN_ROWS - 1)
         plan = db.explain("SELECT rowid FROM t WHERE val > 1")
         assert "IndexRangeScan" in plan, plan
-
-    def test_between_estimate_uses_histogram(self):
-        """EXPLAIN row estimates track the actual range width, not 0.3."""
-        db = _db()
-        def est(sql):
-            line = next(l for l in db.explain(sql).splitlines()
-                        if "Scan" in l or "Filter" in l)
-            return float(line.split("est_rows=")[1].rstrip("]"))
-        narrow = est("SELECT rowid FROM t WHERE val BETWEEN 0 AND 50")
-        wide = est("SELECT rowid FROM t WHERE val BETWEEN 0 AND 900")
-        assert narrow == pytest.approx(100, rel=0.5)    # ~5% of 2000
-        assert wide == pytest.approx(1800, rel=0.25)    # ~90% of 2000
-
-
-class TestFractionBelow:
-    def _stats(self, values):
-        keys = sorted(_hist_key(v) for v in values)
-        n = len(keys)
-        b = min(HIST_BUCKETS, n)
-        bounds = tuple(keys[(i * (n - 1)) // b] for i in range(b + 1))
-        return ColumnStats(float(n), 0.0, bounds)
-
-    def test_uniform_interpolation(self):
-        stats = self._stats(range(1000))
-        assert stats.fraction_below(_hist_key(0), False) == 0.0
-        assert stats.fraction_below(_hist_key(250), True) == pytest.approx(
-            0.25, abs=0.05)
-        assert stats.fraction_below(_hist_key(999), True) == 1.0
-        assert stats.fraction_below(_hist_key(5000), False) == 1.0
-        assert stats.fraction_below(_hist_key(-1), True) == 0.0
-
-    def test_heavy_hitter_run_counts_inclusive(self):
-        """A value filling many buckets: <= must cover the whole run."""
-        stats = self._stats([7] * 900 + list(range(100)))
-        le = stats.fraction_below(_hist_key(7), True)
-        lt = stats.fraction_below(_hist_key(7), False)
-        assert le > 0.85
-        assert lt < le
-
-    def test_text_keys_split_without_interpolation(self):
-        stats = self._stats([f"k{i:03d}" for i in range(100)])
-        frac = stats.fraction_below(_hist_key("k050"), True)
-        assert 0.3 < frac < 0.7
-
-    def test_degenerate_single_value(self):
-        stats = ColumnStats(1.0, 0.0, (_hist_key(5),))
-        assert stats.fraction_below(_hist_key(4), True) == 0.0
-        assert stats.fraction_below(_hist_key(5), True) == 1.0
-        assert stats.fraction_below(_hist_key(5), False) == 0.0
+        db.execute("CREATE INDEX ic ON t (cat)")
+        db.execute("UPDATE t SET cat = 'c0'")
+        db.analyze()
+        plan = db.explain("SELECT rowid FROM t WHERE cat = 'c0'")
+        assert "IndexEqScan" in plan, plan

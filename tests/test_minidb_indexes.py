@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IntegrityError
 from repro.minidb.btree import BTreeIndex
-from repro.minidb.functions import normalize_key
+from repro.minidb.functions import sort_key
 
 
 def walk(index: BTreeIndex, bounds, reverse: bool = False) -> list:
@@ -16,14 +16,19 @@ def walk(index: BTreeIndex, bounds, reverse: bool = False) -> list:
 
 
 class TestNormalizeKey:
+    """Index keys are ``sort_key``s; GROUP BY and DISTINCT key by the
+    plain value, whose equality and hash agree with them."""
+
     def test_int_float_equivalence(self):
-        assert normalize_key(1) == normalize_key(1.0)
+        assert sort_key(1) == sort_key(1.0)
+        assert hash(1) == hash(1.0) and len({1, 1.0}) == 1
 
     def test_bool_as_number(self):
-        assert normalize_key(True) == normalize_key(1)
+        assert sort_key(True) == sort_key(1)
+        assert len({True, 1}) == 1
 
     def test_text_untouched(self):
-        assert normalize_key("x") == "x"
+        assert sort_key("x") == (2, "x")
 
 
 class TestBTreeIndex:

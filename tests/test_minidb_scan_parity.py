@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.minidb import Database
 from repro.minidb.executor import run_select_plan
-from repro.minidb.expressions import sort_key
+from repro.minidb.functions import sort_key
 from repro.minidb.parser import parse
 from repro.minidb.planner import plan_select
 

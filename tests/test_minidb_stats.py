@@ -10,7 +10,6 @@ from repro.minidb.stats import (
     REBUILD_FLOOR,
     TableStats,
     conjunct_selectivity,
-    estimate_filtered_rows,
 )
 
 
@@ -129,9 +128,10 @@ class TestSelectivityModel:
         assert single < conjunct_selectivity(stats, both) <= 2 * single
 
     def test_filtered_rows_estimate(self, db):
-        stats = _stats(db)
-        eq = ast.Binary("=", ast.ColumnRef(None, "cat"), ast.Literal("c3"))
-        assert estimate_filtered_rows(stats, [eq]) == pytest.approx(40, rel=0.3)
+        plan = db.explain("SELECT rowid FROM t WHERE cat = 'c3'")
+        line = next(line for line in plan.splitlines() if "Filter" in line)
+        est_rows = float(line.split("est_rows=")[1].rstrip("]"))
+        assert est_rows == pytest.approx(40, rel=0.3)
 
 
 class TestBTreeDistinctCounter:
@@ -150,7 +150,8 @@ class TestBTreeDistinctCounter:
 
 
 class TestMostCommonValues:
-    """MCV lists: skewed equality keys priced at their true fraction."""
+    """A skewed column's most common value is priced like any other
+    value: ``1/distinct``, whatever the comparand."""
 
     @pytest.fixture
     def skewed(self) -> Database:
@@ -165,55 +166,11 @@ class TestMostCommonValues:
         db.analyze()
         return db
 
-    def test_mcv_list_captures_heavy_hitter(self, skewed):
-        col = _stats(skewed, "s").column("tag")
-        assert col.mcv is not None
-        assert col.mcv["hot"] == pytest.approx(0.9, abs=0.02)
-
-    def test_uniform_column_keeps_no_mcv(self, db):
-        # every cat value sits at the average frequency: nothing qualifies
-        db.analyze()
-        assert _stats(db).column("cat").mcv is None
-
-    def test_equality_selectivity_uses_mcv(self, skewed):
-        stats = _stats(skewed, "s")
-        hot = ast.Binary("=", ast.ColumnRef(None, "tag"), ast.Literal("hot"))
-        rare = ast.Binary("=", ast.ColumnRef(None, "tag"), ast.Literal("rare70"))
-        assert conjunct_selectivity(stats, hot) == pytest.approx(0.9, abs=0.02)
-        # miss: residual mass spread over the remaining distincts
-        assert conjunct_selectivity(stats, rare) < 0.01
-
-    def test_inequality_complements_mcv(self, skewed):
-        stats = _stats(skewed, "s")
-        ne = ast.Binary("<>", ast.ColumnRef(None, "tag"), ast.Literal("hot"))
-        assert conjunct_selectivity(stats, ne) == pytest.approx(0.1, abs=0.02)
-
     def test_parameter_comparand_keeps_uniform_model(self, skewed):
         # a param slot could bind the hitter or a rare value: cached plans
         # must not bake one binding's selectivity in
         stats = _stats(skewed, "s")
-        param = ast.Binary("=", ast.ColumnRef(None, "tag"), ast.Param(0))
-        assert conjunct_selectivity(stats, param) == pytest.approx(
-            1.0 / stats.distinct("tag"), rel=0.01
-        )
-
-    def test_plan_flips_between_index_and_seq_scan(self, skewed):
-        hot_plan = "\n".join(
-            r[0] for r in skewed.execute(
-                "EXPLAIN SELECT COUNT(*) FROM s WHERE tag = 'hot'"
-            ).rows
-        )
-        rare_plan = "\n".join(
-            r[0] for r in skewed.execute(
-                "EXPLAIN SELECT COUNT(*) FROM s WHERE tag = 'rare70'"
-            ).rows
-        )
-        assert "SeqScan" in hot_plan and "IndexEqScan" not in hot_plan
-        assert "IndexEqScan" in rare_plan
-        # and both plans still return correct results
-        assert skewed.execute(
-            "SELECT COUNT(*) FROM s WHERE tag = 'hot'"
-        ).rows == [(1800,)]
-        assert skewed.execute(
-            "SELECT COUNT(*) FROM s WHERE tag = 'rare70'"
-        ).rows == [(1,)]
+        uniform = 1.0 / stats.distinct("tag")
+        for comparand in (ast.Param(0), ast.Literal("hot"), ast.Literal("rare70")):
+            eq = ast.Binary("=", ast.ColumnRef(None, "tag"), comparand)
+            assert conjunct_selectivity(stats, eq) == pytest.approx(uniform)

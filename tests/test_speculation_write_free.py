@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.config import BuckarooConfig
 from repro.core.session import BuckarooSession
-from repro.core.types import OP_DELETE_ROWS, OP_SET_CELLS, PlanOp, RepairPlan
+from repro.core.types import (
+    OP_DELETE_ROWS, OP_SET_CELLS, GroupKey, PlanOp, RepairPlan,
+)
 from repro.frame import DataFrame
 
 from tests.test_core_session import make_session
@@ -140,6 +142,28 @@ def test_write_free_scoring_matches_write_and_rollback(kind, scope, rows, data):
     for ops in data.draw(st.lists(st.lists(_ops(), min_size=1, max_size=3),
                                   max_size=4)):
         _check(session, RepairPlan("random", None, None, ops, description="random"))
+
+
+@pytest.mark.parametrize("kind", ["sql", "frame"])
+def test_removing_a_dominant_value_keeps_the_rebuilt_moments(kind):
+    """Deleting row 2 (``v = 1``) from ``{v | d = 1}`` leaves 0 and 0.02:
+    rows 1 and 3 sit exactly one std from the mean, so they stay inliers
+    only if the group's moments after the removal equal a fresh scan's.
+    Scoring, write-and-rollback, the applied state and a fresh session
+    must all agree."""
+    rows = [("a", 1, 0, None), ("a", 1, 1, 0), ("a", 1, 0.02, 0),
+            ("a", 1, "12k", 0), ("a", 1, "12k", None)]
+    session = _session(kind, "group", rows)
+    engine = session.suggestion_engine
+    for key in session.groups():
+        for plan in engine.candidate_plans(key):
+            _check(session, plan)
+    plan = next(plan for plan in engine.candidate_plans(GroupKey("d", 1, "v"))
+                if plan.description.startswith("delete"))
+    assert plan.ops[0].row_ids == (2,)
+    session.apply(plan)
+    fresh = _session(kind, "group", [row for i, row in enumerate(rows, 1) if i != 2])
+    assert session.anomaly_summary().total == fresh.anomaly_summary().total == 8
 
 
 def test_frame_widening_takes_the_write_and_rollback_path():

@@ -175,6 +175,59 @@ class TestNumericalStability:
         assert stats.mean == pytest.approx(1.0e9, rel=1e-12)
 
 
+def _cached(rows) -> SQLBackend:
+    backend = SQLBackend.from_frame(DataFrame.from_rows(rows, ["cat", "v"]))
+    backend.register_chart_columns(["cat"], ["v"])
+    return backend
+
+
+def _accumulators(backend: SQLBackend) -> list:
+    """Every cached accumulator's state, bit for bit (an empty bucket reads
+    as an absent one)."""
+    def moments(m):
+        return (m.n, m.shift, m.total, m.sumsq, m.removed)
+    return [(cache.min, cache.max, cache.range_dirty, moments(cache.global_moments),
+             {cat: {key: moments(m) for key, m in buckets.items() if m.n}
+              for cat, buckets in cache.per_cat.items()})
+            for cache in backend.stats_cache._numeric.values()]
+
+
+class TestExactAfterRemoval:
+    def test_a_dominant_removal_leaves_a_fresh_scans_moments(self):
+        """Deleting 1 from {0, 1, 0.02} must leave the moments a fresh
+        cache over {0, 0.02} holds, to the last bit: both values sit
+        exactly one std from the mean, where one ulp flips an outlier."""
+        rows = [("g", 0.0), ("g", 1.0), ("g", 0.02)]
+        backend = _cached(rows)
+        backend.delete_rows([2])
+        fresh = _cached([rows[0], rows[2]])
+        for args in (("v",), ("v", "cat", "g")):
+            assert backend.numeric_stats(*args) == fresh.numeric_stats(*args)
+        assert backend.numeric_stats("v").std == 0.01
+
+    def test_a_rolled_back_write_restores_every_accumulator(self):
+        backend = _cached([("g", 0.1), ("h", 0.7), ("g", 0.35), ("h", 1e6),
+                           ("h", 2.25), ("k", "12k")])
+        before = _accumulators(backend)
+        with backend.tentative():
+            deltas = [backend.delete_rows([4]), backend.set_cells("cat", [1], "h"),
+                      backend.set_cells("v", [6], 3.5)]  # k's first number
+            backend.numeric_stats("v", "cat", "h")
+            backend.numeric_stats("v", "cat", "k")
+            backend.numeric_stats("v")
+            for delta in reversed(deltas):
+                backend.apply_delta(delta.inverse())
+        assert _accumulators(backend) == before
+
+    def test_writes_left_standing_by_an_error_keep_their_moments(self):
+        backend = _cached([("g", 1.0), ("g", 2.0), ("g", 4.0)])
+        with pytest.raises(RuntimeError), backend.tentative():
+            backend.delete_rows([3])
+            raise RuntimeError("no rollback")
+        fresh = _cached([("g", 1.0), ("g", 2.0)])
+        assert backend.numeric_stats("v") == fresh.numeric_stats("v")
+
+
 class TestSimultaneousUpdate:
     def test_numeric_and_categorical_in_one_statement(self, backend):
         """One UPDATE changing a numeric *and* a categorical column must

@@ -36,11 +36,6 @@ class BuckarooConfig:
         max_categories: categorical attributes with more distinct values
             than this are not used to generate groups (keeps the chart
             matrix readable, §2.1 "adjusting granularity").
-        suggestion_side_effect_weight: weight of *introduced* anomalies when
-            ranking repair suggestions; the paper favours "repairs that
-            resolve the anomaly with minimal side effects on other groups"
-            (§3.2).
-        preview_sample_rows: cap on rows materialized for a repair preview.
         seed: seed for all stochastic components (samplers, generators).
     """
 
@@ -51,8 +46,6 @@ class BuckarooConfig:
     max_render_points: int = 500
     context_sample_size: int = 20
     max_categories: int = 50
-    suggestion_side_effect_weight: float = 1.0
-    preview_sample_rows: int = 1000
     seed: int = 7
 
     def __post_init__(self) -> None:

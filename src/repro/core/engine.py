@@ -97,6 +97,16 @@ class ErrorIndex:
         """``(error_code, group)`` pairs attached to one row."""
         return set(self._by_row.get(row_id, ()))
 
+    def count_row_errors(self, row_ids: Iterable[int],
+                         numerical: Optional[str] = None) -> int:
+        """How many ``(error_code, group)`` entries ``row_ids`` carry; with
+        ``numerical``, only those of groups charting that attribute."""
+        by_row = self._by_row
+        if numerical is None:
+            return sum(len(by_row.get(row_id, ())) for row_id in row_ids)
+        return sum(key.numerical == numerical
+                   for row_id in row_ids for _code, key in by_row.get(row_id, ()))
+
     def rows_with_errors(self) -> set[int]:
         """All row ids that carry at least one anomaly."""
         return set(self._by_row)

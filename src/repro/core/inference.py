@@ -86,6 +86,7 @@ class TransformInference:
         group = session.group_manager.group(key)
         buckets = session.engine.index.group_anomalies_by_code(key)
         example_rows = {e.row_id for e in edits}
+        ctx = session.wrangling_ctx.per_call()
 
         results: list[InferenceResult] = []
         seen_plans: set[str] = set()
@@ -94,7 +95,7 @@ class TransformInference:
                 continue  # this error class doesn't cover the examples
             for wrangler in session.wranglers.for_error(code):
                 try:
-                    plan = wrangler.plan(session.wrangling_ctx, group, anomalies)
+                    plan = wrangler.plan(ctx, group, anomalies)
                 except WranglerError:
                     continue
                 if plan.is_noop:

@@ -61,6 +61,12 @@ class WranglingContext:
     engine's *pinned* global statistics, so repair thresholds match the
     thresholds that flagged the anomalies — otherwise a clip/delete could
     target rows detection never marked (and exported scripts would diverge).
+
+    The session's long-lived context reads afresh every time.  A context
+    from :meth:`per_call` (one per ``suggest``/``infer`` call) reads each
+    group's numbers once, so the mean, median and mode wranglers of every
+    error code share one read; it must not outlive the call, or it would
+    read numbers a later apply has changed.
     """
 
     def __init__(self, backend: Backend, config: BuckarooConfig,
@@ -68,6 +74,14 @@ class WranglingContext:
         self.backend = backend
         self.config = config
         self._stats_provider = stats_provider
+        self._numbers: Optional[dict] = None  # per-call memo, see per_call
+
+    def per_call(self) -> "WranglingContext":
+        """A fresh context sharing this one's backend, config and stats
+        provider that reads each group's numbers at most once."""
+        ctx = WranglingContext(self.backend, self.config, self._stats_provider)
+        ctx._numbers = {}
+        return ctx
 
     def pinned_global_stats(self, num_col: str):
         """Global stats as the detector saw them (falls back to fresh)."""
@@ -78,11 +92,25 @@ class WranglingContext:
     def group_numeric_values(self, group: Group,
                              exclude_rows: Optional[set] = None) -> np.ndarray:
         """The group's parseable numeric values (optionally excluding rows)."""
-        exclude = exclude_rows or set()
-        row_ids = [row_id for row_id in group.row_ids if row_id not in exclude]
-        raw = self.backend.values(group.key.numerical, row_ids)
-        numbers = [coerce_to_number(value) for value in raw]
-        return np.array([n for n in numbers if n is not None], dtype=np.float64)
+        row_ids, numbers = self._group_numbers(group)
+        if exclude_rows:
+            numbers = numbers[~np.isin(row_ids, list(exclude_rows))]
+        return numbers
+
+    def _group_numbers(self, group: Group) -> tuple[np.ndarray, np.ndarray]:
+        """``(row ids, numbers)`` of the group's parseable numeric cells."""
+        memo = self._numbers
+        if memo is not None and group.key in memo:
+            return memo[group.key]
+        raw = self.backend.values(group.key.numerical, group.row_ids)
+        parsed = [(row_id, number)
+                  for row_id, number in zip(group.row_ids, map(coerce_to_number, raw))
+                  if number is not None]
+        pairs = (np.array([row_id for row_id, _ in parsed], dtype=np.int64),
+                 np.array([number for _, number in parsed], dtype=np.float64))
+        if memo is not None:
+            memo[group.key] = pairs
+        return pairs
 
 
 class Wrangler(ABC):
@@ -266,14 +294,14 @@ class ConvertTypeWrangler(Wrangler):
         convert_rows: list[int] = []
         converted: list[float] = []
         failed_rows: list[int] = []
-        for anomaly in anomalies:
-            raw = ctx.backend.values(column, [anomaly.row_id])[0]
+        rows = [anomaly.row_id for anomaly in anomalies]
+        for row_id, raw in zip(rows, ctx.backend.values(column, rows)):
             number = coerce_to_number(raw) if isinstance(raw, str) else None
             if number is not None:
-                convert_rows.append(anomaly.row_id)
+                convert_rows.append(row_id)
                 converted.append(number)
             else:
-                failed_rows.append(anomaly.row_id)
+                failed_rows.append(row_id)
         plan = self._base_plan(
             group, anomalies,
             f"convert {len(convert_rows)} text values to numbers in "

@@ -178,11 +178,20 @@ def _sample_rows(table: Table) -> list:
 
 
 def _count_distinct(present: list) -> int:
-    """Distinct values among ``present`` under plain equality."""
+    """Distinct values among ``present`` under plain equality; unhashable
+    cells (JSON lists) count by repr, the others still by equality, so 0
+    and 0.0 stay one value next to a list."""
     try:
         return len(set(present))
-    except TypeError:  # an unhashable cell: count by repr
-        return len(set(map(repr, present)))
+    except TypeError:
+        hashable: set = set()
+        unhashable: set = set()
+        for value in present:
+            try:
+                hashable.add(value)
+            except TypeError:
+                unhashable.add(repr(value))
+        return len(hashable) + len(unhashable)
 
 
 def _extrapolate_distinct(d_sample: float, sampled: int, n_rows: int) -> float:

@@ -29,8 +29,6 @@ class BuckarooConfig:
         flush_interval: number of applied wrangling operations between
             write-cache flushes to the backing database (a durable
             checkpoint on a file-backed SQL backend, a no-op in memory).
-        max_render_points: per-chart render budget used by the sampling
-            strategies (§4.1).
         context_sample_size: number of clean "context" rows error-first
             sampling adds around each group's anomalies.
         max_categories: categorical attributes with more distinct values
@@ -43,7 +41,6 @@ class BuckarooConfig:
     outlier_scope: str = "global"
     min_group_size: int = 5
     flush_interval: int = 3
-    max_render_points: int = 500
     context_sample_size: int = 20
     max_categories: int = 50
     seed: int = 7
@@ -57,8 +54,6 @@ class BuckarooConfig:
             raise ValueError("min_group_size must be at least 1")
         if self.flush_interval < 1:
             raise ValueError("flush_interval must be at least 1")
-        if self.max_render_points < 1:
-            raise ValueError("max_render_points must be at least 1")
 
     def with_overrides(self, **changes) -> "BuckarooConfig":
         """Return a copy with the given fields replaced (validated)."""

@@ -5,7 +5,11 @@ reproduction runs on numpy alone (Pandas is not installed where it runs).
 It provides typed, missing-aware columns, an immutable-style ``DataFrame``,
 group-by aggregation, and CSV I/O.  Its deliberately copy-heavy computational
 model reproduces the cost profile the paper measures for the Pandas backend
-in Table 1.
+in Table 1: every change re-materializes whole columns.  As in pandas, each
+of those whole-column passes (dtype inference, storage build, numeric views)
+runs as numpy array operations, not as a per-cell Python loop; only cells
+that need a Python-level conversion (text parsed as a number, a non-``str``
+cell stored as text) are visited one at a time.
 """
 
 from repro.frame import dtypes

@@ -7,6 +7,7 @@ storage array holds at that position.  All statistics skip missing values.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -23,6 +24,10 @@ _FILL = {
     dtypes.MIXED: None,
 }
 
+# cell types whose float value is a plain cast: to_numeric converts them in one
+# astype; every other cell (text, bools, numpy scalars, objects) is parsed alone
+_PLAIN_NUMBERS = frozenset({int, float})
+
 
 class Column:
     """An immutable-by-convention named, typed vector with a validity mask.
@@ -35,12 +40,13 @@ class Column:
 
     def __init__(self, name: str, values: Iterable, dtype: str | None = None):
         values = list(values) if not isinstance(values, (list, np.ndarray)) else values
+        types, missing = dtypes.scan(values)
         if dtype is None:
-            dtype = dtypes.infer_dtype(values)
+            dtype = dtypes.dtype_of(types)
         dtypes.validate_dtype(dtype)
         self.name = name
         self.dtype = dtype
-        self._data, self._valid = _build_storage(values, dtype)
+        self._data, self._valid = _build_storage(values, dtype, types, missing)
 
     # -- construction ------------------------------------------------------
 
@@ -216,7 +222,7 @@ class Column:
         Always equal to ``Column(name, self.to_list() + other.to_list())``.
         When inference could only repeat a side's dtype — both sides share a
         non-``mixed`` dtype and hold a value, or one side holds none — the
-        storage arrays are joined directly instead of re-inferring per cell.
+        storage arrays are joined directly instead of re-inferring.
         """
         mine, theirs = bool(self._valid.any()), bool(other._valid.any())
         if mine and theirs and self.dtype == other.dtype != dtypes.MIXED:
@@ -250,23 +256,18 @@ class Column:
         """
         n = len(self)
         values = np.full(n, np.nan, dtype=np.float64)
-        ok = np.zeros(n, dtype=bool)
-        if self.dtype in dtypes.NUMERIC_DTYPES:
-            values[self._valid] = self._data[self._valid].astype(np.float64)
-            ok = self._valid.copy()
-        elif self.dtype == dtypes.BOOL:
+        if self.dtype not in (dtypes.MIXED, dtypes.STRING):
             values[self._valid] = self._data[self._valid].astype(np.float64)
             ok = self._valid.copy()
         else:
-            for i in range(n):
-                if not self._valid[i]:
-                    continue
-                raw = self._data[i]
-                number = (
-                    coerce_to_number(raw)
-                    if lenient
-                    else _strict_number(raw)
-                )
+            cells = self._data
+            plain = np.fromiter(map(_PLAIN_NUMBERS.__contains__, map(type, cells)),
+                                dtype=bool, count=n)
+            values[plain] = cells[plain].astype(np.float64)
+            ok = plain & ~np.isnan(values)
+            parse = coerce_to_number if lenient else _strict_number
+            for i in np.flatnonzero(self._valid & ~plain).tolist():
+                number = parse(cells[i])
                 if number is not None:
                     values[i] = number
                     ok[i] = True
@@ -277,20 +278,13 @@ class Column:
 
     def unique(self) -> list:
         """Distinct present values, in first-seen order."""
-        seen: dict = {}
-        for value in self:
-            if value is not None and value not in seen:
-                seen[value] = None
-        return list(seen)
+        return [value for value, _count in self._tally()]
 
-    def value_counts(self) -> dict:
-        """Map each distinct present value to its occurrence count."""
-        counts: dict = {}
-        for value in self:
-            if value is None:
-                continue
-            counts[value] = counts.get(value, 0) + 1
-        return counts
+    def value_counts(self) -> list[tuple]:
+        """Each distinct present value with its occurrence count, as
+        ``(value, count)`` pairs in first-seen order (a ``mixed`` column may
+        hold unhashable cells such as lists, which no dict can key)."""
+        return self._tally()
 
     def min(self):
         """Minimum present numeric value (``None`` when none exist)."""
@@ -321,14 +315,43 @@ class Column:
 
     def mode(self):
         """Most frequent present value (ties broken by first occurrence)."""
-        counts = self.value_counts()
-        if not counts:
-            return None
-        best = max(counts.values())
-        for value, count in counts.items():
-            if count == best:
-                return value
-        return None  # pragma: no cover - unreachable
+        return max(self._tally(), key=lambda pair: pair[1], default=(None, 0))[0]
+
+    def _tally(self) -> list:
+        """``(value, count)`` per distinct present value, first-seen order.
+
+        Values are told apart by hashing; only when a cell is unhashable (a
+        list or dict in a ``mixed`` column) does each unhashable value fall
+        back to an equality scan over the unhashable values seen before it.
+        """
+        values = self.to_list()
+        try:
+            counts = Counter(values)
+        except TypeError:
+            pass
+        else:
+            counts.pop(None, None)
+            return list(counts.items())
+        tally: list[list] = []
+        slots: dict = {}
+        unhashable: list[list] = []
+        for value in values:
+            if value is None:
+                continue
+            try:
+                slot = slots.get(value)
+            except TypeError:
+                slot = next((entry for entry in unhashable if entry[0] == value), None)
+                if slot is None:
+                    slot = [value, 0]
+                    unhashable.append(slot)
+                    tally.append(slot)
+            else:
+                if slot is None:
+                    slot = slots[value] = [value, 0]
+                    tally.append(slot)
+            slot[1] += 1
+        return [tuple(slot) for slot in tally]
 
     def _reduce(self, fn):
         if self.dtype in (dtypes.STRING,) and fn in (np.mean, np.std, np.median):
@@ -341,32 +364,28 @@ class Column:
         return float(fn(values[ok]))
 
 
-def _build_storage(values, dtype: str) -> tuple[np.ndarray, np.ndarray]:
+def _build_storage(values, dtype: str, types: set, missing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Storage and validity of ``values`` as ``dtype``, given their
+    :func:`dtypes.scan`.  Numeric storage is one ``astype`` of the present
+    cells (numpy casts each cell exactly as an item assignment would, huge
+    ints raising ``OverflowError``); only a ``string`` column's non-``str``
+    cells are converted one at a time."""
+    valid = ~missing
+    cells = np.fromiter(values, dtype=object, count=len(values))
     storage = dtypes.storage_dtype(dtype)
-    n = len(values)
-    valid = np.ones(n, dtype=bool)
-    if storage is object:
-        data = np.empty(n, dtype=object)
-        for i, value in enumerate(values):
-            if value is None or _is_nan(value):
-                valid[i] = False
-                data[i] = None
-            else:
-                data[i] = str(value) if dtype == dtypes.STRING and not isinstance(value, str) else value
+    if storage is not object:
+        data = np.full(len(cells), _FILL[dtype], dtype=storage)
+        data[valid] = cells[valid].astype(storage)
         return data, valid
-    data = np.zeros(n, dtype=storage)
-    fill = _FILL[dtype]
-    for i, value in enumerate(values):
-        if value is None or _is_nan(value):
-            valid[i] = False
-            data[i] = fill
-        else:
-            data[i] = value
-    return data, valid
-
-
-def _is_nan(value) -> bool:
-    return isinstance(value, (float, np.floating)) and value != value
+    cells[missing] = None
+    if dtype == dtypes.STRING:
+        others = {t for t in types if not issubclass(t, str)}
+        if others:
+            convert = valid & np.fromiter(map(others.__contains__, map(type, cells)),
+                                          dtype=bool, count=len(cells))
+            for position in np.flatnonzero(convert).tolist():
+                cells[position] = str(cells[position])
+    return cells, valid
 
 
 def _to_python(raw, dtype: str):

@@ -18,6 +18,8 @@ The dataframe substrate supports five logical dtypes:
 
 from __future__ import annotations
 
+import operator
+from itertools import compress, repeat
 from typing import Iterable
 
 import numpy as np
@@ -76,37 +78,68 @@ def infer_dtype(values: Iterable) -> str:
     >>> infer_dtype([1, "12k"])
     'mixed'
     """
-    saw_int = saw_float = saw_bool = saw_str = saw_other = False
-    saw_any = False
-    for value in values:
-        if value is None or _is_nan(value):
-            continue
-        saw_any = True
-        if isinstance(value, bool) or isinstance(value, np.bool_):
-            saw_bool = True
-        elif isinstance(value, (int, np.integer)):
-            saw_int = True
-        elif isinstance(value, (float, np.floating)):
-            saw_float = True
-        elif isinstance(value, str):
-            saw_str = True
+    values = values if isinstance(values, (list, np.ndarray)) else list(values)
+    return dtype_of(scan(values)[0])
+
+
+def scan(values) -> tuple[set, np.ndarray]:
+    """``(types, missing)`` of a list of cells in whole-column passes.
+
+    ``missing`` marks the cells every dtype stores as missing: ``None`` and
+    float NaN.  ``types`` is the set of the present cells' types.  The types
+    come from one C-level ``map(type, ...)``; the NaN test converts only the
+    float-typed cells.
+    """
+    n = len(values)
+    types = set(map(type, values))
+    if _NONE in types:
+        types.discard(_NONE)
+        missing = np.fromiter(map(operator.is_, values, repeat(None)), dtype=bool, count=n)
+    else:
+        missing = np.zeros(n, dtype=bool)
+    floats = {t for t in types if issubclass(t, _FLOATS)}
+    if floats:
+        if floats == types:
+            is_float = ~missing
         else:
-            saw_other = True
-    if not saw_any:
+            is_float = np.fromiter(map(floats.__contains__, map(type, values)), dtype=bool, count=n)
+        count = int(is_float.sum())
+        nan = np.isnan(np.fromiter(compress(values, is_float), dtype=np.float64, count=count))
+        missing[is_float] = nan
+        if nan.all():  # every float cell is missing: floats say nothing of the dtype
+            types -= floats
+    return types, missing
+
+
+def dtype_of(types: set) -> str:
+    """The dtype :func:`infer_dtype` gives a column whose present cells have
+    ``types``: one ``isinstance`` ladder per distinct type, bool before int."""
+    kinds = {_kind(t) for t in types}
+    if not kinds:
         return FLOAT64
-    if saw_other:
+    if MIXED in kinds:
         return MIXED
-    kinds = sum([saw_bool, saw_int or saw_float, saw_str])
-    if kinds > 1:
+    numbers = kinds & {INT64, FLOAT64}
+    if (BOOL in kinds) + bool(numbers) + (STRING in kinds) > 1:
         return MIXED
-    if saw_str:
+    if STRING in kinds:
         return STRING
-    if saw_bool:
+    if BOOL in kinds:
         return BOOL
-    if saw_float:
+    return FLOAT64 if FLOAT64 in numbers else INT64
+
+
+_NONE = type(None)
+_FLOATS = (float, np.floating)
+
+
+def _kind(cell_type: type) -> str:
+    if issubclass(cell_type, (bool, np.bool_)):
+        return BOOL
+    if issubclass(cell_type, (int, np.integer)):
+        return INT64
+    if issubclass(cell_type, _FLOATS):
         return FLOAT64
-    return INT64
-
-
-def _is_nan(value) -> bool:
-    return isinstance(value, (float, np.floating)) and value != value
+    if issubclass(cell_type, str):
+        return STRING
+    return MIXED

@@ -4,7 +4,9 @@ Every transforming method returns a *new* frame, mimicking the functional
 style of idiomatic pandas pipelines.  This copy-heavy computational model is
 deliberate: the frame backend in Table 1 of the paper loses to the database
 backend precisely because whole-column re-materialization is expensive, and
-this class reproduces that cost profile honestly.
+this class reproduces that cost profile honestly.  The re-materialization is
+done the way pandas does it, in whole-column numpy passes (see
+:mod:`repro.frame.column`), so the cost is the copying, not per-cell Python.
 """
 
 from __future__ import annotations

@@ -84,6 +84,15 @@ class TestReads:
     def test_distinct_values(self, backend):
         assert set(backend.distinct_values("country")) == {"Bhutan", "Lesotho", "Nauru"}
 
+    def test_distinct_values_with_unhashable_cells(self):
+        """Lists and dicts in a mixed column count by equality on both
+        backends (the frame hashes first, then scans the unhashable ones)."""
+        frame = DataFrame.from_dict({"c": [1, [2], "a", [2], None, 1.0, {"k": 1}]})
+        sql = make_backend(frame, "sql").distinct_values("c")
+        mine = make_backend(frame, "frame").distinct_values("c")
+        assert len(sql) == len(mine) == 4
+        assert all(any(value == other for other in sql) for value in mine)
+
     def test_group_row_ids(self, backend):
         assert sorted(backend.group_row_ids("country", "Nauru")) == [9]
         assert sorted(backend.group_row_ids("country", "Bhutan")) == [1, 2, 3, 4]

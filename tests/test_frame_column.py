@@ -195,11 +195,17 @@ class TestStatistics:
         assert Column("a", ["b", "a", "b", None]).unique() == ["b", "a"]
 
     def test_value_counts(self):
-        assert Column("a", ["x", "x", "y", None]).value_counts() == {"x": 2, "y": 1}
+        assert Column("a", ["x", "x", "y", None]).value_counts() == [("x", 2), ("y", 1)]
 
     def test_mode(self):
         assert Column("a", ["x", "y", "x"]).mode() == "x"
         assert Column("a", [None]).mode() is None
+
+    def test_unhashable_cells_count_by_equality(self):
+        col = Column("a", [1, [2], "a", [2], None, 1.0, {"k": 1}, [2]])
+        assert col.unique() == [1, [2], "a", {"k": 1}]
+        assert col.value_counts() == [(1, 2), ([2], 3), ("a", 1), ({"k": 1}, 1)]
+        assert col.mode() == [2]
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(-1000, 1000)), max_size=50))

@@ -56,7 +56,6 @@ class TestConfig:
         {"outlier_scope": "cosmic"},
         {"min_group_size": 0},
         {"flush_interval": 0},
-        {"max_render_points": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

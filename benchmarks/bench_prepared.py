@@ -46,7 +46,7 @@ def _populate(db: Database) -> None:
         ],
     )
     db.execute("CREATE INDEX idx_cat_val ON t (cat, val)")
-    db.analyze()  # settle statistics so no lazy rebuild lands mid-measurement
+    db.analyze()  # post-load step: discards cached plans; estimates are live
 
 
 @pytest.fixture(scope="module")

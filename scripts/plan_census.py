@@ -3,6 +3,7 @@
 
 Usage:
     python scripts/plan_census.py [--repo DIR] [--shape] [--only NAME ...]
+                                  [--check FILE]
 
 Runs the nine ``examples/*.py`` scripts and each workload of
 ``benchmarks/e2e/run.py`` (``--seed 7 --seconds 4``) of the checkout at
@@ -12,6 +13,14 @@ per distinct plan they built: ``{"source", "statement", "vectorize",
 drops the ``est_rows`` annotations, so two checkouts whose estimates
 differ but whose operator trees agree print the same lines.  ``--only``
 limits the run to the named sources (``quickstart``, ``wrangle_sql``…).
+``--check FILE`` prints, instead of the lines, their unified diff
+against FILE's and exits 1 when there is one (a one-line count when
+there is none).
+
+The product's plan shapes are a checked contract: CI runs
+``--shape --check scripts/plan_census_shapes.jsonl`` (about 40 s).  A
+change that means to alter a plan regenerates that file with
+``--shape`` and says why.
 
 The hook is a temporary ``sitecustomize.py`` on ``PYTHONPATH`` that wraps
 ``repro.minidb.prepared.plan_select`` in every Python process the sources
@@ -25,6 +34,7 @@ added to the program.  Compare two checkouts with ``diff``::
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
 import os
 import re
@@ -108,15 +118,27 @@ def main(argv=None) -> int:
                         help="drop est_rows: operator trees only")
     parser.add_argument("--only", action="append", metavar="NAME",
                         help="run only this source (repeatable)")
+    parser.add_argument("--check", type=Path, metavar="FILE",
+                        help="diff the lines against FILE; exit 1 if they differ")
     args = parser.parse_args(argv)
-    printed: set = set()
+    lines: list[str] = []
     for record in census(args.repo.resolve(), args.only):
         if args.shape:
             record["plan"] = [_EST_ROWS.sub("", line) for line in record["plan"]]
         line = json.dumps(record)
-        if line not in printed:
-            printed.add(line)
-            print(line)
+        if line not in lines:
+            lines.append(line)
+            if args.check is None:
+                print(line)
+    if args.check is None:
+        return 0
+    expected = args.check.read_text(encoding="utf-8").splitlines()
+    diff = list(difflib.unified_diff(expected, lines, str(args.check),
+                                     "census", lineterm=""))
+    if diff:
+        print("\n".join(diff))
+        return 1
+    print(f"{len(lines)} of {len(expected)} plans identical to {args.check}")
     return 0
 
 

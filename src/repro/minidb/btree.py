@@ -86,8 +86,8 @@ class BTree:
 
     @property
     def n_keys(self) -> int:
-        """Number of distinct keys currently stored (O(1); the planner's
-        statistics layer reads this as an exact distinct-value count)."""
+        """Number of distinct keys currently stored (O(1); the planner
+        reads this as an exact distinct-value count)."""
         return self._n_keys
 
     # -- mutation ------------------------------------------------------------

@@ -24,8 +24,11 @@ are thin wrappers over it, and ``cursor()`` opens a DB-API-shaped
 :class:`~repro.minidb.prepared.Cursor`.  ``db.plan_cache`` caches
 prepared statements by SQL text (LRU, behind a lock — they are shared
 across connections); each statement's plan is revalidated against the
-``(schema_epoch, stats_version)`` pair so DDL, ``analyze()`` and
-mutation-driven statistics rebuilds transparently re-plan.
+schema epoch, the ``vectorize`` knob and the power-of-two row-count
+bucket of the table it reads, so DDL, ``analyze()`` and a table's growth
+across a bucket edge transparently re-plan.  The planner keeps no
+statistics of its own: its estimates read exact row and index counts
+live (see :mod:`repro.minidb.planner`).
 
 Concurrency: :meth:`connect` opens an isolated
 :class:`~repro.minidb.session.Connection` with snapshot-isolation reads
@@ -55,7 +58,6 @@ from repro.minidb.plan_cache import PlanCache
 from repro.minidb.prepared import Cursor, PreparedStatement
 from repro.minidb.results import ResultSet, StreamingResult
 from repro.minidb.session import Connection, Session
-from repro.minidb.stats import StatsManager
 from repro.minidb.storage import Table
 from repro.minidb.transactions import TransactionManager
 from repro.minidb.wal import WriteAheadLog
@@ -152,14 +154,12 @@ class Database:
         # them down (releasing their cursors' snapshots) even when a
         # caller leaked one, without keeping dead ones alive
         self._connections: weakref.WeakSet = weakref.WeakSet()
-        # cost-based planning: per-table statistics (lazily rebuilt; see
-        # repro.minidb.stats)
-        self.stats = StatsManager()
         # execution-mode knob: "auto" lets the planner pick batch
         # (vectorized) operators for analytic shapes, "on" forces them
         # wherever legal, "off" keeps the row-at-a-time pipeline
         self.vectorize = vectorize
-        # advances on every DDL statement; one half of the plan-cache key
+        # advances on every DDL statement and analyze(); part of the
+        # plan-cache key (repro.minidb.plan_cache.validation_key)
         self.schema_epoch = 0
         self.plan_cache = PlanCache()
         self._gc_thread: threading.Thread | None = None
@@ -278,9 +278,15 @@ class Database:
         return self.prepare(sql).explain(params, analyze=analyze)
 
     def analyze(self) -> None:
-        """Force an immediate statistics rebuild for every table."""
-        for table in self.tables.values():
-            self.stats.analyze(table)
+        """Discard every cached plan: the next execution of each prepared
+        statement re-plans (one cache miss) against the current counts.
+
+        The planner's estimates are exact and read live, so there is
+        nothing to rebuild; this only advances the epoch in every plan's
+        validation key.
+        """
+        with self.txn.lock:
+            self.schema_epoch += 1
 
     def checkpoint(self) -> int:
         """Make pending work durable; returns WAL records retired.
@@ -741,7 +747,6 @@ class Database:
         del self.tables[statement.name]
         if isinstance(dropped.rows, PagedHeap):
             dropped.rows.release()  # pages recycle after the next checkpoint
-        self.stats.forget(statement.name)
         for index_name in [
             n for n, meta in self.index_catalog.items() if meta.table == statement.name
         ]:

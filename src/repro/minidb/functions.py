@@ -357,3 +357,24 @@ def sort_key(value):
     if isinstance(value, (int, float)):
         return (1, value)
     return (2, str(value))
+
+
+class _StandIn(tuple):
+    """A key holding an unhashable cell (a JSON list or object), hashed by
+    identity so it can key a dict; it still compares and unpacks as its
+    values.  :func:`hashable_key` hands out one per set of equal keys."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__  # type: ignore[assignment]
+
+
+def hashable_key(key: tuple, stand_ins: list) -> tuple:
+    """The dict key for ``key``, whose hashing raised: the stand-in in
+    ``stand_ins`` equal to it — an equality scan, as DISTINCT makes —
+    else a new one, appended there."""
+    for known in stand_ins:
+        if known == key:
+            return known
+    known = _StandIn(key)
+    stand_ins.append(known)
+    return known

@@ -5,10 +5,10 @@ closures, so one compiled tree answers every binding of the same SQL
 text.  :class:`PlanCache` keeps parsed statements in an LRU; each
 :class:`~repro.minidb.prepared.PreparedStatement` keeps its plan in a
 private slot stamped with the :func:`validation_key` it was planned
-under, and re-plans when DDL, a statistics rebuild or a planner knob
-moves that key.  ``EXPLAIN SELECT x`` and ``SELECT x`` are two texts,
-so two entries with two slots (see ``ARCHITECTURE.md``, "Cache key and
-invalidation").
+under, and re-plans when DDL, ``analyze()``, the ``vectorize`` knob or
+a table's row-count bucket moves that key.  ``EXPLAIN SELECT x`` and
+``SELECT x`` are two texts, so two entries with two slots (see
+``ARCHITECTURE.md``, "Cache key and invalidation").
 """
 
 from __future__ import annotations
@@ -18,28 +18,23 @@ from collections import OrderedDict
 
 _STMT_CACHE_LIMIT = 512
 
-#: stats_version placeholder for plans that do not depend on statistics
-NO_STATS = -1
 
+def validation_key(db, tables=()) -> tuple:
+    """``(schema_epoch, vectorize, buckets)`` for a plan reading ``tables``.
 
-def validation_key(db, tables=(), check_stats: bool = True) -> tuple:
-    """The current ``(schema_epoch, stats_version, vectorize)`` for ``db``.
-
-    With ``check_stats`` the lazy statistics of every table in ``tables``
-    are refreshed first, so a drift past the rebuild threshold bumps the
-    version *before* the comparison — a cached plan never outlives the
-    estimates it was costed against.  The ``vectorize`` knob changes the
-    chosen tree, so it rides along in the key and flipping it re-plans
-    instead of replaying the old choice.
+    ``buckets`` holds each table's ``n_rows.bit_length()``: the planner's
+    size-dependent choices (the vectorize gate at ``VECTOR_MIN_ROWS``,
+    index demotion from ``DEMOTE_MIN_ROWS``) sit on power-of-two edges,
+    so a plan re-plans when its table crosses one, and a table growing
+    to ``n`` rows re-plans about ``log2(n)`` times.  Estimates that move
+    within a bucket (an index's distinct-key count) wait for the next
+    edge, DDL or ``analyze()``.
     """
-    if not check_stats:
-        return (db.schema_epoch, NO_STATS, "auto")
-    stats = db.stats
+    buckets = []
     for name in tables:
         table = db.tables.get(name)
-        if table is not None:
-            stats.for_table(table).refresh()
-    return (db.schema_epoch, stats.version, db.vectorize)
+        buckets.append(-1 if table is None else table.n_rows.bit_length())
+    return (db.schema_epoch, db.vectorize, tuple(buckets))
 
 
 class PlanCache:

@@ -3,7 +3,7 @@
 The planner (:mod:`repro.minidb.planner`) compiles a SELECT into a tree
 of the nodes defined here; the executor (:mod:`repro.minidb.executor`)
 is a dispatcher over node types.  Every node carries ``estimated_rows``
-from the statistics layer (:mod:`repro.minidb.stats`), and
+from the planner's cardinality estimates, and
 :func:`render_tree` turns the tree into the indented text EXPLAIN
 returns — ``EXPLAIN ANALYZE`` additionally records the *actual* row
 count each operator produced.

@@ -36,8 +36,9 @@ resolve to index scans touching only the relevant rows.
 The second half of the module is the **cost-based SELECT planner**
 (:func:`plan_select`).  A SELECT reads exactly one table; the planner
 binds it, picks its access path, and builds a physical plan tree
-(:mod:`repro.minidb.plan_nodes`) using the statistics layer
-(:mod:`repro.minidb.stats`) to
+(:mod:`repro.minidb.plan_nodes`) using cardinality estimates read off
+exact counts (the table's row count, its indexes' distinct keys and
+NULL rowids) to
 
 * demote a broad index walk or probe back to a sequential scan,
 * choose a :class:`~repro.minidb.plan_nodes.StreamAggregate` when the
@@ -64,7 +65,6 @@ from repro.minidb.expressions import (
     render_expr,
 )
 from repro.minidb.functions import is_aggregate
-from repro.minidb.stats import conjunct_selectivity
 from repro.minidb.storage import Table
 from repro.minidb.vector import BATCH_AGGREGATES
 
@@ -543,9 +543,9 @@ def _best_index(table: Table, column: str):
 class SelectPlan:
     """A compiled physical plan for one SELECT statement.
 
-    ``tables`` names the table the plan reads — the plan cache pokes its
-    lazy statistics before reuse so a pending rebuild invalidates the plan
-    rather than executing against drifted estimates.
+    ``tables`` names the table the plan reads — the plan cache keys the
+    plan on its row-count bucket, so a table that crosses a power-of-two
+    edge re-plans rather than replaying a tree sized for another count.
     """
 
     __slots__ = ("stmt", "root", "names", "resolver", "items", "tables")
@@ -664,19 +664,102 @@ def _compile_order_specs(order_by, alias_map: dict, resolver: Resolver):
     return specs
 
 
-# -- scan / group cardinality estimates -------------------------------------
+# -- cardinality estimates ---------------------------------------------------
+#
+# Estimates read exact counts only, live at planning time: the table's row
+# count and, for a column with a covering single-column index, the B+tree's
+# distinct-key counter and NULL rowids (both maintained on every write).
+# Any other column is unknown and takes the flat defaults below.  The
+# model is System R's — ``1/distinct`` for equality, the NULL fraction for
+# ``IS NULL`` — and no estimate reads a comparand's value, so a cached plan
+# never depends on one binding.
+
+EQ_DEFAULT = 0.1
+RANGE_DEFAULT = 0.3
+BETWEEN_DEFAULT = 0.25
+LIKE_DEFAULT = 0.25
+OTHER_DEFAULT = 0.5
+#: NULL fraction of a column with no covering index
+NULL_DEFAULT = 0.1
+#: distinct values of a grouping key with no covering index
+GROUPS_DEFAULT = 10.0
 
 
-def _estimate_scan(stats, plan: ScanPlan, conjuncts, binding):
+def column_counts(table: Table, column: str) -> tuple[float, float] | None:
+    """``(distinct, null_fraction)`` of ``column``, exact, or None if unknown.
+
+    ``rowid`` is unique and never NULL; a column with a covering
+    single-column index counts its distinct non-NULL keys and its NULL
+    rowids off the B+tree.
+    """
+    n_rows = table.n_rows
+    if column == "rowid" and not table.schema.has_column("rowid"):
+        return float(max(1, n_rows)), 0.0
+    for index in table.indexes_on(column):
+        if index.covers(n_rows):
+            n_null = len(index.null_rowids)
+            distinct = index.n_keys - (1 if n_null else 0)
+            return float(max(1, distinct)), n_null / n_rows if n_rows else 0.0
+    return None
+
+
+def _counted_column(expr: ast.Expr, table: Table, binding: str | None):
+    """Exact counts of the column of ``table`` that ``expr`` references."""
+    if _is_rowid_ref(expr, table, binding):
+        return column_counts(table, "rowid")
+    column = _column_of(expr, table, binding)
+    return None if column is None else column_counts(table, column)
+
+
+def conjunct_selectivity(table: Table, conjunct: ast.Expr,
+                         binding: str | None = None) -> float:
+    """Estimated fraction of ``table``'s rows satisfying one conjunct."""
+    if isinstance(conjunct, ast.Binary):
+        op = conjunct.op
+        if op == "AND":
+            return (conjunct_selectivity(table, conjunct.left, binding)
+                    * conjunct_selectivity(table, conjunct.right, binding))
+        if op == "OR":
+            a = conjunct_selectivity(table, conjunct.left, binding)
+            b = conjunct_selectivity(table, conjunct.right, binding)
+            return min(1.0, a + b - a * b)
+        if op in ("<", "<=", ">", ">="):
+            return RANGE_DEFAULT
+        if op not in ("=", "<>"):
+            return OTHER_DEFAULT
+        counts = (_counted_column(conjunct.left, table, binding)
+                  or _counted_column(conjunct.right, table, binding))
+        equal = EQ_DEFAULT if counts is None else 1.0 / counts[0]
+        return equal if op == "=" else 1.0 - equal
+    if isinstance(conjunct, ast.Between):
+        return 1.0 - BETWEEN_DEFAULT if conjunct.negated else BETWEEN_DEFAULT
+    if isinstance(conjunct, ast.InList):
+        counts = _counted_column(conjunct.expr, table, binding)
+        n_items = len(conjunct.items)
+        inside = min(1.0, EQ_DEFAULT * n_items if counts is None
+                     else n_items / counts[0])
+        return 1.0 - inside if conjunct.negated else inside
+    if isinstance(conjunct, ast.IsNull):
+        counts = _counted_column(conjunct.expr, table, binding)
+        fraction = NULL_DEFAULT if counts is None else counts[1]
+        return 1.0 - fraction if conjunct.negated else fraction
+    if isinstance(conjunct, ast.Like):
+        return 1.0 - LIKE_DEFAULT if conjunct.negated else LIKE_DEFAULT
+    if isinstance(conjunct, ast.Unary) and conjunct.op == "NOT":
+        return 1.0 - conjunct_selectivity(table, conjunct.operand, binding)
+    return OTHER_DEFAULT
+
+
+def _estimate_scan(table: Table, plan: ScanPlan, conjuncts, binding):
     """``(access_path_rows, output_rows)`` estimates for a chosen scan.
 
     The access path satisfies every conjunct the planner consumed; the
     residual filter then reduces the path output to the final estimate.
     """
     residual_ids = {id(c) for c in split_conjuncts(plan.residual)}
-    path = rows = float(stats.n_rows)
+    path = rows = float(table.n_rows)
     for conjunct in conjuncts:
-        selectivity = conjunct_selectivity(stats, conjunct, binding)
+        selectivity = conjunct_selectivity(table, conjunct, binding)
         rows *= selectivity
         if id(conjunct) not in residual_ids:
             path *= selectivity
@@ -684,17 +767,15 @@ def _estimate_scan(stats, plan: ScanPlan, conjuncts, binding):
 
 
 def _estimate_groups(stmt: ast.SelectStmt, alias_map: dict, binding: str,
-                     table: Table, table_stats, input_est: float) -> float:
+                     table: Table, input_est: float) -> float:
     """Estimated group count: product of grouping-column distincts."""
     if not stmt.group_by:
         return 1.0
     groups = 1.0
     for expr in stmt.group_by:
         expr = _substitute_aliases(expr, alias_map)
-        distinct = 10.0
-        if _is_own_column(expr, binding, table):
-            distinct = table_stats.distinct(expr.name)
-        groups *= distinct
+        counts = _counted_column(expr, table, binding)
+        groups *= GROUPS_DEFAULT if counts is None else counts[0]
     return max(1.0, min(groups, max(input_est, 1.0)))
 
 
@@ -906,7 +987,6 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
     """
     table = db.table(stmt.table.name)
     binding = stmt.table.binding
-    table_stats = db.stats.for_table(table)
 
     resolver = Resolver.for_table(binding, table.schema.column_names)
     items = _expand_stars(stmt.items, binding, table)
@@ -928,10 +1008,9 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
         if group_spec is not None:
             ordered = plan_scan(table, where, binding=binding,
                                 order_spec=group_spec)
-            plain_path, _out = _estimate_scan(table_stats, plan, conjuncts,
-                                              binding)
-            ordered_path, _out2 = _estimate_scan(table_stats, ordered,
-                                                 conjuncts, binding)
+            plain_path, _out = _estimate_scan(table, plan, conjuncts, binding)
+            ordered_path, _out2 = _estimate_scan(table, ordered, conjuncts,
+                                                 binding)
             # stream only when ordering the input costs nothing in
             # access-path quality (no index filtering given up for the
             # walk).  A full index walk's per-row heap reads cost more
@@ -946,18 +1025,18 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
     else:
         order_spec = _order_spec(stmt, alias_map, binding, table)
         plan = plan_scan(table, where, binding=binding, order_spec=order_spec)
-    plan = _maybe_demote_index(table, table_stats, plan, where, conjuncts,
-                               binding, stream_group)
+    plan = _maybe_demote_index(table, plan, where, conjuncts, binding,
+                               stream_group)
     order_served = order_spec is not None and plan.order_satisfied
 
-    path_est, out_est = _estimate_scan(table_stats, plan, conjuncts, binding)
+    path_est, out_est = _estimate_scan(table, plan, conjuncts, binding)
     node = nodes.Scan(table, plan, path_est)
     if plan.residual is not None:
         node = nodes.Filter(node, plan.residual,
                             compile_expr(plan.residual, resolver), out_est)
 
     group_est = (
-        _estimate_groups(stmt, alias_map, binding, table, table_stats, out_est)
+        _estimate_groups(stmt, alias_map, binding, table, out_est)
         if has_aggregates else None
     )
     names, root = _finish_select(
@@ -968,27 +1047,28 @@ def plan_select(db, stmt: ast.SelectStmt) -> SelectPlan:
     return SelectPlan(stmt, root, names, resolver, items, (table.name,))
 
 
-def _maybe_demote_index(table: Table, table_stats, plan: ScanPlan,
-                        pushed_where, conjuncts, binding,
-                        stream_group: bool) -> ScanPlan:
+def _maybe_demote_index(table: Table, plan: ScanPlan, pushed_where,
+                        conjuncts, binding, stream_group: bool) -> ScanPlan:
     """Demote a broad index walk or probe back to a sequential scan.
 
     An index path returning most of the table is cheaper as SeqScan +
     Filter than as a leaf-chasing B+tree walk with a heap lookup per
-    hit.  Under the flat range defaults and ``1/distinct`` equality of
-    :mod:`repro.minidb.stats`, that happens only for equality on a
-    column with fewer than 2 distinct values.  Plans whose walk order
-    serves the query's ORDER BY (or a streaming GROUP BY) are never
-    demoted: they elide a sort, which the row-cost comparison does not
-    see.
+    hit: the path demotes when ``INDEX_RANGE_ROW_COST * est_rows``
+    exceeds ``SEQ_ROW_COST * n_rows``.  Under the exact counts and flat
+    defaults above that is one rule: an equality probe whose covering
+    index holds a single distinct non-NULL key demotes once the table
+    holds :data:`DEMOTE_MIN_ROWS` rows; range walks (0.3 or 0.25 of the
+    rows) never do.  Plans whose walk order serves the query's ORDER BY
+    (or a streaming GROUP BY) are never demoted: they elide a sort,
+    which the row-cost comparison does not see.
     """
     if (plan.kind not in (INDEX_RANGE, INDEX_EQ) or plan.order_satisfied
             or stream_group):
         return plan
-    if table_stats.n_rows < DEMOTE_MIN_ROWS:
+    if table.n_rows < DEMOTE_MIN_ROWS:
         return plan
-    path_est, _out = _estimate_scan(table_stats, plan, conjuncts, binding)
-    if path_est * INDEX_RANGE_ROW_COST <= float(table_stats.n_rows) * SEQ_ROW_COST:
+    path_est, _out = _estimate_scan(table, plan, conjuncts, binding)
+    if path_est * INDEX_RANGE_ROW_COST <= float(table.n_rows) * SEQ_ROW_COST:
         return plan
     return ScanPlan(table.name, residual=pushed_where)
 

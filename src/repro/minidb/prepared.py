@@ -7,9 +7,11 @@ only place minidb keeps a plan: the database's
 and each statement caches its own plan.  Parameter slots (``?``) live
 inside the plan as compiled ``fn(row, params)`` closures, so the same
 tree re-executes under any binding; the statement revalidates its plan
-against the database's ``(schema_epoch, stats_version)`` pair on every
-execution and transparently re-plans after DDL, ``analyze()``, or a
-mutation-driven statistics rebuild.  ``Database.execute`` / ``stream`` /
+against :func:`~repro.minidb.plan_cache.validation_key` — the schema
+epoch, the ``vectorize`` knob and the row-count bucket of each table
+the plan reads — on every execution, and transparently re-plans after
+DDL, ``analyze()``, or writes that move a table into another
+power-of-two bucket.  ``Database.execute`` / ``stream`` /
 ``executemany`` / ``explain`` are thin wrappers over prepared statements,
 so every caller shares one plan cache and one invalidation story.  An
 ``EXPLAIN <stmt>`` statement plans its inner statement in its own slot.
@@ -44,14 +46,13 @@ _EXPLAINABLE = (ast.SelectStmt, ast.UpdateStmt, ast.DeleteStmt)
 class PreparedStatement:
     """One parsed statement bound to a database, with a cached plan.
 
-    The plan slot is filled lazily on first execution and revalidated by
-    epoch pair on each subsequent one, so holding a prepared statement
-    across DDL or statistics churn is always safe — it re-plans instead
-    of executing a stale tree.
+    The plan slot is filled lazily on first execution and revalidated
+    against its key on each subsequent one, so holding a prepared
+    statement across DDL or table growth is always safe — it re-plans
+    instead of executing a stale tree.
     """
 
-    __slots__ = ("db", "sql", "statement", "n_params", "_planned", "_slot",
-                 "_check_stats")
+    __slots__ = ("db", "sql", "statement", "n_params", "_planned", "_slot")
 
     def __init__(self, db, sql: str, statement: ast.Statement):
         self.db = db
@@ -61,10 +62,8 @@ class PreparedStatement:
         # the statement the slot holds a plan for: EXPLAIN plans its inner one
         self._planned = (statement.statement
                          if isinstance(statement, ast.ExplainStmt) else statement)
-        # (payload, tables, validation_key) — swapped atomically
+        # (payload, tables costed, validation_key) — swapped atomically
         self._slot: tuple | None = None
-        # SELECT plans are costed from statistics; DML scans are not
-        self._check_stats = isinstance(self._planned, ast.SelectStmt)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PreparedStatement({self.sql!r})"
@@ -89,9 +88,7 @@ class PreparedStatement:
         miss."""
         db = self.db
         slot = self._slot
-        if slot is not None and slot[2] == validation_key(
-            db, slot[1], self._check_stats
-        ):
+        if slot is not None and slot[2] == validation_key(db, slot[1]):
             db.plan_cache.count(hit=True)
             return slot[0], True
         statement = self._planned
@@ -100,10 +97,8 @@ class PreparedStatement:
             tables = payload.tables
         else:
             payload = executor.compile_dml(db, statement)
-            tables = (payload.table_name,)
-        self._slot = (
-            payload, tables, validation_key(db, tables, self._check_stats),
-        )
+            tables = ()  # rule-based access path: no size-dependent choice
+        self._slot = (payload, tables, validation_key(db, tables))
         db.plan_cache.count(hit=False, stale=slot is not None)
         return payload, False
 

@@ -4,7 +4,7 @@ A :class:`Table` keeps two views of its rows:
 
 * ``rows`` — the *current* state (``rowid -> list of values``), exactly
   the dict older single-session code reads.  All legacy callers (the
-  backends, statistics sampling, the executor's fast path) keep working
+  backends, the executor's fast path) keep working
   against it unchanged.
 * ``versions`` — sparse version chains (``rowid -> [RowVersion, ...]``,
   oldest first), populated **only** for rows touched while transactions
@@ -109,10 +109,6 @@ class Table:
         self.versions: dict[int, list] = {}
         self.indexes: dict[str, object] = {}
         self.next_rowid = 1
-        # monotonically increasing mutation counter; the statistics layer
-        # (repro.minidb.stats) compares it against the version its estimates
-        # were built at to decide when a rebuild is due
-        self.version = 0
         self.on_change: Callable[[ChangeEvent], None] | None = None
         # additional subscribers (e.g. the backend's incremental stats
         # cache, §3.2) — notified after on_change for every mutation,
@@ -631,7 +627,6 @@ class Table:
     # -- change notification ------------------------------------------------------
 
     def _notify(self, event: ChangeEvent, txn=None) -> None:
-        self.version += 1
         if txn is not None:
             txn.record(event)
         elif self.on_change is not None:

@@ -1,9 +1,9 @@
 """Exactness oracles for the bulk load paths.
 
-Planner statistics are rebuilt in one columnar pass, indexes are built
-bottom-up from grouped keys, frame columns are loaded whole and
-``insert_rows`` coerces a batch at once.  Each of those paths must leave
-exactly the state the per-value code it replaced produced; the per-value
+Planner counts are read off the B+tree's incremental counters, indexes
+are built bottom-up from grouped keys, frame columns are loaded whole
+and ``insert_rows`` coerces a batch at once.  Each of those paths must
+leave exactly the state a per-value loop produces; the per-value
 references live here, in the tests, and nowhere in the program.
 """
 
@@ -23,9 +23,7 @@ from repro.minidb import Database, connect
 from repro.minidb.btree import BTreeIndex
 from repro.minidb.functions import sort_key
 from repro.minidb.pager import PAGE_DATA, Pager
-from repro.minidb.stats import (
-    SAMPLE_CAP, ColumnStats, TableStats, _extrapolate_distinct,
-)
+from repro.minidb.planner import column_counts
 
 HUGE = 10 ** 400
 
@@ -35,34 +33,24 @@ HUGE = 10 ** 400
 # ---------------------------------------------------------------------------
 
 
-def reference_columns(table, exact: dict) -> dict:
-    """Column statistics as the per-value rebuild loop computed them."""
-    names = table.schema.column_names
-    n = table.n_rows
-    if not (names and n):
-        return {name: exact.get(name) or ColumnStats(1.0, 0.0)
-                for name in names}
-    sampled = 0
-    seen = [set() for _ in names]
-    nulls = [0] * len(names)
-    for rowid in list(table.rows.keys())[:SAMPLE_CAP]:
-        row = table.rows.get(rowid)
-        if row is None:
+def reference_counts(table, column: str) -> tuple:
+    """``(distinct, null_fraction)`` of ``column`` counted value by value
+    over the live rows: non-NULL values under plain equality, a JSON
+    list by its text (as its index key is)."""
+    position = table.schema.position(column)
+    seen: set = set()
+    nulls = 0
+    for rowid in list(table.rows.keys()):
+        value = table.rows.get(rowid)[position]
+        if value is None:
+            nulls += 1
             continue
-        for i in range(len(names)):
-            value = row[i]
-            if value is None:
-                nulls[i] += 1
-                continue
-            try:
-                seen[i].add(value)
-            except TypeError:
-                seen[i].add(repr(value))
-        sampled += 1
-    return {name: exact.get(name) or ColumnStats(
-                _extrapolate_distinct(len(seen[i]), sampled, n),
-                nulls[i] / sampled)
-            for i, name in enumerate(names)}
+        try:
+            seen.add(value)
+        except TypeError:
+            seen.add(repr(value))
+    n = table.n_rows
+    return float(max(1, len(seen))), nulls / n if n else 0.0
 
 
 def reference_index(table, name, columns, unique=False):
@@ -78,10 +66,6 @@ def reference_index(table, name, columns, unique=False):
             if version.values != table.rows.get(rowid):
                 index.add_row(version.values, rowid, check_unique=False)
     return index
-
-
-def column_state(stats: ColumnStats) -> tuple:
-    return (stats.distinct, stats.null_fraction)
 
 
 def index_state(index) -> dict:
@@ -133,7 +117,7 @@ def _create(db, types, name="t"):
 
 
 # ---------------------------------------------------------------------------
-# planner statistics: one columnar pass, same numbers
+# planner counts: off the index's counters, same numbers
 # ---------------------------------------------------------------------------
 
 
@@ -142,34 +126,27 @@ class TestColumnarStatistics:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(spec=tables(), deleted=st.sets(st.integers(1, 60), max_size=10))
-    def test_rebuild_equals_per_value_loop(self, heap, spec, deleted):
+    def test_index_counts_equal_per_value_loop(self, heap, spec, deleted):
         types, rows = spec
         with tempfile.TemporaryDirectory() as tmpdir:
             db = _open(tmpdir, heap)
             _create(db, types)
+            db.execute("CREATE INDEX ib ON t (c0)")
             db.insert_rows("t", rows)
             for rowid in deleted:
                 db.execute("DELETE FROM t WHERE rowid = ?", (rowid,))
-            db.execute("CREATE INDEX ib ON t (c0)")
             table = db.table("t")
-            stats = TableStats(table)
-            stats.refresh(force=True)
-            expected = reference_columns(table, stats._from_indexes(table.n_rows))
-            assert list(stats._columns) == list(expected)
-            for name, got in stats._columns.items():
-                assert column_state(got) == column_state(expected[name]), name
+            assert column_counts(table, "c0") == reference_counts(table, "c0")
             db.close()
 
     def test_numbers_a_float_cannot_tell_apart_stay_separate_tallies(self):
         db = Database()
         db.execute("CREATE TABLE t (v BLOB)")
         db.insert_rows("t", [(2 ** 53 + 1,), (float(2 ** 53),)] * 4)
+        db.execute("CREATE INDEX iv ON t (v)")
         table = db.table("t")
-        stats = TableStats(table)
-        stats.refresh(force=True)
-        assert stats.distinct("v") == 2
-        expected = reference_columns(table, {})
-        assert column_state(stats.column("v")) == column_state(expected["v"])
+        assert column_counts(table, "v") == (2.0, 0.0)
+        assert column_counts(table, "v") == reference_counts(table, "v")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 """The prepared-statement surface: Connection/Cursor/PreparedStatement,
-parameterized plan caching, and the (schema_epoch, stats_version)
-invalidation matrix — DDL, ANALYZE, and mutation-driven stats rebuilds
-must all force a re-plan, and cached plans must rebind cleanly
-(including NULL parameters through range scans)."""
+parameterized plan caching, and the plan-key invalidation matrix — DDL,
+ANALYZE, and writes that move a table to another row-count bucket must
+all force a re-plan, and cached plans must rebind cleanly (including
+NULL parameters through range scans)."""
 
 import pytest
 
 from repro.errors import DatabaseError, SQLSyntaxError
 from repro.minidb import Cursor, Database, PreparedStatement
 from repro.minidb import executor
-from repro.minidb.stats import REBUILD_FLOOR
 
 
 @pytest.fixture
@@ -211,7 +210,7 @@ class TestExplainContract:
 
 
 # ---------------------------------------------------------------------------
-# invalidation: DDL, ANALYZE, mutation-driven stats rebuilds
+# invalidation: DDL, ANALYZE, row-count bucket changes
 # ---------------------------------------------------------------------------
 
 
@@ -253,23 +252,23 @@ class TestInvalidation:
         db.insert_rows("t", [("x", 1.0)])
         assert stmt.execute().scalar() == 1
 
-    def test_analyze_bumps_stats_version(self, db):
+    def test_analyze_bumps_the_epoch(self, db):
         db.execute(self.SQL, ("c0",))
         assert _cache_line(db.explain(self.SQL)) == "cache: hit"
-        version = db.stats.version
+        epoch = db.schema_epoch
         db.analyze()
-        assert db.stats.version > version
+        assert db.schema_epoch > epoch
         assert _cache_line(db.explain(self.SQL)) == "cache: miss"
         assert _cache_line(db.explain(self.SQL)) == "cache: hit"
 
     def test_mutation_driven_rebuild_replans(self, db):
-        db.execute(self.SQL, ("c0",))  # builds stats + caches the plan
+        db.execute(self.SQL, ("c0",))  # caches the plan
         assert _cache_line(db.explain(self.SQL)) == "cache: hit"
         db.executemany(
             "INSERT INTO t VALUES (?, ?)",
-            [(f"c{i % 5}", float(i)) for i in range(3 * REBUILD_FLOOR)],
+            [(f"c{i % 5}", float(i)) for i in range(192)],
         )
-        # the drift crosses the rebuild threshold: next use re-plans
+        # 100 -> 292 rows leaves the row-count bucket: next use re-plans
         assert _cache_line(db.explain(self.SQL)) == "cache: miss"
 
     def test_small_mutations_keep_the_plan(self, db):

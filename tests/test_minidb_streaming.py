@@ -139,6 +139,41 @@ class TestDistinctUnhashable:
         assert rows == [[1, 2], 5, [3]]
 
 
+class TestGroupByUnhashable:
+    """GROUP BY and COUNT(DISTINCT) key unhashable cells by equality, as
+    DISTINCT does, in row and batch mode."""
+
+    CELLS = [1, [2], "a", [2], None, 1.0, {"k": 1}]
+
+    @pytest.fixture(params=["off", "on"])
+    def db(self, request) -> Database:
+        db = Database(vectorize=request.param)
+        db.execute("CREATE TABLE t (c BLOB, d INT)")
+        db.insert_rows("t", [(cell, i % 2) for i, cell in enumerate(self.CELLS)])
+        return db
+
+    def test_group_keys_are_the_distinct_rows(self, db):
+        distinct = db.execute("SELECT DISTINCT c FROM t").scalars()
+        assert len(distinct) == 5
+        groups = db.execute("SELECT c, COUNT(*) FROM t GROUP BY c").rows
+        assert [key for key, _n in groups] == distinct
+        assert [n for _key, n in groups] == [2, 2, 1, 1, 1]
+
+    def test_count_distinct_counts_the_non_null_distinct_rows(self, db):
+        distinct = db.execute("SELECT DISTINCT c FROM t").scalars()
+        count = db.execute("SELECT COUNT(DISTINCT c) FROM t").scalar()
+        assert count == len([v for v in distinct if v is not None]) == 4
+        per_d = db.execute(
+            "SELECT d, COUNT(DISTINCT c) FROM t GROUP BY d ORDER BY d").rows
+        assert per_d == [(0, 3), (1, 2)]
+
+    def test_two_column_keys(self, db):
+        pairs = db.execute("SELECT DISTINCT c, d FROM t").rows
+        groups = db.execute("SELECT c, d, COUNT(*) FROM t GROUP BY c, d").rows
+        assert [(c, d) for c, d, _n in groups] == pairs
+        assert sum(n for _c, _d, n in groups) == len(self.CELLS)
+
+
 class TestStreamingCursor:
     def test_stream_returns_cursor(self, big_db):
         cursor = big_db.stream("SELECT rowid FROM t ORDER BY val LIMIT 5")

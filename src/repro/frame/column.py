@@ -7,6 +7,7 @@ storage array holds at that position.  All statistics skip missing values.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from typing import Iterable, Iterator, Sequence
 
@@ -41,9 +42,8 @@ class Column:
     def __init__(self, name: str, values: Iterable, dtype: str | None = None):
         values = list(values) if not isinstance(values, (list, np.ndarray)) else values
         types, missing = dtypes.scan(values)
-        if dtype is None:
-            dtype = dtypes.dtype_of(types)
-        dtypes.validate_dtype(dtype)
+        inferred = dtypes.dtype_of(types, name)  # refuses a non-scalar cell
+        dtype = inferred if dtype is None else dtypes.validate_dtype(dtype)
         self.name = name
         self.dtype = dtype
         self._data, self._valid = _build_storage(values, dtype, types, missing)
@@ -164,7 +164,7 @@ class Column:
         ``value`` may be a scalar (broadcast) or a sequence matching
         ``positions``; ``None`` entries mark cells missing.  If the written
         value does not fit the current dtype the column is widened to
-        ``mixed``.
+        ``mixed``; a value that is not a scalar raises ``ColumnTypeError``.
         """
         idx = np.asarray(positions, dtype=np.int64)
         scalars = [value] * len(idx) if not isinstance(value, (list, tuple, np.ndarray)) else list(value)
@@ -172,6 +172,7 @@ class Column:
             raise LengthMismatchError(
                 f"{len(scalars)} values for {len(idx)} positions"
             )
+        dtypes.dtype_of(set(map(type, scalars)), self.name)  # refuses a non-scalar
         target_dtype = self.dtype
         for scalar in scalars:
             if scalar is not None and not _fits(scalar, target_dtype):
@@ -282,8 +283,7 @@ class Column:
 
     def value_counts(self) -> list[tuple]:
         """Each distinct present value with its occurrence count, as
-        ``(value, count)`` pairs in first-seen order (a ``mixed`` column may
-        hold unhashable cells such as lists, which no dict can key)."""
+        ``(value, count)`` pairs in first-seen order."""
         return self._tally()
 
     def min(self):
@@ -318,40 +318,10 @@ class Column:
         return max(self._tally(), key=lambda pair: pair[1], default=(None, 0))[0]
 
     def _tally(self) -> list:
-        """``(value, count)`` per distinct present value, first-seen order.
-
-        Values are told apart by hashing; only when a cell is unhashable (a
-        list or dict in a ``mixed`` column) does each unhashable value fall
-        back to an equality scan over the unhashable values seen before it.
-        """
-        values = self.to_list()
-        try:
-            counts = Counter(values)
-        except TypeError:
-            pass
-        else:
-            counts.pop(None, None)
-            return list(counts.items())
-        tally: list[list] = []
-        slots: dict = {}
-        unhashable: list[list] = []
-        for value in values:
-            if value is None:
-                continue
-            try:
-                slot = slots.get(value)
-            except TypeError:
-                slot = next((entry for entry in unhashable if entry[0] == value), None)
-                if slot is None:
-                    slot = [value, 0]
-                    unhashable.append(slot)
-                    tally.append(slot)
-            else:
-                if slot is None:
-                    slot = slots[value] = [value, 0]
-                    tally.append(slot)
-            slot[1] += 1
-        return [tuple(slot) for slot in tally]
+        """``(value, count)`` per distinct present value, first-seen order."""
+        counts = Counter(self.to_list())
+        counts.pop(None, None)
+        return list(counts.items())
 
     def _reduce(self, fn):
         if self.dtype in (dtypes.STRING,) and fn in (np.mean, np.std, np.median):
@@ -378,13 +348,15 @@ def _build_storage(values, dtype: str, types: set, missing: np.ndarray) -> tuple
         data[valid] = cells[valid].astype(storage)
         return data, valid
     cells[missing] = None
-    if dtype == dtypes.STRING:
-        others = {t for t in types if not issubclass(t, str)}
-        if others:
-            convert = valid & np.fromiter(map(others.__contains__, map(type, cells)),
-                                          dtype=bool, count=len(cells))
-            for position in np.flatnonzero(convert).tolist():
-                cells[position] = str(cells[position])
+    if dtype == dtypes.STRING:  # every cell becomes a str
+        others, plain = {t for t in types if t is not str}, str
+    else:  # numpy scalars become their Python values
+        others, plain = {t for t in types if issubclass(t, np.generic)}, _item
+    if others:
+        convert = valid & np.fromiter(map(others.__contains__, map(type, cells)),
+                                      dtype=bool, count=len(cells))
+        for position in np.flatnonzero(convert).tolist():
+            cells[position] = plain(cells[position])
     return cells, valid
 
 
@@ -437,8 +409,11 @@ def _coerce_scalar(value, dtype: str):
     if dtype == dtypes.BOOL:
         return bool(value)
     if dtype == dtypes.STRING:
-        return value if isinstance(value, str) else str(value)
-    return value
+        return value if type(value) is str else str(value)
+    return _item(value) if isinstance(value, np.generic) else value
+
+
+_item = operator.methodcaller("item")
 
 
 def _convert(value, dtype: str):

@@ -11,9 +11,14 @@ The dataframe substrate supports five logical dtypes:
 ``string``
     text values, stored as Python ``str`` objects.
 ``mixed``
-    heterogeneous values — the dtype real-world dirty columns land in,
+    heterogeneous *scalars* — the dtype real-world dirty columns land in,
     e.g. an income column containing ``50000`` alongside ``"12k"``.
     Buckaroo's type-mismatch detector (§3.1) targets these columns.
+
+Every dtype holds the same value domain: a cell is ``None``, a bool, an
+int, a float or a str (numpy scalars of those kinds count as their Python
+values), and ``None`` and float NaN mean missing.  A cell of any other
+type — a list, a dict — is refused with :class:`~repro.errors.ColumnTypeError`.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from itertools import compress, repeat
 from typing import Iterable
 
 import numpy as np
+
+from repro.errors import ColumnTypeError
 
 INT64 = "int64"
 FLOAT64 = "float64"
@@ -77,6 +84,10 @@ def infer_dtype(values: Iterable) -> str:
     'string'
     >>> infer_dtype([1, "12k"])
     'mixed'
+    >>> infer_dtype([1, [2]])
+    Traceback (most recent call last):
+        ...
+    repro.errors.ColumnTypeError: a cell of type 'list' is not a scalar: cells are None, bool, int, float or str
     """
     values = values if isinstance(values, (list, np.ndarray)) else list(values)
     return dtype_of(scan(values)[0])
@@ -111,14 +122,15 @@ def scan(values) -> tuple[set, np.ndarray]:
     return types, missing
 
 
-def dtype_of(types: set) -> str:
+def dtype_of(types: set, column: str | None = None) -> str:
     """The dtype :func:`infer_dtype` gives a column whose present cells have
-    ``types``: one ``isinstance`` ladder per distinct type, bool before int."""
-    kinds = {_kind(t) for t in types}
+    ``types``: one ``isinstance`` ladder per distinct type, bool before int.
+
+    A type outside the value domain raises :class:`ColumnTypeError`, which
+    names ``column`` when given."""
+    kinds = {_kind(t, column) for t in types if t is not _NONE}
     if not kinds:
         return FLOAT64
-    if MIXED in kinds:
-        return MIXED
     numbers = kinds & {INT64, FLOAT64}
     if (BOOL in kinds) + bool(numbers) + (STRING in kinds) > 1:
         return MIXED
@@ -133,7 +145,7 @@ _NONE = type(None)
 _FLOATS = (float, np.floating)
 
 
-def _kind(cell_type: type) -> str:
+def _kind(cell_type: type, column: str | None) -> str:
     if issubclass(cell_type, (bool, np.bool_)):
         return BOOL
     if issubclass(cell_type, (int, np.integer)):
@@ -142,4 +154,6 @@ def _kind(cell_type: type) -> str:
         return FLOAT64
     if issubclass(cell_type, str):
         return STRING
-    return MIXED
+    where = "" if column is None else f"column {column!r}: "
+    raise ColumnTypeError(f"{where}a cell of type {cell_type.__name__!r} is not a "
+                          "scalar: cells are None, bool, int, float or str")

@@ -52,7 +52,7 @@ from repro.errors import ExecutionError, PlanningError
 from repro.minidb import ast_nodes as ast
 from repro.minidb import plan_nodes as nodes
 from repro.minidb.expressions import Resolver, compile_expr, compile_value, truthy
-from repro.minidb.functions import hashable_key, make_aggregate, sort_key
+from repro.minidb.functions import make_aggregate, sort_key
 from repro.minidb.invariants import holds_write_lock
 from repro.minidb.planner import (
     INDEX_EQ,
@@ -367,7 +367,7 @@ def _new_group(spec: nodes.AggregateSpec):
 
 
 def _step_group(spec: nodes.AggregateSpec, accumulators, seen_list, row,
-                params, stand_ins: list) -> None:
+                params) -> None:
     for i, (fnode, arg_fn) in enumerate(spec.agg_specs):
         if fnode.is_star:
             accumulators[i].step_star()
@@ -375,15 +375,9 @@ def _step_group(spec: nodes.AggregateSpec, accumulators, seen_list, row,
         value = arg_fn(row, params)
         seen = seen_list[i]
         if seen is not None:
-            try:
-                if value in seen:
-                    continue
-                seen.add(value)
-            except TypeError:  # an unhashable cell (a JSON list)
-                marker = hashable_key((value,), stand_ins)
-                if marker in seen:
-                    continue
-                seen.add(marker)
+            if value in seen:
+                continue
+            seen.add(value)
         accumulators[i].step(value)
 
 
@@ -392,20 +386,14 @@ def _agg_groups_hash(node: nodes.HashAggregate, params, snapshot, counters):
     spec = node.spec
     groups: dict = {}
     distinct_seen: dict = {}
-    stand_ins: list = []  # keys holding unhashable cells, by equality
     for row in _run_node(node.child, params, snapshot, counters):
         key = tuple(fn(row, params) for fn in spec.group_fns)
-        try:
-            accumulators = groups.get(key)
-        except TypeError:  # an unhashable cell (a JSON list)
-            key = hashable_key(key, stand_ins)
-            accumulators = groups.get(key)
+        accumulators = groups.get(key)
         if accumulators is None:
             accumulators, seen = _new_group(spec)
             groups[key] = accumulators  # keeps the first-seen values
             distinct_seen[key] = seen
-        _step_group(spec, accumulators, distinct_seen[key], row, params,
-                    stand_ins)
+        _step_group(spec, accumulators, distinct_seen[key], row, params)
     if not groups and not spec.group_exprs:
         # aggregate over an empty input still yields one row
         accumulators, _seen = _new_group(spec)
@@ -421,7 +409,6 @@ def _agg_groups_stream(node: nodes.StreamAggregate, params, snapshot, counters):
     cur_key = None
     accumulators = None
     seen = None
-    stand_ins: list = []
     for row in _run_node(node.child, params, snapshot, counters):
         key = tuple(fn(row, params) for fn in spec.group_fns)
         if accumulators is None or key != cur_key:
@@ -429,7 +416,7 @@ def _agg_groups_stream(node: nodes.StreamAggregate, params, snapshot, counters):
                 yield list(cur_key) + [acc.final() for acc in accumulators]
             cur_key = key
             accumulators, seen = _new_group(spec)
-        _step_group(spec, accumulators, seen, row, params, stand_ins)
+        _step_group(spec, accumulators, seen, row, params)
     if accumulators is not None:
         yield list(cur_key) + [acc.final() for acc in accumulators]
     elif not spec.group_exprs:  # defensive: planner only streams GROUP BY
@@ -623,22 +610,13 @@ def _exec_distinct(node: nodes.Distinct, params, snapshot, counters):
 
 
 def _stream_distinct(rows):
-    """Yield each distinct row once, preserving first-occurrence order.
-
-    Rows containing unhashable values fall back to a linear-scan list, so
-    duplicates are still suppressed (hashable markers stay O(1))."""
+    """Yield each distinct row once, preserving first-occurrence order."""
     seen: set = set()
-    unhashable: list = []
     for row in rows:
         marker = tuple(row)
-        try:
-            if marker in seen:
-                continue
-            seen.add(marker)
-        except TypeError:
-            if marker in unhashable:
-                continue
-            unhashable.append(marker)
+        if marker in seen:
+            continue
+        seen.add(marker)
         yield row
 
 

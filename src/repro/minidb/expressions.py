@@ -111,10 +111,6 @@ def compile_expr(expr: ast.Expr, resolver: Resolver) -> RowFn:
 
 
 @lru_cache(maxsize=1024)
-def _compile_value_cached(expr: ast.Expr) -> RowFn:
-    return compile_expr(expr, Resolver())
-
-
 def compile_value(expr: ast.Expr) -> RowFn:
     """Compile a row-independent expression — the parameter-slot binder.
 
@@ -125,22 +121,12 @@ def compile_value(expr: ast.Expr) -> RowFn:
     so rebinding a cached plan costs one dict hit per slot instead of a
     fresh closure build.
     """
-    try:
-        return _compile_value_cached(expr)
-    except TypeError:  # unhashable literal payload: compile uncached
-        return compile_expr(expr, Resolver())
+    return compile_expr(expr, Resolver())
 
 
 def truthy(value) -> bool:
-    """SQL WHERE semantics: NULL and 0 are false."""
-    if value is None:
-        return False
-    if isinstance(value, str):
-        return bool(value)
-    try:
-        return bool(value)
-    except (TypeError, ValueError):  # pragma: no cover - defensive
-        return False
+    """SQL WHERE semantics: NULL, 0 and empty text are false."""
+    return bool(value)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,7 @@ def _typeof(value) -> str:
         return "integer"
     if isinstance(value, float):
         return "real"
-    if isinstance(value, str):
-        return "text"
-    return "blob"
+    return "text"
 
 
 def _coalesce(*args):
@@ -348,33 +346,11 @@ def sort_key(value):
 
     A number keeps its exact value: Python compares int and float
     exactly, integers beyond float range and ±inf included, as SQLite
-    does.  Every index insert, removal and probe computes one, so plain
-    text skips the number test; a bool is an int, keyed as a number."""
+    does.  Every index insert, removal and probe computes one, so it
+    makes one type test: a cell is text or a number (a bool is an int,
+    keyed as a number)."""
     if value is None:
         return (0, 0.0)
-    if type(value) is str:
+    if isinstance(value, str):
         return (2, value)
-    if isinstance(value, (int, float)):
-        return (1, value)
-    return (2, str(value))
-
-
-class _StandIn(tuple):
-    """A key holding an unhashable cell (a JSON list or object), hashed by
-    identity so it can key a dict; it still compares and unpacks as its
-    values.  :func:`hashable_key` hands out one per set of equal keys."""
-
-    __slots__ = ()
-    __hash__ = object.__hash__  # type: ignore[assignment]
-
-
-def hashable_key(key: tuple, stand_ins: list) -> tuple:
-    """The dict key for ``key``, whose hashing raised: the stand-in in
-    ``stand_ins`` equal to it — an equality scan, as DISTINCT makes —
-    else a new one, appended there."""
-    for known in stand_ins:
-        if known == key:
-            return known
-    known = _StandIn(key)
-    stand_ins.append(known)
-    return known
+    return (1, value)

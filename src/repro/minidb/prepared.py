@@ -38,6 +38,7 @@ from repro.minidb import executor
 from repro.minidb.plan_cache import validation_key
 from repro.minidb.planner import plan_select
 from repro.minidb.results import ResultSet, StreamingResult
+from repro.minidb.storage import CELL_TYPES, scalar
 
 _DML_TYPES = (ast.InsertStmt, ast.UpdateStmt, ast.DeleteStmt)
 _EXPLAINABLE = (ast.SelectStmt, ast.UpdateStmt, ast.DeleteStmt)
@@ -73,12 +74,17 @@ class PreparedStatement:
         return isinstance(self.statement, ast.SelectStmt)
 
     def _bind(self, params, evaluated: bool = True) -> tuple:
+        """``params`` as a tuple of cell-domain values: a numpy scalar is
+        converted, a list or dict refused (IntegrityError), as at
+        storage."""
         bound = tuple(params)
         if evaluated and len(bound) < self.n_params:
             raise DatabaseError(
                 f"statement expects {self.n_params} parameter(s), "
                 f"got {len(bound)}: {self.sql!r}"
             )
+        if not CELL_TYPES.issuperset(map(type, bound)):
+            bound = tuple(map(scalar, bound))
         return bound
 
     def _plan(self) -> tuple:

@@ -14,15 +14,14 @@ tag       python value             payload
 ``REAL``  ``float``                ``<d``
 ``TEXT``  ``str``                  ``<I len`` + UTF-8 bytes
 ``BIG``   ``int`` beyond i64       ``<I len`` + decimal ASCII
-``JSON``  anything else            ``<I len`` + JSON UTF-8
 ========  =======================  ==========================
 
 The codec is symmetric (``decode_values(encode_values(v)) == v``) for
 every value minidb storage produces: affinity coercion reduces cells to
-``None`` / ``int`` / ``float`` / ``str``, and the ``JSON`` tag catches
-exotic objects that reach a no-affinity column (lists, dicts, bools)
-without widening the common tags.  Unbounded Python ints round-trip via
-the ``BIG`` decimal-text tag, so overflow never silently truncates.
+``None`` / ``int`` / ``float`` / ``str`` and refuses anything else.
+Unbounded Python ints round-trip via the ``BIG`` decimal-text tag, so
+overflow never silently truncates.  Any other tag (tag 5 once held JSON
+lists and objects) fails to decode with :class:`DatabaseError`.
 
 Records are storage-layer bytes only — the WAL stays JSON (logical,
 human-auditable); pages hold these packed rows (compact, offset-seekable).
@@ -30,7 +29,6 @@ human-auditable); pages hold these packed rows (compact, offset-seekable).
 
 from __future__ import annotations
 
-import json
 import struct
 
 from repro.errors import DatabaseError
@@ -40,7 +38,6 @@ TAG_INT = 1
 TAG_REAL = 2
 TAG_TEXT = 3
 TAG_BIG = 4
-TAG_JSON = 5
 
 _COUNT = struct.Struct("<H")
 _TAG = struct.Struct("<B")
@@ -58,11 +55,6 @@ def encode_values(values: list) -> bytes:
     for value in values:
         if value is None:
             parts.append(_TAG.pack(TAG_NULL))
-        elif isinstance(value, bool):
-            # bools normally never reach storage (affinity folds them to
-            # ints); JSON keeps the odd untyped one faithful
-            blob = json.dumps(value).encode("utf-8")
-            parts.append(_TAG.pack(TAG_JSON) + _LEN.pack(len(blob)) + blob)
         elif isinstance(value, int):
             if _I64_MIN <= value <= _I64_MAX:
                 parts.append(_TAG.pack(TAG_INT) + _I64.pack(value))
@@ -75,14 +67,8 @@ def encode_values(values: list) -> bytes:
             blob = value.encode("utf-8")
             parts.append(_TAG.pack(TAG_TEXT) + _LEN.pack(len(blob)) + blob)
         else:
-            try:
-                blob = json.dumps(value, sort_keys=True).encode("utf-8")
-            except (TypeError, ValueError) as exc:
-                raise DatabaseError(
-                    f"cannot store value of type {type(value).__name__!r} "
-                    f"in a file-backed table: {exc}"
-                ) from None
-            parts.append(_TAG.pack(TAG_JSON) + _LEN.pack(len(blob)) + blob)
+            raise DatabaseError(
+                f"cannot store value of type {type(value).__name__!r}")
     return b"".join(parts)
 
 
@@ -104,17 +90,12 @@ def decode_values(buf: bytes, offset: int = 0) -> list:
             (value,) = _F64.unpack_from(buf, offset)
             offset += _F64.size
             values.append(value)
-        elif tag in (TAG_TEXT, TAG_BIG, TAG_JSON):
+        elif tag in (TAG_TEXT, TAG_BIG):
             (length,) = _LEN.unpack_from(buf, offset)
             offset += _LEN.size
             blob = bytes(buf[offset:offset + length])
             offset += length
-            if tag == TAG_TEXT:
-                values.append(blob.decode("utf-8"))
-            elif tag == TAG_BIG:
-                values.append(int(blob))
-            else:
-                values.append(json.loads(blob.decode("utf-8")))
+            values.append(blob.decode("utf-8") if tag == TAG_TEXT else int(blob))
         else:
             raise DatabaseError(f"corrupt heap record: unknown value tag {tag}")
     return values

@@ -728,22 +728,13 @@ class Table:
 # -- affinity coercers (one per affinity; see Table.coerce) -------------------
 
 
-def _coerce_none(value):
-    if value is None or value != value:
-        return None
-    return _plain(value)
-
-
 def _coerce_text(value):
     if type(value) is str:  # the common case first
         return value
-    if value is None or value != value:
-        return None
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, float)):
-        return _number_to_text(value)
-    return str(value)
+    value = _plain(value)
+    if value is None or isinstance(value, str):
+        return value
+    return _number_to_text(value)
 
 
 # numeric affinities: try to make a number, keep text when impossible
@@ -752,31 +743,21 @@ def _coerce_text(value):
 def _coerce_integer(value):
     if type(value) is int:  # the common case first
         return value
-    if value is None or value != value:
-        return None
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return int(value) if value == int(value) else value
+    value = _plain(value)
     if isinstance(value, str):
         number = _parse_strict(value)
         if number is None:
             return value  # the type-mismatch case: text in a numeric column
-        return int(number) if number == int(number) else number
-    return _plain(value)
+        value = number
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value  # None, an int, or a fraction or ±inf kept as a float
 
 
 def _coerce_real(value):
     if type(value) is float:  # the common case first (NaN is NULL)
         return None if value != value else value
-    if value is None or value != value:
-        return None
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float):
-        return value
+    value = _plain(value)
     if isinstance(value, str):
         number = _parse_strict(value)
         if number is None:
@@ -786,7 +767,7 @@ def _coerce_real(value):
         return _widen(number)
     if isinstance(value, int):
         return _widen(value)
-    return _plain(value)
+    return value
 
 
 def _widen(number):
@@ -797,25 +778,50 @@ def _widen(number):
         return number
 
 
-_COERCERS = {NONE: _coerce_none, TEXT: _coerce_text,
+def _plain(value):
+    """``value`` as a stored cell: ``None``, ``int``, ``float`` or ``str``
+    — the no-affinity coercer, and the step the other three share.
+
+    NaN is NULL and a bool is stored as its int; anything outside the
+    value domain (:func:`scalar`) is refused."""
+    if type(value) not in CELL_TYPES:
+        value = scalar(value)
+    if isinstance(value, bool):
+        return int(value)
+    return None if value != value else value
+
+
+#: the types a cell (or a bound parameter) may have
+CELL_TYPES = frozenset({type(None), bool, int, float, str})
+# numpy dtype kinds holding a bool, an int, a float or a str
+_NUMPY_KINDS = frozenset("biufU")
+
+
+def scalar(value):
+    """``value`` checked against minidb's value domain — ``None``, a bool,
+    an int, a float or a str — with a numpy scalar converted to its Python
+    value.  Any other value (a list, a dict, bytes, an array) raises
+    :class:`~repro.errors.IntegrityError`."""
+    if type(value) in CELL_TYPES:
+        return value
+    if getattr(getattr(value, "dtype", None), "kind", None) in _NUMPY_KINDS \
+            and value.shape == ():
+        return value.item()
+    if isinstance(value, (int, float, str)):  # a subclass, e.g. an IntEnum
+        return value
+    raise IntegrityError(
+        f"a value of type {type(value).__name__!r} is not a cell: cells are "
+        f"None, bool, int, float or str")
+
+
+_COERCERS = {NONE: _plain, TEXT: _coerce_text,
              INTEGER: _coerce_integer, REAL: _coerce_real}
 
 
-def _plain(value):
-    """Convert numpy scalars and bools to plain Python storage values."""
-    if isinstance(value, bool):
-        return int(value)
-    if hasattr(value, "item") and not isinstance(value, (int, float, str)):
-        return value.item()
-    return value
-
-
 def _number_to_text(value) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if float(value) == int(value):
-        return str(value)
-    return repr(float(value))
+    if isinstance(value, float) and not value.is_integer():
+        return repr(float(value))
+    return str(value)
 
 
 def _parse_strict(text: str):

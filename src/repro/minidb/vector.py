@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator
 
-from repro.minidb.functions import hashable_key, sort_key
+from repro.minidb.functions import sort_key
 
 BATCH_SIZE = 1024
 """Rows per batch: large enough to amortize dispatch, small enough to
@@ -173,12 +173,11 @@ def accumulate_batches(batches, group_positions, agg_descs) -> dict:
         return {(): _aggregate_ungrouped(batches, agg_descs, offsets,
                                          template)}
     groups: dict = {}
-    stand_ins: list = []  # keys holding unhashable cells, by equality
     for batch in batches:
         cols = batch.cols
         indices = batch.indices()
         buckets = _group_indices(cols, indices, group_positions, groups,
-                                 template, stand_ins)
+                                 template)
         extracted: dict = {}
         for (name, pos), offset in zip(agg_descs, offsets):
             if pos is None:  # COUNT(*) counts rows
@@ -350,17 +349,14 @@ def _avg_values(vals, entry, o):
     entry[o], entry[o + 1] = total, n
 
 
-def _group_indices(cols, indices, group_positions, groups, template,
-                   stand_ins: list):
+def _group_indices(cols, indices, group_positions, groups, template):
     """Partition a batch's selection into per-group index runs.
 
     Returns ``{key: [index, ...]}`` in first-seen order within the
     batch, creating missing entries in ``groups`` on demand with the
     first-seen raw group values in slot 0.  Index runs preserve stream
     order, so folding a run replays exactly the steps the row-at-a-time
-    loop would have applied to that group's state.  A key holding an
-    unhashable cell (a JSON list) is replaced by its stand-in from
-    ``stand_ins`` (:func:`~repro.minidb.functions.hashable_key`).
+    loop would have applied to that group's state.
     """
     buckets: dict = {}
     get = buckets.get
@@ -369,11 +365,7 @@ def _group_indices(cols, indices, group_positions, groups, template,
         for i in indices:
             v = col[i]
             key = (v,)
-            try:
-                idxs = get(key)
-            except TypeError:
-                key = hashable_key(key, stand_ins)
-                idxs = get(key)
+            idxs = get(key)
             if idxs is not None:
                 idxs.append(i)
                 continue
@@ -387,11 +379,7 @@ def _group_indices(cols, indices, group_positions, groups, template,
     for i in indices:
         values = [c[i] for c in gcols]
         key = tuple(values)
-        try:
-            idxs = get(key)
-        except TypeError:
-            key = hashable_key(key, stand_ins)
-            idxs = get(key)
+        idxs = get(key)
         if idxs is not None:
             idxs.append(i)
             continue

@@ -44,7 +44,7 @@ class DeltaSnapshot:
 
     def size_bytes(self) -> int:
         """Approximate serialized size — the storage-efficiency metric."""
-        return len(json.dumps(self.to_dict(), default=str))
+        return len(json.dumps(self.to_dict()))
 
     # -- algebra ---------------------------------------------------------------
 

@@ -71,7 +71,7 @@ class DifferentialStore:
         """Write the store as JSON lines."""
         with open(path, "w", encoding="utf-8") as handle:
             for delta in self._deltas:
-                handle.write(json.dumps(delta.to_dict(), default=str) + "\n")
+                handle.write(json.dumps(delta.to_dict()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "DifferentialStore":
@@ -109,5 +109,5 @@ class FullCopyStore:
     def total_bytes(self) -> int:
         """Total approximate storage for all stored copies."""
         return sum(
-            len(json.dumps(state, default=str)) for state in self._states
+            len(json.dumps(state)) for state in self._states
         )

@@ -6,8 +6,11 @@ comparison is only meaningful if they compute the same answers.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backends import FrameBackend, SQLBackend, make_backend
+from repro.errors import ColumnTypeError
 from repro.frame import DataFrame
 from repro.minidb import Database
 
@@ -84,14 +87,11 @@ class TestReads:
     def test_distinct_values(self, backend):
         assert set(backend.distinct_values("country")) == {"Bhutan", "Lesotho", "Nauru"}
 
-    def test_distinct_values_with_unhashable_cells(self):
-        """Lists and dicts in a mixed column count by equality on both
-        backends (the frame hashes first, then scans the unhashable ones)."""
-        frame = DataFrame.from_dict({"c": [1, [2], "a", [2], None, 1.0, {"k": 1}]})
-        sql = make_backend(frame, "sql").distinct_values("c")
-        mine = make_backend(frame, "frame").distinct_values("c")
-        assert len(sql) == len(mine) == 4
-        assert all(any(value == other for other in sql) for value in mine)
+    def test_non_scalar_cells_are_refused_before_upload(self):
+        """A list or dict cell stops at frame construction, naming its
+        column, so no backend is ever built over one."""
+        with pytest.raises(ColumnTypeError, match="column 'c': a cell of type '(list|dict)'"):
+            DataFrame.from_dict({"c": [1, [2], "a", [2], None, 1.0, {"k": 1}]})
 
     def test_group_row_ids(self, backend):
         assert sorted(backend.group_row_ids("country", "Nauru")) == [9]
@@ -119,6 +119,38 @@ class TestReads:
         stats = backend.numeric_stats("income", "country", "Lesotho")
         assert stats.count == 3
         assert stats.mean == pytest.approx((72000 + 48000 + 55000) / 3)
+
+
+_MIXED_CELLS = st.one_of(
+    st.none(),
+    st.just(float("nan")),
+    st.integers(-3, 3),
+    st.sampled_from([0.5, -1.0, 2.0, 1e20]),
+    st.sampled_from(["1", "2.0", " 3 ", "1e3", "12k", "a", ""]),
+    st.booleans(),
+)
+_TEXT_CELLS = st.one_of(st.none(), st.sampled_from(["x", "y", "1", "1.0", "", " x"]))
+
+
+class TestGroupInvariants:
+    """``group_sizes`` agrees with ``distinct_values`` and ``group_row_ids``
+    on each backend, for dirty mixed and text columns."""
+
+    @pytest.mark.parametrize("kind", ["sql", "frame"])
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.one_of(st.lists(_MIXED_CELLS, min_size=1, max_size=20),
+                           st.lists(_TEXT_CELLS, min_size=1, max_size=20)))
+    def test_group_sizes_match_distinct_values_and_row_ids(self, kind, cells):
+        frame = DataFrame.from_dict({"c": cells})
+        backend = make_backend(frame, kind)
+        sizes = backend.group_sizes("c")
+        keys = set(backend.distinct_values("c"))
+        if frame["c"].n_missing:
+            keys.add(None)
+        assert set(sizes) == keys
+        assert sum(sizes.values()) == backend.row_count() == len(cells)
+        for key, size in sizes.items():
+            assert size == len(backend.group_row_ids("c", key))
 
 
 class TestFrameScopedStats:

@@ -201,11 +201,36 @@ class TestStatistics:
         assert Column("a", ["x", "y", "x"]).mode() == "x"
         assert Column("a", [None]).mode() is None
 
-    def test_unhashable_cells_count_by_equality(self):
-        col = Column("a", [1, [2], "a", [2], None, 1.0, {"k": 1}, [2]])
-        assert col.unique() == [1, [2], "a", {"k": 1}]
-        assert col.value_counts() == [(1, 2), ([2], 3), ("a", 1), ({"k": 1}, 1)]
-        assert col.mode() == [2]
+    def test_mixed_scalars_count_by_hashing(self):
+        col = Column("a", [1, "1", "a", "1", None, 1.0, True, float("nan")])
+        assert col.dtype == dtypes.MIXED
+        assert col.unique() == [1, "1", "a"]
+        assert col.value_counts() == [(1, 3), ("1", 2), ("a", 1)]
+        assert col.mode() == 1
+
+
+class TestValueDomain:
+    @pytest.mark.parametrize("cell", [[2], {"k": 1}, (1, 2), b"x", object()],
+                             ids=["list", "dict", "tuple", "bytes", "object"])
+    @pytest.mark.parametrize("dtype", [None, dtypes.MIXED, dtypes.STRING])
+    def test_construction_refuses_non_scalars(self, cell, dtype):
+        with pytest.raises(ColumnTypeError, match="column 'a'"):
+            Column("a", [1, "x", cell, None], dtype=dtype)
+
+    @pytest.mark.parametrize("cell", [[2], {"k": 1}, object()], ids=["list", "dict", "object"])
+    def test_set_at_refuses_non_scalars(self, cell):
+        col = Column("a", [1, "x", None])
+        with pytest.raises(ColumnTypeError, match="column 'a'"):
+            col.set_at([0], [cell])
+        with pytest.raises(ColumnTypeError, match="column 'a'"):
+            col.set_at([0, 2], cell if isinstance(cell, dict) else [cell, 1])
+
+    def test_numpy_scalars_become_python_values_in_object_columns(self):
+        col = Column("a", [np.int64(3), "x", np.float64(2.5), np.bool_(True)])
+        assert col.dtype == dtypes.MIXED
+        assert [type(v) for v in col.to_list()] == [int, str, float, bool]
+        written = col.set_at([1], np.int64(4))
+        assert type(written[1]) is int
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(-1000, 1000)), max_size=50))

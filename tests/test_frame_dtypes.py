@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ColumnTypeError
 from repro.frame import dtypes
 
 
@@ -41,8 +42,11 @@ class TestInferDtype:
         assert dtypes.infer_dtype([np.int64(5), np.int64(6)]) == dtypes.INT64
         assert dtypes.infer_dtype([np.float64(5.5)]) == dtypes.FLOAT64
 
-    def test_other_objects_are_mixed(self):
-        assert dtypes.infer_dtype([object()]) == dtypes.MIXED
+    @pytest.mark.parametrize("cell", [object(), [2], {"k": 1}, b"x", (1,)],
+                             ids=["object", "list", "dict", "bytes", "tuple"])
+    def test_other_objects_are_refused(self, cell):
+        with pytest.raises(ColumnTypeError, match=type(cell).__name__):
+            dtypes.infer_dtype([1, cell])
 
 
 class TestValidation:

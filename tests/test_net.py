@@ -22,6 +22,7 @@ from repro.errors import (
     AdmissionError,
     AuthenticationError,
     DatabaseError,
+    IntegrityError,
     NetworkError,
     ProtocolError,
     SerializationError,
@@ -379,6 +380,23 @@ class TestWireErrors:
                 conn.execute("SELECT * FROM missing")
             # the session survives dispatch errors
             assert conn.execute("SELECT 1").scalar() == 1
+
+    @pytest.mark.parametrize("cell", [[2], {"k": 1}], ids=["list", "dict"])
+    def test_non_scalar_parameters_are_refused(self, db, cell):
+        """A JSON frame can carry a list or dict parameter; the server
+        refuses it as it refuses one in process, and the session lives on."""
+        with serve(db) as server, dial(server) as conn:
+            with pytest.raises(IntegrityError, match="not a cell"):
+                conn.execute("INSERT INTO t VALUES (?, ?)", (10, cell))
+            with pytest.raises(IntegrityError, match="not a cell"):
+                conn.execute("SELECT COUNT(*) FROM t WHERE v = ?", (cell,))
+            statement = conn.prepare("SELECT COUNT(*) FROM t WHERE v = ?")
+            with pytest.raises(IntegrityError, match="not a cell"):
+                statement.execute((cell,))
+            with pytest.raises(IntegrityError, match="not a cell"):
+                conn.executemany("INSERT INTO t VALUES (?, ?)", [(12, cell), (11, "a")])
+            assert conn.execute("SELECT COUNT(*) FROM t").scalar() == 10
+            assert statement.execute(("v3",)).scalar() == 1
 
     def test_serialization_error_is_retryable_code(self):
         err = wire.encode_error(SerializationError("write-write conflict"))

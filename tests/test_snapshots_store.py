@@ -1,6 +1,8 @@
 """Unit tests for the snapshot stores."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SnapshotError
 from repro.snapshots import DeltaSnapshot, DifferentialStore, FullCopyStore
@@ -8,6 +10,38 @@ from repro.snapshots import DeltaSnapshot, DifferentialStore, FullCopyStore
 
 def _delta(i: int) -> DeltaSnapshot:
     return DeltaSnapshot(updated={1: {"a": (i, i + 1)}}, label=f"op{i}")
+
+
+_cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 5),
+    st.integers(-(2 ** 80), 2 ** 80),
+    st.sampled_from([2 ** 63, -(2 ** 63) - 1, 10 ** 30]),
+    st.floats(allow_nan=False),
+    st.text(max_size=5),
+)
+_rows = st.dictionaries(st.integers(1, 20), st.dictionaries(st.sampled_from("ab"), _cells,
+                                                             max_size=2), max_size=3)
+_deltas = st.builds(
+    DeltaSnapshot,
+    deleted=_rows,
+    inserted=_rows,
+    updated=st.dictionaries(st.integers(1, 20), st.dictionaries(
+        st.sampled_from("ab"), st.tuples(_cells, _cells), min_size=1, max_size=2), max_size=3),
+    label=st.text(max_size=5),
+)
+
+
+def _typed(delta: DeltaSnapshot) -> tuple:
+    """The delta with every cell paired with its type, so ``1 == 1.0 == True``
+    cannot hide a changed cell."""
+    def cells(rows):
+        return {row: {col: (type(v), v) for col, v in content.items()}
+                for row, content in rows.items()}
+    updated = {row: {col: tuple((type(v), v) for v in pair) for col, pair in content.items()}
+               for row, content in delta.updated.items()}
+    return delta.label, cells(delta.deleted), cells(delta.inserted), updated
 
 
 class TestDifferentialStore:
@@ -53,6 +87,23 @@ class TestDifferentialStore:
         again = DifferentialStore.load(path)
         assert len(again) == 3
         assert again.cumulative().updated == store.cumulative().updated
+
+    @settings(max_examples=60, deadline=None)
+    @given(deltas=st.lists(_deltas, max_size=4))
+    def test_save_load_is_exact_delta_by_delta(self, tmp_path_factory, deltas):
+        store = DifferentialStore()
+        for delta in deltas:
+            store.record(delta)
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        store.save(path)
+        again = DifferentialStore.load(path).deltas()
+        assert [_typed(d) for d in again] == [_typed(d) for d in store.deltas()]
+
+    def test_save_refuses_a_non_json_cell(self, tmp_path):
+        store = DifferentialStore()
+        store.record(DeltaSnapshot(updated={1: {"a": (1, object())}}))
+        with pytest.raises(TypeError):
+            store.save(tmp_path / "store.jsonl")
 
 
 class TestFullCopyStore:
